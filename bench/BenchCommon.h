@@ -15,7 +15,6 @@
 
 #include "core/Ternary.h"
 #include "erc/Checker.h"
-#include "hier/Elaborate.h"
 #include "spice/Transient.h"
 #include "tcam/TcamRow.h"
 #include "util/Table.h"
@@ -64,9 +63,7 @@ inline core::TernaryWord one_bit_mismatch_key(const core::TernaryWord& w) {
 // them as unknown. Lets any ablation bench be rerun at a different accuracy
 // target (or on the legacy fixed grid, optionally refined by --dt-scale)
 // without recompiling; --no-erc skips the pre-simulation ERC pass for
-// benches that time deliberately degenerate circuits; --no-hier routes
-// row transactions through the legacy flat builders instead of the
-// elaborated templates (the A/B twin of the NEMTCAM_NO_HIER env var).
+// benches that time deliberately degenerate circuits.
 inline void consume_step_control_flags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -89,8 +86,6 @@ inline void consume_step_control_flags(int* argc, char** argv) {
       spice::set_default_step_control(spice::StepControl::FixedGrowth);
     } else if (std::strcmp(a, "--no-erc") == 0) {
       erc::set_default_enforce(false);
-    } else if (std::strcmp(a, "--no-hier") == 0) {
-      hier::set_default_enabled(false);
     } else if (flag_value("--reltol") && val > 0.0) {
       spice::set_default_lte_tolerances(val, spice::default_lte_abstol_v());
     } else if (flag_value("--abstol") && val > 0.0) {

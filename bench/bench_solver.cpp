@@ -1,14 +1,10 @@
-// Solver fast-path A/B bench (no paper figure — engineering validation).
+// Solver bench (no paper figure — engineering validation).
 //
-// Four comparisons, written to bench_solver.json / BENCH_pr2.json /
-// BENCH_pr5.json for machine checks:
-//  1. A full 64-wide 3T2N search transient with the assembly-cache +
-//     symbolic-LU fast path enabled vs the legacy rebuild-and-refactorize
-//     path (the pre-change solver, kept behind
-//     NewtonOptions::use_assembly_cache = false).
-//  2. A SparseLu micro: full factorization vs numeric refactorization of
+// Four measurements, written to bench_solver.json / BENCH_pr2.json /
+// BENCH_pr5.json / BENCH_pr6.json for machine checks:
+//  1. A SparseLu micro: full factorization vs numeric refactorization of
 //     the same MNA-shaped pattern with perturbed values.
-//  3. The same 64-wide search transient (worst-case one-bit-mismatch key)
+//  2. A 64-wide 3T2N search transient (worst-case one-bit-mismatch key)
 //     under LTE-controlled adaptive stepping vs the fixed grid at two
 //     resolutions: the legacy production grid (dt_max = 20 ps), and that
 //     grid refined 80x (dt_max = 0.25 ps) — the dt_max-refined reference
@@ -17,14 +13,12 @@
 //     energy) are judged against the refined reference: the legacy grid's
 //     own energy is >2% off it, so matching the reference at a fraction
 //     of its steps is the win being recorded.
-//  4. Template reuse: repeated searches on one row with the hierarchical
-//     template path (elaborate once, then rebind sources + device state
-//     per transaction) vs the legacy flat path that reconstructs the
-//     fixture circuit for every search. Per-search wall-clock, heap
-//     allocation counts (via the replacement operator new below), and the
-//     elaboration/stamp-pattern counters proving zero reconstruction
-//     during replay go to BENCH_pr5.json.
-//  5. Full-array solver A/B: a 64x64 3T2N array searched through the
+//  3. Template replay: repeated searches on one row after its template
+//     is elaborated (each replay rebinds sources and device state). Per-
+//     search wall-clock, heap allocation counts (via the replacement
+//     operator new below), and the elaboration/stamp-pattern counters
+//     proving zero reconstruction during replay go to BENCH_pr5.json.
+//  4. Full-array solver A/B: a 64x64 3T2N array searched through the
 //     bordered-block-diagonal Schur solver vs monolithic SparseLu on the
 //     bit-identical circuit (only ArrayOptions::use_bbd differs). Wall
 //     clock per replayed search, the per-row ML-delay and whole-array
@@ -42,13 +36,12 @@
 #include "BenchCommon.h"
 #include "hier/Elaborate.h"
 #include "linalg/SparseLu.h"
-#include "spice/Newton.h"
 #include "spice/Transient.h"
 #include "tcam/ArrayTemplate.h"
 #include "tcam/Nem3T2NRow.h"
 #include "tcam/RowSpecs.h"
 
-// Process-wide heap-allocation counter for the template-reuse leg. The
+// Process-wide heap-allocation counter for the template-replay leg. The
 // replaceable allocation functions must live at global scope with external
 // linkage; only the count hook is added — allocation itself stays malloc.
 namespace {
@@ -86,48 +79,8 @@ double seconds_since(Clock::time_point t0) {
 
 // Per-op wall-clock of the timed sections, filled by the BM_ functions and
 // written as JSON from main().
-double g_fast_search_s = 0.0;
-double g_legacy_search_s = 0.0;
 double g_full_factor_s = 0.0;
 double g_refactor_s = 0.0;
-
-double timed_search(bool use_cache) {
-  spice::set_default_use_assembly_cache(use_cache);
-  Nem3T2NRow row(kWidth, kRows, Calibration::standard());
-  const auto word = checker_word(kWidth);
-  row.store(word);
-  const auto t0 = Clock::now();
-  const SearchMetrics m = row.search(word);
-  const double dt = seconds_since(t0);
-  benchmark::DoNotOptimize(m.ml_min);
-  spice::set_default_use_assembly_cache(true);
-  return dt;
-}
-
-void BM_SearchTransientFast(benchmark::State& state) {
-  double total = 0.0;
-  std::size_t reps = 0;
-  for (auto _ : state) {
-    total += timed_search(/*use_cache=*/true);
-    ++reps;
-  }
-  g_fast_search_s = total / static_cast<double>(reps);
-  state.counters["search_ms"] = g_fast_search_s * 1e3;
-}
-
-void BM_SearchTransientLegacy(benchmark::State& state) {
-  double total = 0.0;
-  std::size_t reps = 0;
-  for (auto _ : state) {
-    total += timed_search(/*use_cache=*/false);
-    ++reps;
-  }
-  g_legacy_search_s = total / static_cast<double>(reps);
-  state.counters["search_ms"] = g_legacy_search_s * 1e3;
-}
-
-BENCHMARK(BM_SearchTransientLegacy)->Iterations(3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SearchTransientFast)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 // MNA-shaped CSR test matrix: tridiagonal-ish coupling plus a dense-ish
 // "voltage source" border, diagonally dominant so pivoting stays on the
@@ -258,67 +211,51 @@ BENCHMARK(BM_SearchStepFixed)->Iterations(3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SearchStepFixedRefined)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SearchStepAdaptive)->Iterations(3)->Unit(benchmark::kMillisecond);
 
-// --- Template reuse: rebuild-per-search vs rebind replay ---
+// --- Template replay ---
 
-// Searches timed per leg after the warm-up; even so keys alternate between
-// all-match and one-bit-mismatch so the rebind path re-drives the SLs.
-constexpr int kReuseSearches = 6;
+// Searches timed after the warm-up; keys alternate between all-match and
+// one-bit-mismatch so every replay re-drives the SLs.
+constexpr int kReplaySearches = 6;
 
-struct ReuseLeg {
+struct ReplayLeg {
   double per_search_s = 0.0;
   std::uint64_t allocs_per_search = 0;
   std::uint64_t instances_elaborated = 0;  // delta across the timed searches
   SearchMetrics m;                         // metrics of the last search
 };
 
-ReuseLeg g_reuse_rebuild, g_reuse_rebind;
+ReplayLeg g_replay;
 
-ReuseLeg run_reuse_leg(bool use_template) {
-  const bool saved = hier::default_enabled();
-  hier::set_default_enabled(use_template);
+ReplayLeg run_replay_leg() {
   Nem3T2NRow row(kWidth, kRows, Calibration::standard());
   const auto word = checker_word(kWidth);
   row.store(word);
   const auto key = one_bit_mismatch_key(word);
-  // Warm-up search: the template leg pays its one-time elaboration here;
-  // both legs fill the solver caches the fairest way they can.
+  // Warm-up search: pays the one-time elaboration and symbolic analysis.
   benchmark::DoNotOptimize(row.search(key).ml_min);
   const std::uint64_t elab0 = hier::stats().instances_elaborated;
   const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
-  ReuseLeg out;
+  ReplayLeg out;
   const auto t0 = Clock::now();
-  for (int i = 0; i < kReuseSearches; ++i)
+  for (int i = 0; i < kReplaySearches; ++i)
     out.m = row.search((i % 2) ? word : key);
-  out.per_search_s = seconds_since(t0) / kReuseSearches;
+  out.per_search_s = seconds_since(t0) / kReplaySearches;
   out.allocs_per_search =
-      (g_heap_allocs.load(std::memory_order_relaxed) - a0) / kReuseSearches;
+      (g_heap_allocs.load(std::memory_order_relaxed) - a0) / kReplaySearches;
   out.instances_elaborated = hier::stats().instances_elaborated - elab0;
-  hier::set_default_enabled(saved);
   return out;
 }
 
-void BM_SearchRebuildPerSearch(benchmark::State& state) {
+void BM_SearchTemplateReplay(benchmark::State& state) {
   for (auto _ : state) {
-    g_reuse_rebuild = run_reuse_leg(/*use_template=*/false);
-    benchmark::DoNotOptimize(g_reuse_rebuild.m.ml_min);
+    g_replay = run_replay_leg();
+    benchmark::DoNotOptimize(g_replay.m.ml_min);
   }
-  state.counters["search_ms"] = g_reuse_rebuild.per_search_s * 1e3;
-  state.counters["allocs"] =
-      static_cast<double>(g_reuse_rebuild.allocs_per_search);
+  state.counters["search_ms"] = g_replay.per_search_s * 1e3;
+  state.counters["allocs"] = static_cast<double>(g_replay.allocs_per_search);
 }
 
-void BM_SearchTemplateRebind(benchmark::State& state) {
-  for (auto _ : state) {
-    g_reuse_rebind = run_reuse_leg(/*use_template=*/true);
-    benchmark::DoNotOptimize(g_reuse_rebind.m.ml_min);
-  }
-  state.counters["search_ms"] = g_reuse_rebind.per_search_s * 1e3;
-  state.counters["allocs"] =
-      static_cast<double>(g_reuse_rebind.allocs_per_search);
-}
-
-BENCHMARK(BM_SearchRebuildPerSearch)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SearchTemplateRebind)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SearchTemplateReplay)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 double pct_delta(double test, double ref) {
   return ref != 0.0 ? 100.0 * (test - ref) / ref : 0.0;
@@ -469,18 +406,10 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  const double transient_speedup =
-      g_fast_search_s > 0.0 ? g_legacy_search_s / g_fast_search_s : 0.0;
   const double refactor_speedup =
       g_refactor_s > 0.0 ? g_full_factor_s / g_refactor_s : 0.0;
 
-  std::printf("\nSolver fast path — 64-wide 3T2N search transient:\n"
-              "  legacy (rebuild + full LU each iteration): %.1f ms\n"
-              "  fast (assembly cache + LU refactorize):    %.1f ms\n"
-              "  speedup: %.2fx\n",
-              g_legacy_search_s * 1e3, g_fast_search_s * 1e3,
-              transient_speedup);
-  std::printf("SparseLu n=256 MNA-shaped micro:\n"
+  std::printf("\nSparseLu n=256 MNA-shaped micro:\n"
               "  full factorize: %.1f us   refactorize: %.1f us   (%.2fx)\n",
               g_full_factor_s * 1e6, g_refactor_s * 1e6, refactor_speedup);
 
@@ -522,56 +451,32 @@ int main(int argc, char** argv) {
       g_ab_adaptive.m.latency * 1e12, g_ab_adaptive.m.energy * 1e12,
       step_ratio, wall_speedup, latency_delta, energy_delta);
 
-  const double reuse_speedup =
-      g_reuse_rebind.per_search_s > 0.0
-          ? g_reuse_rebuild.per_search_s / g_reuse_rebind.per_search_s
-          : 0.0;
-  const double alloc_ratio =
-      g_reuse_rebind.allocs_per_search > 0
-          ? static_cast<double>(g_reuse_rebuild.allocs_per_search) /
-                static_cast<double>(g_reuse_rebind.allocs_per_search)
-          : 0.0;
   std::printf(
-      "Template reuse — 64-wide 3T2N row, %d searches per leg:\n"
-      "  rebuild per search (flat builder):  %.2f ms/search  %llu allocs\n"
-      "  rebind replay (elaborated template): %.2f ms/search  %llu allocs\n"
-      "  speedup: %.2fx   alloc ratio: %.0fx   instances elaborated during "
+      "Template replay — 64-wide 3T2N row, %d searches after elaboration:\n"
+      "  %.2f ms/search  %llu allocs/search   instances elaborated during "
       "replay: %llu   stamp patterns on replayed circuit: %zu\n",
-      kReuseSearches, g_reuse_rebuild.per_search_s * 1e3,
-      static_cast<unsigned long long>(g_reuse_rebuild.allocs_per_search),
-      g_reuse_rebind.per_search_s * 1e3,
-      static_cast<unsigned long long>(g_reuse_rebind.allocs_per_search),
-      reuse_speedup, alloc_ratio,
-      static_cast<unsigned long long>(g_reuse_rebind.instances_elaborated),
-      g_reuse_rebind.m.stamp_pattern_builds);
+      kReplaySearches, g_replay.per_search_s * 1e3,
+      static_cast<unsigned long long>(g_replay.allocs_per_search),
+      static_cast<unsigned long long>(g_replay.instances_elaborated),
+      g_replay.m.stamp_pattern_builds);
 
   FILE* f5 = std::fopen("BENCH_pr5.json", "w");
   if (f5 != nullptr) {
     std::fprintf(
         f5,
         "{\n"
-        "  \"template_reuse_64wide\": {\n"
-        "    \"searches_per_leg\": %d,\n"
-        "    \"rebuild\": {\n"
-        "      \"search_ms\": %.6f,\n"
-        "      \"allocs_per_search\": %llu\n"
-        "    },\n"
-        "    \"rebind\": {\n"
-        "      \"search_ms\": %.6f,\n"
-        "      \"allocs_per_search\": %llu,\n"
-        "      \"instances_elaborated_during_replay\": %llu,\n"
-        "      \"stamp_pattern_builds\": %zu\n"
-        "    },\n"
-        "    \"speedup\": %.4f,\n"
-        "    \"alloc_ratio\": %.4f\n"
+        "  \"template_replay_64wide\": {\n"
+        "    \"searches\": %d,\n"
+        "    \"search_ms\": %.6f,\n"
+        "    \"allocs_per_search\": %llu,\n"
+        "    \"instances_elaborated_during_replay\": %llu,\n"
+        "    \"stamp_pattern_builds\": %zu\n"
         "  }\n"
         "}\n",
-        kReuseSearches, g_reuse_rebuild.per_search_s * 1e3,
-        static_cast<unsigned long long>(g_reuse_rebuild.allocs_per_search),
-        g_reuse_rebind.per_search_s * 1e3,
-        static_cast<unsigned long long>(g_reuse_rebind.allocs_per_search),
-        static_cast<unsigned long long>(g_reuse_rebind.instances_elaborated),
-        g_reuse_rebind.m.stamp_pattern_builds, reuse_speedup, alloc_ratio);
+        kReplaySearches, g_replay.per_search_s * 1e3,
+        static_cast<unsigned long long>(g_replay.allocs_per_search),
+        static_cast<unsigned long long>(g_replay.instances_elaborated),
+        g_replay.m.stamp_pattern_builds);
     std::fclose(f5);
     std::printf("wrote BENCH_pr5.json\n");
   }
@@ -802,18 +707,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "{\n"
-        "  \"transient_64wide\": {\n"
-        "    \"legacy_ms\": %.6f,\n"
-        "    \"fast_ms\": %.6f,\n"
-        "    \"speedup\": %.4f\n"
-        "  },\n"
         "  \"sparselu_n256\": {\n"
         "    \"full_factor_us\": %.6f,\n"
         "    \"refactor_us\": %.6f,\n"
         "    \"speedup\": %.4f\n"
         "  }\n"
         "}\n",
-        g_legacy_search_s * 1e3, g_fast_search_s * 1e3, transient_speedup,
         g_full_factor_s * 1e6, g_refactor_s * 1e6, refactor_speedup);
     std::fclose(f);
     std::printf("wrote bench_solver.json\n");

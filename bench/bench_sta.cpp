@@ -117,22 +117,16 @@ struct CaseResult {
   std::string why;
 };
 
-// The row templates expect an explicit strobe; mirror TcamRow's width
-// scaling of the spec's 64-bit reference strobe.
-double strobe_for(const tcam::SearchTemplate& tpl, int width) {
-  return tpl.spec().t_strobe * (0.25 + 0.75 * width / 64.0);
-}
-
 // One search, timed twice: once with STA off (the pure transient cost the
 // static pass is replacing) and once with STA on (replay — same circuit,
 // key rebound at most) to collect the attached summary.
-CaseResult run_case(tcam::SearchTemplate& tpl, int width, const char* kind,
+CaseResult run_case(tcam::SearchTemplate& tpl, const char* kind,
                     const char* label, const core::TernaryWord& key,
                     const core::TernaryWord& stored) {
   CaseResult r;
   r.kind = kind;
   r.label = label;
-  const double strobe = strobe_for(tpl, width);
+  const double strobe = tpl.default_strobe();
 
   sta::set_default_enabled(false);
   const auto t0 = Clock::now();
@@ -302,11 +296,9 @@ int main(int argc, char** argv) {
     const char* name = tcam::kind_name(kind);
     tcam::SearchTemplate tpl(tcam::search_spec_for(kind, tcam::Calibration{}),
                              width, kRows);
-    const CaseResult rm = run_case(tpl, width, name, "match", match, stored);
-    const CaseResult r1 =
-        run_case(tpl, width, name, "mismatch-1", mm1, stored);
-    const CaseResult rn =
-        run_case(tpl, width, name, "mismatch-max", mmN, stored);
+    const CaseResult rm = run_case(tpl, name, "match", match, stored);
+    const CaseResult r1 = run_case(tpl, name, "mismatch-1", mm1, stored);
+    const CaseResult rn = run_case(tpl, name, "mismatch-max", mmN, stored);
 
     // Calibrated band: re-center [k_lo, k_hi] from the width-W one-bit
     // spot check, then require a width-W/2 one-bit search (same discharge
@@ -315,8 +307,7 @@ int main(int argc, char** argv) {
     tcam::SearchTemplate tpl_h(tcam::search_spec_for(kind, tcam::Calibration{}),
                                half_width, kRows);
     CaseResult rcal =
-        run_case(tpl_h, half_width, name, "mismatch-1(calibrated)", mm1_h,
-                 stored_h);
+        run_case(tpl_h, name, "mismatch-1(calibrated)", mm1_h, stored_h);
     if (r1.ok && rcal.ok && !r1.matched && !rcal.matched &&
         r1.measured > 0.0 && rcal.measured > 0.0 && r1.sta.t_nom > 0.0) {
       ++calibrated_checked;

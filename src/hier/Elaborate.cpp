@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 namespace nemtcam::hier {
 
@@ -14,15 +13,6 @@ std::atomic<std::uint64_t> g_cards{0};
 bool is_ground_name(const std::string& s) {
   return s == "0" || s == "gnd" || s == "GND";
 }
-
-// -1 when the env knob is unset, else 0/1.
-int env_enabled() {
-  const char* v = std::getenv("NEMTCAM_NO_HIER");
-  if (v == nullptr || v[0] == '\0' || v[0] == '0') return -1;
-  return 0;
-}
-
-std::atomic<int> g_enabled{-2};  // -2 = not yet initialized
 
 }  // namespace
 
@@ -36,20 +26,6 @@ Stats stats() {
 void reset_stats() {
   g_instances.store(0, std::memory_order_relaxed);
   g_cards.store(0, std::memory_order_relaxed);
-}
-
-bool default_enabled() {
-  int cur = g_enabled.load(std::memory_order_relaxed);
-  if (cur == -2) {
-    const int from_env = env_enabled();
-    cur = (from_env == -1) ? 1 : from_env;
-    g_enabled.store(cur, std::memory_order_relaxed);
-  }
-  return cur != 0;
-}
-
-void set_default_enabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 std::string substitute_params(const std::string& token, const ParamEnv& env) {

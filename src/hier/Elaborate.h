@@ -100,10 +100,4 @@ struct Stats {
 Stats stats();
 void reset_stats();
 
-// Process default for "route transactions through elaborated templates".
-// Initialized lazily from the environment: NEMTCAM_NO_HIER=1 starts it
-// off (the legacy flat builders run instead — the A/B path).
-bool default_enabled();
-void set_default_enabled(bool on);
-
 }  // namespace nemtcam::hier

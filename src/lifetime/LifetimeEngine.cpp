@@ -268,8 +268,7 @@ void LifetimeEngine::accrue(double t0, double t1, LifetimeResult& out) {
     const int m = worst_live_row();
     if (m >= 0 && n_search > 0.0) {
       sync_template(m, wear_of(m), t0);
-      const double strobe =
-          tpl_->spec().t_strobe * (0.25 + 0.75 * cfg_.width / 64.0);
+      const double strobe = tpl_->default_strobe();
       const core::TernaryWord stored = checkerboard(cfg_.width);
       core::TernaryWord miss = stored;
       miss[0] = stored[0] == core::Ternary::One ? core::Ternary::Zero
@@ -371,8 +370,7 @@ void LifetimeEngine::circuit_check(double t, LifetimeResult& out) {
   }
 
   sync_template(m, w, t);
-  const double strobe =
-      tpl_->spec().t_strobe * (0.25 + 0.75 * cfg_.width / 64.0);
+  const double strobe = tpl_->default_strobe();
   const core::TernaryWord stored = checkerboard(cfg_.width);
   core::TernaryWord miss = stored;
   miss[0] = stored[0] == core::Ternary::One ? core::Ternary::Zero

@@ -1,9 +1,7 @@
 #include "spice/Newton.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "linalg/DenseLu.h"  // SingularMatrixError
@@ -18,9 +16,6 @@
 namespace nemtcam::spice {
 
 namespace {
-
-std::atomic<bool> g_use_assembly_cache{
-    std::getenv("NEMTCAM_NO_ASSEMBLY_CACHE") == nullptr};
 
 // Applies the damped update and checks node-voltage convergence. Returns
 // true when converged.
@@ -53,10 +48,6 @@ bool apply_update(const std::vector<double>& v_new, std::vector<double>& v,
 }
 
 }  // namespace
-
-bool default_use_assembly_cache() { return g_use_assembly_cache.load(); }
-
-void set_default_use_assembly_cache(bool on) { g_use_assembly_cache.store(on); }
 
 NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
                           std::vector<double>& v,
@@ -113,9 +104,9 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
     return result;
   }
 
-  // Legacy path: rebuild the SparseMatrix and run a full factorization
-  // every iteration. Kept for A/B benchmarking (bench_solver) and as the
-  // NEMTCAM_NO_ASSEMBLY_CACHE escape hatch.
+  // Rebuild path: a fresh SparseMatrix and a full factorization (fresh
+  // pivot choice) every iteration. Recovery's full-refactor stage runs it,
+  // and tests use it as the reference for the cached path.
   linalg::SparseMatrix a(n, n);
   std::vector<double> rhs(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {

@@ -9,12 +9,6 @@
 
 namespace nemtcam::spice {
 
-// Process-wide default for NewtonOptions::use_assembly_cache. Starts true
-// (set NEMTCAM_NO_ASSEMBLY_CACHE in the environment to start false); the
-// setter exists for A/B perf comparisons like bench_solver.
-bool default_use_assembly_cache();
-void set_default_use_assembly_cache(bool on);
-
 struct NewtonOptions {
   int max_iterations = 60;
   // Convergence: max |Δv| over node unknowns below abstol + reltol·|v|.
@@ -26,9 +20,10 @@ struct NewtonOptions {
   // Conductance to ground added on every node unknown (DC convergence aid).
   double gmin = 0.0;
   // Assemble into the circuit's fixed-pattern AssemblyCache and reuse the
-  // symbolic LU across iterations/steps (the fast path). When false, the
-  // MNA matrix is rebuilt and fully refactorized every iteration.
-  bool use_assembly_cache = default_use_assembly_cache();
+  // symbolic LU across iterations/steps. When false, the MNA matrix is
+  // rebuilt and fully factorized every iteration with fresh pivots — the
+  // recovery ladder's last stage and the fast path's test reference.
+  bool use_assembly_cache = true;
   // Multiplier on every independent source's drive value (source-stepping
   // continuation, see spice/Recovery.h). 1.0 = full drive.
   double source_scale = 1.0;

@@ -30,14 +30,14 @@ namespace nemtcam::spice {
 //    be ns-scale; the tolerances are the accuracy knob.
 enum class StepControl { FixedGrowth, Lte };
 
-// Process-wide defaults consumed by TransientOptions (same pattern as
-// Newton's default_use_assembly_cache). The step-control default starts at
-// Lte (set NEMTCAM_FIXED_STEP in the environment to start FixedGrowth);
-// the setters exist for A/B comparisons (bench_solver) and CLI overrides
-// (nemtcam_sim --reltol/--abstol/--fixed-step). Note the struct-level
-// default of TransientOptions::step_control stays FixedGrowth so bare
-// TransientOptions{} users (unit tests exercising exact fixed grids) are
-// unaffected; the TCAM fixtures opt in via step_defaults() below.
+// Process-wide defaults consumed by TransientOptions. The step-control
+// default starts at Lte (set NEMTCAM_FIXED_STEP in the environment to
+// start FixedGrowth); the setters exist for A/B comparisons (bench_solver)
+// and CLI overrides (nemtcam_sim --reltol/--abstol/--fixed-step). Note the
+// struct-level default of TransientOptions::step_control stays FixedGrowth
+// so bare TransientOptions{} users (unit tests exercising exact fixed
+// grids) are unaffected; the TCAM fixtures opt in via step_defaults()
+// below.
 StepControl default_step_control();
 void set_default_step_control(StepControl mode);
 double default_lte_reltol();

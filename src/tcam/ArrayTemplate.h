@@ -237,10 +237,9 @@ class ArrayTemplate {
   ArraySearchMetrics search(const core::TernaryWord& key,
                             double strobe_delay = -1.0, double dt_max = 20e-12);
 
-  // Nominal sense strobe for this width (spec.t_strobe at the 64-bit
-  // reference, scaled as TcamRow::strobe_scale does).
+  // Nominal sense strobe for this width.
   double default_strobe() const {
-    return spec_.t_strobe * (0.25 + 0.75 * static_cast<double>(width_) / 64.0);
+    return width_scaled_strobe(spec_.t_strobe, width_);
   }
 
   std::uint64_t builds() const noexcept { return builds_; }

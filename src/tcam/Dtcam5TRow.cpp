@@ -78,57 +78,6 @@ SearchTemplateSpec dtcam5t_search_spec(const Calibration& c) {
   return spec;
 }
 
-SearchMetrics Dtcam5TRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(dtcam5t_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, kGeo, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const StoredLevels lv = levels_for(stored_[static_cast<std::size_t>(i)]);
-
-    const NodeId stg1 = ckt.node("stg1_" + sfx);
-    const NodeId stg2 = ckt.node("stg2_" + sfx);
-    const NodeId cmp_a = ckt.node("cmpa_" + sfx);
-    const NodeId cmp_b = ckt.node("cmpb_" + sfx);
-
-    // Off write transistors hold (and slowly leak) the storage nodes.
-    ckt.add<Mosfet>("Tw1_" + sfx, stg1, ckt.ground(), ckt.ground(),
-                    c.nem_write_nmos());
-    ckt.add<Mosfet>("Tw2_" + sfx, stg2, ckt.ground(), ckt.ground(),
-                    c.nem_write_nmos());
-
-    ckt.add<Mosfet>("Mc1_" + sfx, fx.ml(), stg1, cmp_a,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc2_" + sfx, cmp_a, fx.slb(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc3_" + sfx, fx.ml(), stg2, cmp_b,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc4_" + sfx, cmp_b, fx.sl(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-
-    if (lv.v1 > 0.0) ckt.set_ic(stg1, lv.v1);
-    if (lv.v2 > 0.0) ckt.set_ic(stg2, lv.v2);
-  }
-
-  // Two compare-stack transistors per cell load the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), 2 * width()));
-
-  const auto result = fx.run();
-  // The stored level (~0.76 V) drives the top compare device with less
-  // overdrive than the SRAM's full-rail latch, so this design is a bit
-  // slower than the 16T: give the strobe headroom.
-  return fx.metrics(result, c.t_strobe_sram * strobe_scale() * 1.5);
-}
-
 WriteMetrics Dtcam5TRow::simulate_write(const TernaryWord& old_word,
                                         const TernaryWord& new_word) {
   const Calibration& c = cal();

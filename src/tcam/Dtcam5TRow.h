@@ -28,8 +28,6 @@ class Dtcam5TRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Dtcam5T; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   // Dynamic storage retention from the written '1' level; the cell has no
   // hysteresis window, so data is lost when the stored level can no longer
   // keep the compare transistor decisively conductive (V_th + ~100 mV).

@@ -21,8 +21,6 @@ class Fefet2FRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Fefet2F; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   struct FefetStates {
     bool f1_low_vth;
     bool f2_low_vth;

@@ -23,8 +23,6 @@ class Fefet4T2FRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Fefet4T2F; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   struct FefetStates {
     bool fa_low_vth;
     bool fb_low_vth;

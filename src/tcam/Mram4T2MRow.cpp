@@ -91,45 +91,6 @@ SearchTemplateSpec mram4t2m_search_spec(const Calibration& cal) {
   return spec;
 }
 
-SearchMetrics Mram4T2MRow::search(const TernaryWord& key) {
-  // The TMR-limited sense overdrive makes this by far the slowest search;
-  // it needs a longer observation window than the CMOS-strength designs.
-  Calibration c = cal();
-  c.t_search_window = 10e-9;
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(
-          mram4t2m_search_spec(cal()), width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, kGeo, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const MtjStates st = states_for(stored_[static_cast<std::size_t>(i)]);
-    const NodeId mid = ckt.node("mid_" + sfx);
-    auto& m1 = ckt.add<Mtj>("M1_" + sfx, fx.sl(i), mid);
-    auto& m2 = ckt.add<Mtj>("M2_" + sfx, mid, fx.slb(i));
-    m1.set_parallel(st.m1_parallel);
-    m2.set_parallel(st.m2_parallel);
-    ckt.add<Mosfet>("Ts_" + sfx, fx.ml(), mid, ckt.ground(), sense_fet(2.0));
-    // Off write-access device loads the divider node.
-    ckt.add<Mosfet>("Tacc_" + sfx, mid, ckt.ground(), ckt.ground(),
-                    c.nem_write_nmos());
-  }
-
-  // One sense NMOS per cell loads the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), width()));
-
-  const auto result = fx.run();
-  // The thin TMR-limited overdrive makes this the slowest search of all
-  // the designs; the strobe is scaled accordingly.
-  return fx.metrics(result, 6e-9 * strobe_scale());
-}
-
 WriteMetrics Mram4T2MRow::simulate_write(const TernaryWord& old_word,
                                          const TernaryWord& new_word) {
   const Calibration& c = cal();

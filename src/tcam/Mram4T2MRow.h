@@ -33,8 +33,6 @@ class Mram4T2MRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Mram4T2M; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   struct MtjStates {
     bool m1_parallel;
     bool m2_parallel;

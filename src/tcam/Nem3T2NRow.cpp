@@ -58,8 +58,7 @@ std::unique_ptr<spice::Waveform> drive_wave(double v0, double v1,
 }
 
 // One 3T2N cell, all nets as ports. A search grounds bl/blb/wl; a write
-// grounds ml/sl/slb — exactly the legacy flat builders' wiring, so an
-// elaborated cell is device-for-device identical to the hand-built one.
+// grounds ml/sl/slb.
 hier::SubcktDef nem_cell_def(const Calibration& c) {
   hier::SubcktDef def;
   def.name = "nem3t2n_cell";
@@ -147,7 +146,6 @@ SearchTemplateSpec nem3t2n_search_spec(const Calibration& c) {
 struct NemWriteTemplate {
   Circuit ckt;
   std::vector<hier::InstanceHandles> cells;
-  double t0 = 0.0;
   double t_end = 0.0;
 };
 
@@ -156,192 +154,55 @@ Nem3T2NRow::Nem3T2NRow(int width, int array_rows, const Calibration& cal)
 
 Nem3T2NRow::~Nem3T2NRow() = default;
 
-SearchMetrics Nem3T2NRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(nem3t2n_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, c.geo_nem, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const NodeId stg1 = ckt.node("stg1_" + sfx);
-    const NodeId stg2 = ckt.node("stg2_" + sfx);
-    const NodeId gs = ckt.node("gs_" + sfx);
-
-    // Write transistors are off during search (WL = BL = 0 ⇒ ground);
-    // they still load and leak the storage nodes.
-    ckt.add<Mosfet>("Tw1_" + sfx, stg1, ckt.ground(), ckt.ground(),
-                    c.nem_write_nmos());
-    ckt.add<Mosfet>("Tw2_" + sfx, stg2, ckt.ground(), ckt.ground(),
-                    c.nem_write_nmos());
-
-    auto& n1 = ckt.add<NemRelay>("N1_" + sfx, fx.slb(i), stg1, gs, ckt.ground());
-    auto& n2 = ckt.add<NemRelay>("N2_" + sfx, fx.sl(i), stg2, gs, ckt.ground());
-    ckt.add<Mosfet>("Ts_" + sfx, fx.ml(), gs, ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_nem_sense));
-
-    const RelayTargets t = targets_for(stored_[static_cast<std::size_t>(i)]);
-    const double v1 = t.n1_closed ? c.v_store_one : 0.0;
-    const double v2 = t.n2_closed ? c.v_store_one : 0.0;
-    n1.set_state(t.n1_closed, v1);
-    n2.set_state(t.n2_closed, v2);
-    if (v1 > 0.0) ckt.set_ic(stg1, v1);
-    if (v2 > 0.0) ckt.set_ic(stg2, v2);
-  }
-
-  // Design rules the fixture cannot know: one sense NMOS per cell loads
-  // the ML, the relay pair must encode the stored word (X = OFF/OFF), and
-  // every relay's hysteresis window must admit the calibration's one-shot
-  // refresh level.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), width()));
-  fx.checker().add_rule(erc::nem_pair_rule(stored_));
-  fx.checker().add_rule(erc::relay_refresh_window_rule(c.v_refresh));
-
-  const auto result = fx.run();
-  return fx.metrics(result, cal().t_strobe_nem * strobe_scale());
-}
-
 WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
                                         const TernaryWord& new_word) {
   const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    const double t0 = 0.1e-9;
-    if (!write_tpl_) {
-      auto tpl = std::make_unique<NemWriteTemplate>();
-      tpl->t0 = t0;
-      tpl->t_end = t0 + c.t_write_window_nem;
-      Circuit& ckt = tpl->ckt;
-      const double c_wl = width() * c.c_hline_per_cell(c.geo_nem);
-      const NodeId wl =
-          add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
-      const double c_bl = array_rows() * c.c_vline_per_cell(c.geo_nem);
-      const hier::SubcktDef cell = nem_cell_def(c);
-      static const hier::Library kEmptyLib;
-      for (int i = 0; i < width(); ++i) {
-        const std::string sfx = std::to_string(i);
-        const RelayTargets tgt =
-            targets_for(new_word[static_cast<std::size_t>(i)]);
-        const NodeId bl = add_driven_line(ckt, c, "bl" + sfx, c_bl, 0.0,
-                                          tgt.n1_closed ? c.vdd : 0.0, t0);
-        const NodeId blb = add_driven_line(ckt, c, "blb" + sfx, c_bl, 0.0,
-                                           tgt.n2_closed ? c.vdd : 0.0, t0);
-        // Port order of nem_cell_def: ml, sl, slb grounded during a write.
-        tpl->cells.push_back(hier::elaborate(
-            ckt, kEmptyLib, cell, "Xcell" + sfx,
-            {spice::kGround, spice::kGround, spice::kGround, bl, blb, wl}));
-      }
-      write_tpl_ = std::move(tpl);
-    } else {
-      for (int i = 0; i < width(); ++i) {
-        const std::string sfx = std::to_string(i);
-        const RelayTargets tgt =
-            targets_for(new_word[static_cast<std::size_t>(i)]);
-        NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
-            "Vdrv_bl" + sfx,
-            drive_wave(0.0, tgt.n1_closed ? c.vdd : 0.0, t0)));
-        NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
-            "Vdrv_blb" + sfx,
-            drive_wave(0.0, tgt.n2_closed ? c.vdd : 0.0, t0)));
-      }
-    }
-
-    Circuit& ckt = write_tpl_->ckt;
-    ckt.reset_device_states();
-    for (int i = 0; i < width(); ++i)
-      bind_nem_cell(ckt, write_tpl_->cells[static_cast<std::size_t>(i)],
-                    old_word[static_cast<std::size_t>(i)], c.v_store_one);
-
-    const TransientOptions opts =
-        spice::step_defaults(write_tpl_->t_end, 20e-12);
-    const auto result = run_transient(ckt, opts);
-
-    WriteMetrics m;
-    if (!result.finished) {
-      m.note = "transient failed: " + result.failure;
-      return m;
-    }
-    m.energy = result.total_source_energy();
-
-    double latest = 0.0;
-    bool all_ok = true;
+  const double t0 = 0.1e-9;
+  if (!write_tpl_) {
+    auto tpl = std::make_unique<NemWriteTemplate>();
+    tpl->t_end = t0 + c.t_write_window_nem;
+    Circuit& ckt = tpl->ckt;
+    // Boosted wordline crossing the whole row.
+    const double c_wl = width() * c.c_hline_per_cell(c.geo_nem);
+    const NodeId wl =
+        add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
+    const double c_bl = array_rows() * c.c_vline_per_cell(c.geo_nem);
+    const hier::SubcktDef cell = nem_cell_def(c);
+    static const hier::Library kEmptyLib;
     for (int i = 0; i < width(); ++i) {
-      const auto& cell = write_tpl_->cells[static_cast<std::size_t>(i)];
+      const std::string sfx = std::to_string(i);
       const RelayTargets tgt =
           targets_for(new_word[static_cast<std::size_t>(i)]);
-      for (const auto& [base, want_closed] :
-           {std::pair{"N1", tgt.n1_closed}, std::pair{"N2", tgt.n2_closed}}) {
-        auto* relay = dynamic_cast<NemRelay*>(cell.device(base));
-        NEMTCAM_EXPECT(relay != nullptr);
-        if (relay->contact() != want_closed) {
-          all_ok = false;
-          m.note = "relay " + relay->name() + " did not reach target state";
-          continue;
-        }
-        const double t_settle = want_closed ? relay->t_contact_closed()
-                                            : relay->t_contact_opened();
-        if (t_settle > 0.0) latest = std::max(latest, t_settle - t0);
-      }
+      const NodeId bl = add_driven_line(ckt, c, "bl" + sfx, c_bl, 0.0,
+                                        tgt.n1_closed ? c.vdd : 0.0, t0);
+      const NodeId blb = add_driven_line(ckt, c, "blb" + sfx, c_bl, 0.0,
+                                         tgt.n2_closed ? c.vdd : 0.0, t0);
+      // Port order of nem_cell_def: ml, sl, slb grounded during a write.
+      tpl->cells.push_back(hier::elaborate(
+          ckt, kEmptyLib, cell, "Xcell" + sfx,
+          {spice::kGround, spice::kGround, spice::kGround, bl, blb, wl}));
     }
-    m.ok = all_ok;
-    m.latency = latest;
-    return m;
+    write_tpl_ = std::move(tpl);
+  } else {
+    for (int i = 0; i < width(); ++i) {
+      const std::string sfx = std::to_string(i);
+      const RelayTargets tgt =
+          targets_for(new_word[static_cast<std::size_t>(i)]);
+      NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
+          "Vdrv_bl" + sfx, drive_wave(0.0, tgt.n1_closed ? c.vdd : 0.0, t0)));
+      NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
+          "Vdrv_blb" + sfx,
+          drive_wave(0.0, tgt.n2_closed ? c.vdd : 0.0, t0)));
+    }
   }
 
-  Circuit ckt;
-  const double t0 = 0.1e-9;
-  const double t_end = t0 + c.t_write_window_nem;
+  Circuit& ckt = write_tpl_->ckt;
+  ckt.reset_device_states();
+  for (int i = 0; i < width(); ++i)
+    bind_nem_cell(ckt, write_tpl_->cells[static_cast<std::size_t>(i)],
+                  old_word[static_cast<std::size_t>(i)], c.v_store_one);
 
-  // Boosted wordline crossing the whole row.
-  const double c_wl = width() * c.c_hline_per_cell(c.geo_nem);
-  const NodeId wl =
-      add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
-
-  std::vector<NemRelay*> relays1(static_cast<std::size_t>(width()));
-  std::vector<NemRelay*> relays2(static_cast<std::size_t>(width()));
-
-  const double c_bl = array_rows() * c.c_vline_per_cell(c.geo_nem);
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const RelayTargets tgt = targets_for(new_word[static_cast<std::size_t>(i)]);
-    const RelayTargets old = targets_for(old_word[static_cast<std::size_t>(i)]);
-
-    const NodeId bl = add_driven_line(ckt, c, "bl" + sfx, c_bl, 0.0,
-                                      tgt.n1_closed ? c.vdd : 0.0, t0);
-    const NodeId blb = add_driven_line(ckt, c, "blb" + sfx, c_bl, 0.0,
-                                       tgt.n2_closed ? c.vdd : 0.0, t0);
-
-    const NodeId stg1 = ckt.node("stg1_" + sfx);
-    const NodeId stg2 = ckt.node("stg2_" + sfx);
-    const NodeId gs = ckt.node("gs_" + sfx);
-
-    ckt.add<Mosfet>("Tw1_" + sfx, stg1, wl, bl,
-                    c.nem_write_nmos());
-    ckt.add<Mosfet>("Tw2_" + sfx, stg2, wl, blb,
-                    c.nem_write_nmos());
-    // During a write SL/SL̄ and ML are held at ground.
-    relays1[static_cast<std::size_t>(i)] =
-        &ckt.add<NemRelay>("N1_" + sfx, ckt.ground(), stg1, gs, ckt.ground());
-    relays2[static_cast<std::size_t>(i)] =
-        &ckt.add<NemRelay>("N2_" + sfx, ckt.ground(), stg2, gs, ckt.ground());
-    ckt.add<Mosfet>("Ts_" + sfx, ckt.ground(), gs, ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_nem_sense));
-
-    const double v1 = old.n1_closed ? c.v_store_one : 0.0;
-    const double v2 = old.n2_closed ? c.v_store_one : 0.0;
-    relays1[static_cast<std::size_t>(i)]->set_state(old.n1_closed, v1);
-    relays2[static_cast<std::size_t>(i)]->set_state(old.n2_closed, v2);
-    if (v1 > 0.0) ckt.set_ic(stg1, v1);
-    if (v2 > 0.0) ckt.set_ic(stg2, v2);
-  }
-
-  const TransientOptions opts = spice::step_defaults(t_end, 20e-12);
+  const TransientOptions opts = spice::step_defaults(write_tpl_->t_end, 20e-12);
   const auto result = run_transient(ckt, opts);
 
   WriteMetrics m;
@@ -354,10 +215,12 @@ WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
   double latest = 0.0;
   bool all_ok = true;
   for (int i = 0; i < width(); ++i) {
+    const auto& cell = write_tpl_->cells[static_cast<std::size_t>(i)];
     const RelayTargets tgt = targets_for(new_word[static_cast<std::size_t>(i)]);
-    for (const auto& [relay, want_closed] :
-         {std::pair{relays1[static_cast<std::size_t>(i)], tgt.n1_closed},
-          std::pair{relays2[static_cast<std::size_t>(i)], tgt.n2_closed}}) {
+    for (const auto& [base, want_closed] :
+         {std::pair{"N1", tgt.n1_closed}, std::pair{"N2", tgt.n2_closed}}) {
+      auto* relay = dynamic_cast<NemRelay*>(cell.device(base));
+      NEMTCAM_EXPECT(relay != nullptr);
       if (relay->contact() != want_closed) {
         all_ok = false;
         m.note = "relay " + relay->name() + " did not reach target state";

@@ -32,8 +32,6 @@ class Nem3T2NRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Nem3T2N; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   // One-shot refresh (Fig. 4): every wordline of the array is asserted and
   // every bitline driven to V_R simultaneously; closed relays stay closed
   // (V_R > V_PO), open relays stay open (V_R < V_PI). Reports whole-array

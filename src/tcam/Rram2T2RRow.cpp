@@ -10,7 +10,6 @@
 #include "hier/Elaborate.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
-#include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
 #include "tcam/SearchTemplate.h"
 #include "util/Random.h"
@@ -73,63 +72,25 @@ SearchTemplateSpec rram2t2r_search_spec(const Calibration& c) {
   return spec;
 }
 
-SearchMetrics Rram2T2RRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  // The variation ablation draws fresh per-device lognormal resistances
-  // every search, which defeats elaborate-once reuse; the template path
-  // covers the (default) nominal case only.
-  if (hier::default_enabled() && sigma_log_ == 0.0) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(rram2t2r_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, c.geo_rram, width(), array_rows(), key);
-  Circuit& ckt = fx.circuit();
+void Rram2T2RRow::rebind_devices(Circuit& ckt) {
+  if (sigma_log_ == 0.0 && !varied_) return;  // nominal circuit as built
+  // Each device draws its own R_ON and R_OFF around the nominal medians,
+  // per column Ra before Rb. A zero sigma draws nothing and restores the
+  // nominal window.
   util::Rng rng(seed_);
-
-  // RRAM MIM electrode plates load the matchline.
-  ckt.add<Capacitor>("Cel_ml", fx.ml(), ckt.ground(),
-                     width() * c.c_rram_electrode);
-
+  const RramParams nominal;
   for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const RramStates st = states_for(stored_[static_cast<std::size_t>(i)]);
-
-    RramParams rp;
-    if (sigma_log_ > 0.0) {
-      // Device-to-device spread: each device draws its own R_ON and R_OFF
-      // around the nominal medians.
-      rp.r_on = rng.lognormal_median(rp.r_on, sigma_log_);
-      rp.r_off = std::max(rng.lognormal_median(rp.r_off, sigma_log_),
-                          2.0 * rp.r_on);
+    for (const char* base : {"Ra", "Rb"}) {
+      auto* rram = dynamic_cast<Rram*>(
+          ckt.find("Xcell" + std::to_string(i) + "." + base));
+      NEMTCAM_EXPECT(rram != nullptr);
+      const double r_on = rng.lognormal_median(nominal.r_on, sigma_log_);
+      const double r_off = std::max(
+          rng.lognormal_median(nominal.r_off, sigma_log_), 2.0 * r_on);
+      rram->set_resistance_window(r_on, r_off);
     }
-    RramParams rp_b;
-    if (sigma_log_ > 0.0) {
-      rp_b.r_on = rng.lognormal_median(rp_b.r_on, sigma_log_);
-      rp_b.r_off = std::max(rng.lognormal_median(rp_b.r_off, sigma_log_),
-                            2.0 * rp_b.r_on);
-    }
-
-    const NodeId mid_a = ckt.node("mida_" + sfx);
-    const NodeId mid_b = ckt.node("midb_" + sfx);
-    auto& ra = ckt.add<Rram>("Ra_" + sfx, fx.ml(), mid_a, rp);
-    auto& rb = ckt.add<Rram>("Rb_" + sfx, fx.ml(), mid_b, rp_b);
-    ckt.add<Mosfet>("Ma_" + sfx, mid_a, fx.sl(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_rram_access));
-    ckt.add<Mosfet>("Mb_" + sfx, mid_b, fx.slb(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_rram_access));
-    ra.set_state(st.a_lrs ? 1.0 : 0.0);
-    rb.set_state(st.b_lrs ? 1.0 : 0.0);
   }
-
-  // Two RRAM branches per cell load the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), 2 * width()));
-
-  const auto result = fx.run();
-  return fx.metrics(result, cal().t_strobe_rram * strobe_scale());
+  varied_ = sigma_log_ > 0.0;
 }
 
 WriteMetrics Rram2T2RRow::simulate_write(const TernaryWord& old_word,

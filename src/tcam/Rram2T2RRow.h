@@ -24,11 +24,9 @@ class Rram2T2RRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Rram2T2R; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   // Device-to-device LRS/HRS variation (log-normal sigma, natural log)
-  // applied to every RRAM in subsequently built netlists; used by the
-  // Monte-Carlo variation ablation.
+  // drawn from the seed and applied to every RRAM of the search circuit
+  // before each search; used by the Monte-Carlo variation ablation.
   void set_resistance_sigma(double sigma_log) { sigma_log_ = sigma_log; }
   void set_variation_seed(std::uint64_t seed) { seed_ = seed; }
 
@@ -41,11 +39,12 @@ class Rram2T2RRow final : public TcamRow {
  protected:
   WriteMetrics simulate_write(const TernaryWord& old_word,
                               const TernaryWord& new_word) override;
+  void rebind_devices(spice::Circuit& ckt) override;
 
  private:
-
   double sigma_log_ = 0.0;
   std::uint64_t seed_ = 1;
+  bool varied_ = false;  // the search circuit carries drawn windows
 };
 
 }  // namespace nemtcam::tcam

@@ -56,12 +56,9 @@ void SearchTemplate::build(const core::TernaryWord& key,
   // Quantitative STA margin rules ride the same checker pass as the
   // structural rules, at this row's width-scaled strobe. They see the
   // circuit as bound for the first search after the (re)build.
-  if (sta::default_enabled()) {
-    const double strobe =
-        spec_.t_strobe * (0.25 + 0.75 * width_ / 64.0);
-    fx_->checker().add_rule(
-        sta::margin_rules({"ml"}, sta_options_for(spec_.cal, strobe)));
-  }
+  if (sta::default_enabled())
+    fx_->checker().add_rule(sta::margin_rules(
+        {"ml"}, sta_options_for(spec_.cal, default_strobe())));
   built_key_ = key;
   built_stored_ = stored;
   ++builds_;

@@ -49,8 +49,8 @@ struct SearchTemplateSpec {
   CellGeometry geo;
   double c_sl_gate_per_row = 0.0;
 
-  // Nominal sense-strobe delay at the reference 64-bit width; callers
-  // scale it for other widths (TcamRow::strobe_scale).
+  // Nominal sense-strobe delay at the reference 64-bit width; see
+  // width_scaled_strobe for other widths.
   double t_strobe = 0.0;
 
   // Extra ML loading per cell beyond the wire parasitics the fixture
@@ -87,6 +87,13 @@ struct SearchTemplateSpec {
       array_rules;
 };
 
+// The sense strobe of a `width`-bit row from the 64-bit reference strobe:
+// the ML time constant has a width-proportional wire/junction part and a
+// fixed part (sense amp, precharge junction), so it shrinks sub-linearly.
+inline double width_scaled_strobe(double t_strobe, int width) {
+  return t_strobe * (0.25 + 0.75 * static_cast<double>(width) / 64.0);
+}
+
 class SearchTemplate {
  public:
   SearchTemplate(SearchTemplateSpec spec, int width, int array_rows);
@@ -112,6 +119,11 @@ class SearchTemplate {
   std::uint64_t builds() const noexcept { return builds_; }
 
   const SearchTemplateSpec& spec() const noexcept { return spec_; }
+
+  // Nominal sense strobe for this row's width.
+  double default_strobe() const {
+    return width_scaled_strobe(spec_.t_strobe, width_);
+  }
 
  private:
   void build(const core::TernaryWord& key, const core::TernaryWord& stored);

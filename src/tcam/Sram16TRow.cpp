@@ -132,57 +132,6 @@ SearchTemplateSpec sram16t_search_spec(const Calibration& c) {
   return spec;
 }
 
-SearchMetrics Sram16TRow::search(const TernaryWord& key) {
-  const Calibration& c = cal();
-  if (hier::default_enabled()) {
-    if (!search_tpl_)
-      search_tpl_ = std::make_unique<SearchTemplate>(sram16t_search_spec(c),
-                                                     width(), array_rows());
-    return search_tpl_->search(key, stored_,
-                               search_tpl_->spec().t_strobe * strobe_scale());
-  }
-
-  SearchFixture fx(c, c.geo_sram, width(), array_rows(), key,
-                   c.c_sl_offgate_sram);
-  Circuit& ckt = fx.circuit();
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const CellBits bits = bits_for(stored_[static_cast<std::size_t>(i)]);
-
-    const NodeId d1 = ckt.node("d1_" + sfx);
-    const NodeId d1b = ckt.node("d1b_" + sfx);
-    const NodeId d2 = ckt.node("d2_" + sfx);
-    const NodeId d2b = ckt.node("d2b_" + sfx);
-
-    // Bitlines idle at 0, wordline off during search.
-    add_6t_cell(ckt, c, "c1_" + sfx, fx.vdd(), d1, d1b, ckt.ground(),
-                ckt.ground(), ckt.ground());
-    add_6t_cell(ckt, c, "c2_" + sfx, fx.vdd(), d2, d2b, ckt.ground(),
-                ckt.ground(), ckt.ground());
-    seed_cell_state(ckt, d1, d1b, bits.d1, c.vdd);
-    seed_cell_state(ckt, d2, d2b, bits.d2, c.vdd);
-
-    // 4T compare network.
-    const NodeId cmp_a = ckt.node("cmpa_" + sfx);
-    const NodeId cmp_b = ckt.node("cmpb_" + sfx);
-    ckt.add<Mosfet>("Mc1_" + sfx, fx.ml(), d1, cmp_a,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc2_" + sfx, cmp_a, fx.slb(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc3_" + sfx, fx.ml(), d2, cmp_b,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc4_" + sfx, cmp_b, fx.sl(i), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-  }
-
-  // Two compare-stack transistors per cell load the ML.
-  fx.checker().add_rule(erc::ml_fanin_rule(fx.ml(), fx.vdd(), 2 * width()));
-
-  const auto result = fx.run();
-  return fx.metrics(result, cal().t_strobe_sram * strobe_scale());
-}
-
 WriteMetrics Sram16TRow::simulate_write(const TernaryWord& old_word,
                                         const TernaryWord& new_word) {
   const Calibration& c = cal();

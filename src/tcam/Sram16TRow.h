@@ -18,8 +18,6 @@ class Sram16TRow final : public TcamRow {
 
   TcamKind kind() const override { return TcamKind::Sram16T; }
 
-  SearchMetrics search(const TernaryWord& key) override;
-
   struct CellBits {
     bool d1;
     bool d2;

@@ -40,6 +40,15 @@ void TcamRow::store(const TernaryWord& word) {
   stored_ = word;
 }
 
+SearchMetrics TcamRow::search(const TernaryWord& key) {
+  if (!search_tpl_)
+    search_tpl_ = std::make_unique<SearchTemplate>(
+        search_spec_for(kind(), cal()), width(), array_rows());
+  search_tpl_->ensure_built(key, stored_);
+  rebind_devices(*search_tpl_->circuit());
+  return search_tpl_->search(key, stored_, search_tpl_->default_strobe());
+}
+
 WriteMetrics TcamRow::write(const TernaryWord& word) {
   NEMTCAM_EXPECT(static_cast<int>(word.size()) == width());
   const TernaryWord old_word = stored_;

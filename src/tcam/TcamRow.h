@@ -6,10 +6,13 @@
 // width — matching the paper's "per-row measurement on a 64×64 array with
 // line parasitics scaled by cell size" methodology.
 //
-// Every transaction (write / search / refresh) builds a fresh transistor-
-// level netlist seeded from the currently stored word and runs a transient
-// analysis on it; metrics come from the waveforms and device state
-// telemetry, exactly like .measure on a SPICE deck.
+// Every transaction (write / search / refresh) runs a transient analysis
+// on a transistor-level netlist seeded from the currently stored word;
+// metrics come from the waveforms and device state telemetry, exactly like
+// .measure on a SPICE deck. A search elaborates the kind's SearchTemplate
+// (tcam/RowSpecs.h) once and replays it: a new key rebinds the searchline
+// drivers, a new stored word rebuilds. Writes and refreshes build their own
+// netlists (the 3T2N write replays a template of its own).
 #pragma once
 
 #include <memory>
@@ -18,6 +21,10 @@
 #include "core/Ternary.h"
 #include "tcam/Calibration.h"
 #include "tcam/Metrics.h"
+
+namespace nemtcam::spice {
+class Circuit;
+}
 
 namespace nemtcam::tcam {
 
@@ -56,31 +63,26 @@ class TcamRow {
   // On success the stored word is updated.
   WriteMetrics write(const TernaryWord& word);
 
-  // Simulates a search against the stored word.
-  virtual SearchMetrics search(const TernaryWord& key) = 0;
+  // Simulates a search against the stored word at the kind's width-scaled
+  // sense strobe (SearchTemplate::default_strobe).
+  SearchMetrics search(const TernaryWord& key);
 
  protected:
   TcamRow(int width, int array_rows, const Calibration& cal);
 
-  // Sense-strobe scaling for non-reference widths: the ML time constant
-  // has a width-proportional wire/junction part and a fixed part (sense
-  // amp, precharge junction), so the strobe shrinks sub-linearly.
-  double strobe_scale() const {
-    return 0.25 + 0.75 * static_cast<double>(width()) / 64.0;
-  }
-
   virtual WriteMetrics simulate_write(const TernaryWord& old_word,
                                       const TernaryWord& new_word) = 0;
 
+  // In-place device-parameter edits on the search circuit, applied after
+  // the template is built or rebound and before every replay (the RRAM
+  // row's resistance variation). The default edits nothing.
+  virtual void rebind_devices(spice::Circuit&) {}
+
   TernaryWord stored_;
 
-  // Lazily built elaborated search transaction (hier::default_enabled()
-  // path). Row builders fill it on first search; replays rebind instead
-  // of reconstructing. Rows with per-search stochastic device parameters
-  // (RRAM variation) leave it unset and fall back to the flat builder.
-  std::unique_ptr<SearchTemplate> search_tpl_;
-
  private:
+  // Elaborated from search_spec_for(kind(), cal()) on the first search.
+  std::unique_ptr<SearchTemplate> search_tpl_;
   int width_;
   int array_rows_;
   Calibration cal_;

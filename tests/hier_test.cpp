@@ -1,9 +1,10 @@
 // Hierarchical-IR acceptance suite (ctest label: hier).
 //
 // Covers the elaborate-once contract end to end: every row design's
-// template-path search must reproduce the legacy flat builder's metrics,
-// a replayed search must not rebuild or re-stamp anything, and a textual
-// .subckt deck must parse, elaborate, pass ERC and simulate.
+// template search must reproduce the reference metrics of the hand-built
+// flat netlists the templates replaced (recorded below), a replayed search
+// must not rebuild or re-stamp anything, and a textual .subckt deck must
+// parse, elaborate, pass ERC and simulate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,36 +28,30 @@ using core::TernaryWord;
 constexpr int kWidth = 8;
 constexpr int kRows = 64;
 
-// Scoped override of the process-wide template-path default, so tests can
-// A/B the two builders without leaking state into each other.
-class HierMode {
- public:
-  explicit HierMode(bool on) : prev_(hier::default_enabled()) {
-    hier::set_default_enabled(on);
-  }
-  ~HierMode() { hier::set_default_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 // |a - b| within 0.1% of |b| (or both ~0).
 void expect_close(double a, double b, const char* what) {
   const double tol = 1e-3 * std::max(std::abs(b), 1e-30);
-  EXPECT_NEAR(a, b, tol) << what << ": template=" << a << " flat=" << b;
+  EXPECT_NEAR(a, b, tol) << what << ": template=" << a << " reference=" << b;
 }
 
-void expect_equivalent(const SearchMetrics& tpl, const SearchMetrics& flat) {
-  ASSERT_TRUE(tpl.ok) << tpl.note;
-  ASSERT_TRUE(flat.ok) << flat.note;
-  EXPECT_EQ(tpl.matched, flat.matched);
-  expect_close(tpl.latency, flat.latency, "latency");
-  expect_close(tpl.energy, flat.energy, "energy");
+// Reference search metrics of the flat netlists.
+struct Golden {
+  bool matched;
+  double latency;  // s
+  double energy;   // J
+  double ml_min;   // V
+};
+
+void expect_golden(const SearchMetrics& m, const Golden& ref) {
+  ASSERT_TRUE(m.ok) << m.note;
+  EXPECT_EQ(m.matched, ref.matched);
+  expect_close(m.latency, ref.latency, "latency");
+  expect_close(m.energy, ref.energy, "energy");
   // A replayed solve refactorizes on the cached pattern, so the ~nV
   // discharge residue can differ at rounding level; a 1 µV absolute floor
   // keeps the check meaningful against the 1 V signal scale.
-  EXPECT_NEAR(tpl.ml_min, flat.ml_min,
-              std::max(1e-3 * std::abs(flat.ml_min), 1e-6));
+  EXPECT_NEAR(m.ml_min, ref.ml_min,
+              std::max(1e-3 * std::abs(ref.ml_min), 1e-6));
 }
 
 class AllKindsHier : public ::testing::TestWithParam<TcamKind> {};
@@ -79,34 +74,53 @@ INSTANTIATE_TEST_SUITE_P(
       return "unknown";
     });
 
+// Flat-netlist metrics of the word/keys below at kWidth x kRows: the
+// first search of each pair builds the template, the second replays it.
+struct KindGolden {
+  Golden match;
+  Golden miss;
+};
+
+KindGolden golden_for(TcamKind kind) {
+  switch (kind) {
+    case TcamKind::Sram16T:
+      return {{true, 0.0, 1.10803e-13, 1.14435},
+              {false, 2.62901e-10, 1.14242e-13, 3.77668e-09}};
+    case TcamKind::Nem3T2N:
+      return {{true, 0.0, 4.44253e-14, 0.803189},
+              {false, 6.36587e-11, 4.64275e-14, 3.91939e-09}};
+    case TcamKind::Rram2T2R:
+      return {{true, 1.31872e-09, 3.66925e-14, 0.239296},
+              {false, 1.32357e-10, 3.71417e-14, 5.34335e-04}};
+    case TcamKind::Fefet2F:
+      return {{true, 0.0, 2.59627e-14, 1.10761},
+              {false, 1.42108e-10, 3.24790e-14, -1.23738e-08}};
+    case TcamKind::Dtcam5T:
+      return {{true, 0.0, 3.98706e-14, 1.04642},
+              {false, 1.94048e-10, 4.14955e-14, -1.86333e-07}};
+    case TcamKind::Fefet4T2F:
+      return {{true, 0.0, 3.24481e-14, 1.10800},
+              {false, 1.60115e-10, 4.04404e-14, 5.03197e-08}};
+    case TcamKind::Mram4T2M:
+      return {{true, 9.79867e-09, 7.76670e-12, 0.472209},
+              {false, 8.90227e-10, 7.31143e-12, 1.22301e-04}};
+  }
+  return {};
+}
+
 TEST_P(AllKindsHier, TemplatePathMatchesFlatPath) {
   const TernaryWord word("10X10010");
   const TernaryWord match_key("10110010");   // X columns are don't-care
   const TernaryWord mismatch_key("00110010");
 
-  SearchMetrics tpl_match, tpl_miss, flat_match, flat_miss;
-  {
-    HierMode mode(true);
-    auto row = make_row(GetParam(), kWidth, kRows);
-    row->store(word);
-    tpl_match = row->search(match_key);
-    tpl_miss = row->search(mismatch_key);
-  }
-  {
-    HierMode mode(false);
-    auto row = make_row(GetParam(), kWidth, kRows);
-    row->store(word);
-    flat_match = row->search(match_key);
-    flat_miss = row->search(mismatch_key);
-  }
-  EXPECT_TRUE(tpl_match.matched);
-  EXPECT_FALSE(tpl_miss.matched);
-  expect_equivalent(tpl_match, flat_match);
-  expect_equivalent(tpl_miss, flat_miss);
+  auto row = make_row(GetParam(), kWidth, kRows);
+  row->store(word);
+  const KindGolden ref = golden_for(GetParam());
+  expect_golden(row->search(match_key), ref.match);
+  expect_golden(row->search(mismatch_key), ref.miss);
 }
 
 TEST(HierTemplate, ReplayedSearchRebuildsNothing) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("1011X010"));
 
@@ -137,7 +151,6 @@ TEST(HierTemplate, ReplayedSearchRebuildsNothing) {
 }
 
 TEST(HierTemplate, StoreOfNewWordRebuildsAndStaysCorrect) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("11110000"));
   EXPECT_TRUE(row->search(TernaryWord("11110000")).matched);
@@ -152,30 +165,16 @@ TEST(HierTemplate, StoreOfNewWordRebuildsAndStaysCorrect) {
 }
 
 TEST(HierTemplate, WriteTemplateMatchesFlatWrite) {
-  const TernaryWord old_word("10110010");
-  const TernaryWord new_word("01X01101");
-
-  WriteMetrics tpl, flat;
-  {
-    HierMode mode(true);
-    auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
-    row->store(old_word);
-    tpl = row->write(new_word);
-  }
-  {
-    HierMode mode(false);
-    auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
-    row->store(old_word);
-    flat = row->write(new_word);
-  }
-  ASSERT_TRUE(tpl.ok) << tpl.note;
-  ASSERT_TRUE(flat.ok) << flat.note;
-  expect_close(tpl.latency, flat.latency, "write latency");
-  expect_close(tpl.energy, flat.energy, "write energy");
+  auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
+  row->store(TernaryWord("10110010"));
+  const WriteMetrics m = row->write(TernaryWord("01X01101"));
+  ASSERT_TRUE(m.ok) << m.note;
+  // Flat-netlist reference of the same write.
+  expect_close(m.latency, 2.02180e-09, "write latency");
+  expect_close(m.energy, 3.45323e-14, "write energy");
 }
 
 TEST(HierTemplate, ReplayedWriteRebuildsNothing) {
-  HierMode mode(true);
   auto row = make_row(TcamKind::Nem3T2N, kWidth, kRows);
   row->store(TernaryWord("10110010"));
   ASSERT_TRUE(row->write(TernaryWord("01001101")).ok);
@@ -188,22 +187,24 @@ TEST(HierTemplate, ReplayedWriteRebuildsNothing) {
   EXPECT_EQ(after.cards_emitted, before.cards_emitted);
 }
 
-TEST(HierTemplate, RramVariationFallsBackToFlatBuilder) {
-  // Per-search lognormal draws are incompatible with elaborate-once; the
-  // row must keep working (via the flat builder) when variation is on.
-  HierMode mode(true);
+TEST(HierTemplate, RramVariationRebindsTemplateInPlace) {
+  // Resistance variation is drawn into the elaborated RRAMs in place: the
+  // varied search reproduces the flat netlist built from the same draws,
+  // and the replay elaborates nothing.
   auto row = make_row(TcamKind::Rram2T2R, kWidth, kRows);
   auto* rram = dynamic_cast<Rram2T2RRow*>(row.get());
   ASSERT_NE(rram, nullptr);
   rram->set_resistance_sigma(0.3);
   row->store(TernaryWord("10110010"));
+  expect_golden(row->search(TernaryWord("10110010")),
+                {true, 1.60030e-09, 3.67013e-14, 0.306417});
+
   const hier::Stats before = hier::stats();
-  const SearchMetrics m = row->search(TernaryWord("10110010"));
+  const SearchMetrics miss = row->search(TernaryWord("00110010"));
   const hier::Stats after = hier::stats();
-  ASSERT_TRUE(m.ok) << m.note;
-  EXPECT_TRUE(m.matched);
-  // No template was elaborated for the stochastic path.
+  expect_golden(miss, {false, 1.21485e-10, 3.72686e-14, 2.72716e-04});
   EXPECT_EQ(after.instances_elaborated, before.instances_elaborated);
+  EXPECT_EQ(after.cards_emitted, before.cards_emitted);
 }
 
 TEST(HierDeck, SubcktDeckParsesErcCleanAndSimulates) {

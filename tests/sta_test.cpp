@@ -150,7 +150,7 @@ erc::Report margin_report(const tcam::Calibration& cal, int width,
   tcam::SearchTemplate tpl(tcam::nem3t2n_search_spec(cal), width, 64);
   const core::TernaryWord word = all_ones(width);
   tpl.ensure_built(word, word);
-  const double strobe = tpl.spec().t_strobe * (0.25 + 0.75 * width / 64.0);
+  const double strobe = tpl.default_strobe();
   sta::StaOptions opt = tcam::sta_options_for(cal, strobe);
   opt.refresh_period = refresh_period;
   erc::Checker checker;
@@ -221,7 +221,7 @@ TEST(StaSeededDefect, LeakyRelayFlagsRefreshWindow) {
   tcam::Calibration cal;
   tcam::SearchTemplate tpl(tcam::nem3t2n_search_spec(cal), 16, 64);
   const core::TernaryWord word = all_ones(16);
-  const double strobe = tpl.spec().t_strobe * (0.25 + 0.75 * 16 / 64.0);
+  const double strobe = tpl.default_strobe();
   ASSERT_TRUE(tpl.search(word, word, strobe).ok);
   int relays = 0;
   for (const auto& dev : tpl.circuit()->devices())
@@ -248,7 +248,7 @@ TEST(StaSeededDefect, HealthyRelaysMeetRefreshSchedule) {
   tcam::Calibration cal;
   tcam::SearchTemplate tpl(tcam::nem3t2n_search_spec(cal), 16, 64);
   const core::TernaryWord word = all_ones(16);
-  const double strobe = tpl.spec().t_strobe * (0.25 + 0.75 * 16 / 64.0);
+  const double strobe = tpl.default_strobe();
   ASSERT_TRUE(tpl.search(word, word, strobe).ok);
   sta::StaOptions opt = tcam::sta_options_for(cal, strobe);
   opt.refresh_period = 1.0e-6;
@@ -269,8 +269,7 @@ TEST_P(StaBracketing, TransientDelayAndEnergyInsideStaticBounds) {
   const core::TernaryWord stored = all_ones(kTestWidth);
   core::TernaryWord miss = stored;
   miss[0] = core::Ternary::Zero;
-  const double strobe =
-      tpl.spec().t_strobe * (0.25 + 0.75 * kTestWidth / 64.0);
+  const double strobe = tpl.default_strobe();
 
   const tcam::SearchMetrics hit = tpl.search(stored, stored, strobe);
   ASSERT_TRUE(hit.ok) << hit.note;

@@ -156,14 +156,19 @@ TEST(ThreadPool, NestedParallelForInsideTaskCompletes) {
 
 TEST(ThreadPool, WaitIdleAssistsSubmittedWork) {
   util::ThreadPool pool(2);
+  std::atomic<int> spawned{0};
   std::atomic<int> done{0};
   for (int i = 0; i < 100; ++i)
     pool.submit([&] {
       // Tasks may submit further tasks; wait_idle must cover those too.
-      if (done.fetch_add(1) < 50) pool.submit([&] { done.fetch_add(1); });
+      // The first 50 outer tasks to run each spawn one nested task. The
+      // gate counts spawns only: counting completions would let nested
+      // tasks that finish early close it before 50 were spawned.
+      if (spawned.fetch_add(1) < 50) pool.submit([&] { done.fetch_add(1); });
+      done.fetch_add(1);
     });
   pool.wait_idle();
-  EXPECT_GE(done.load(), 150);
+  EXPECT_EQ(done.load(), 150);
 }
 
 TEST(ThreadPool, ParallelForRethrowsTaskException) {

@@ -6,9 +6,9 @@
 # Stages:
 #   1. release build (preset `release`) + full ctest
 #   2. ASan/UBSan build (preset `asan`) + the `robustness`, `hier`,
-#      `array`, `lifetime` and `sta` test labels (elaboration, BBD
-#      solver, threaded Schur accumulation, multi-rate engine and static
-#      analysis code paths under the sanitizers)
+#      `array`, `lifetime`, `sta` and `paper` test labels (elaboration,
+#      BBD solver, threaded Schur accumulation, multi-rate engine, static
+#      analysis and the pinned paper figures under the sanitizers)
 #   3. TSan build (preset `tsan`) + the `array` and `solver` labels: the
 #      threaded Schur accumulation and the integrator paths it calls are
 #      the only concurrency in the repo, so those labels are the race
@@ -20,7 +20,9 @@
 #      nemtcam_lint --sta --werror
 #   6. bench smokes: the CI-sized datacenter-lifetime sweep
 #      (bench_lifetime --smoke) and the STA bracketing/speedup gate
-#      (bench_sta --smoke) must complete with their internal gates green
+#      (bench_sta --smoke) must complete with their internal gates green,
+#      and the RRAM-variation Monte-Carlo (bench_ablation_variation) must
+#      print the same A1 table at NEMTCAM_THREADS=1 and =4
 #
 # Fails fast on the first broken stage.
 set -eu
@@ -32,7 +34,7 @@ cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/6] asan build + robustness/hier/array/lifetime/sta labels ===="
+echo "==== [2/6] asan build + robustness/hier/array/lifetime/sta/paper labels ===="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset robustness-asan -j
@@ -40,6 +42,7 @@ ctest --preset hier-asan -j
 ctest --preset array-asan -j
 ctest --preset lifetime-asan -j
 ctest --preset sta-asan -j
+ctest --preset paper-asan -j
 
 echo "==== [3/6] tsan build + array/solver labels ===="
 cmake --preset tsan
@@ -54,8 +57,22 @@ cmake --build --preset lint -j
 echo "==== [5/6] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/6] bench smokes (lifetime sweep, STA gate) ===="
+echo "==== [6/6] bench smokes (lifetime sweep, STA gate, A1 determinism) ===="
 (cd build/bench && ./bench_lifetime --smoke)
 (cd build/bench && ./bench_sta --smoke)
+# The A1 table printed by the variation sweep at a given thread count.
+a1_table() {
+  (cd build/bench && NEMTCAM_THREADS="$1" ./bench_ablation_variation) |
+    sed -n '/^Ablation A1/,/^3T2N matched-ML margin/p'
+}
+a1_serial=$(a1_table 1)
+a1_pooled=$(a1_table 4)
+if [ -z "$a1_serial" ] || [ "$a1_serial" != "$a1_pooled" ]; then
+  echo "bench_ablation_variation: A1 table differs between" \
+       "NEMTCAM_THREADS=1 and =4" >&2
+  printf '%s\n--- NEMTCAM_THREADS=4 ---\n%s\n' "$a1_serial" "$a1_pooled" >&2
+  exit 1
+fi
+printf '%s\n(identical at NEMTCAM_THREADS=1 and =4)\n' "$a1_serial"
 
 echo "==== ci.sh: all stages passed ===="

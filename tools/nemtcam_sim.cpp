@@ -18,11 +18,6 @@
 // Every deck is ERC-checked before any solve (see src/erc/): errors abort
 // the deck with the structured findings report, warnings print and the
 // simulation proceeds. --no-erc (or NEMTCAM_NO_ERC) skips the pass.
-//
-// --no-hier (or NEMTCAM_NO_HIER) flips the process-wide hierarchical
-// default off: .subckt decks still elaborate, but any row-builder code
-// hosted in this process falls back to the legacy flat construction —
-// the A/B switch used by the template-vs-flat equivalence runs.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +27,6 @@
 #include <vector>
 
 #include "erc/Checker.h"
-#include "hier/Elaborate.h"
 #include "netlist/Netlist.h"
 #include "spice/Newton.h"
 #include "spice/Transient.h"
@@ -48,8 +42,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: nemtcam_sim <deck.sp> [more decks...]"
                " [--points N] [--threads N]"
-               " [--reltol X] [--abstol X] [--fixed-step] [--no-erc]"
-               " [--no-hier]\n");
+               " [--reltol X] [--abstol X] [--fixed-step] [--no-erc]\n");
   return 2;
 }
 
@@ -194,8 +187,6 @@ int main(int argc, char** argv) {
       set_default_step_control(StepControl::FixedGrowth);
     } else if (std::strcmp(argv[i], "--no-erc") == 0) {
       erc::set_default_enforce(false);
-    } else if (std::strcmp(argv[i], "--no-hier") == 0) {
-      hier::set_default_enabled(false);
     } else if (argv[i][0] != '-') {
       paths.emplace_back(argv[i]);
     } else {
