@@ -1,7 +1,7 @@
 // Solver bench (no paper figure — engineering validation).
 //
-// Four measurements, written to bench_solver.json / BENCH_pr2.json /
-// BENCH_pr5.json / BENCH_pr6.json for machine checks:
+// Three measurements, written to bench_solver.json / BENCH_pr2.json /
+// BENCH_pr5.json for machine checks:
 //  1. A SparseLu micro: full factorization vs numeric refactorization of
 //     the same MNA-shaped pattern with perturbed values.
 //  2. A 64-wide 3T2N search transient (worst-case one-bit-mismatch key)
@@ -18,16 +18,10 @@
 //     search wall-clock, heap allocation counts (via the replacement
 //     operator new below), and the elaboration/stamp-pattern counters
 //     proving zero reconstruction during replay go to BENCH_pr5.json.
-//  4. Full-array solver A/B: a 64x64 3T2N array searched through the
-//     bordered-block-diagonal Schur solver vs monolithic SparseLu on the
-//     bit-identical circuit (only ArrayOptions::use_bbd differs). Wall
-//     clock per replayed search, the per-row ML-delay and whole-array
-//     energy deviation between the two solvers, and a 256x256 BBD-only
-//     feasibility point go to BENCH_pr6.json.
-#include <algorithm>
+// Coupled-array search time is measured by bench_sta (64x64, with its
+// STA speedup gate) and bench_ablation_array_size.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -37,7 +31,6 @@
 #include "hier/Elaborate.h"
 #include "linalg/SparseLu.h"
 #include "spice/Transient.h"
-#include "tcam/ArrayTemplate.h"
 #include "tcam/Nem3T2NRow.h"
 #include "tcam/RowSpecs.h"
 
@@ -261,144 +254,6 @@ double pct_delta(double test, double ref) {
   return ref != 0.0 ? 100.0 * (test - ref) / ref : 0.0;
 }
 
-// --- Full-array BBD Schur solver vs monolithic SparseLu ---
-
-// Replayed searches timed per leg after the warm-up build; keys alternate
-// all-match / one-bit-mismatch so the rebind path re-drives the lines.
-constexpr int kArraySearches = 2;
-
-struct ArrayLeg {
-  double per_search_s = 0.0;
-  ArraySearchMetrics m;  // metrics of the last (one-bit-mismatch) search
-};
-
-ArrayLeg g_array_bbd, g_array_mono;        // 64x64 A/B
-ArrayLeg g_array_bbd128, g_array_mono128;  // 128x128 A/B (1 search per leg)
-ArrayLeg g_array_256, g_array_mono256;     // 256x256 A/B (1 search per leg)
-
-ArrayLeg run_array_leg(int rows, int width, const ArrayOptions& opt,
-                       int n_searches = kArraySearches) {
-  ArrayTemplate arr(nem3t2n_search_spec(Calibration::standard()), rows, width,
-                    opt);
-  const auto word = checker_word(width);
-  const auto comp = complement_word(word);
-  // Odd rows store the complement so the match vector exercises both
-  // outcomes; the one-bit-mismatch key makes even rows the worst case.
-  for (int r = 0; r < rows; ++r) arr.store(r, (r % 2) ? comp : word);
-  const auto miss = one_bit_mismatch_key(word);
-  // Warm-up pays the one-time elaboration + symbolic analysis, ending on
-  // the mismatch key so single-search legs still time the worst case.
-  benchmark::DoNotOptimize(arr.search(word).ok);
-  ArrayLeg out;
-  const auto t0 = Clock::now();
-  for (int i = 0; i < n_searches; ++i)
-    out.m = arr.search((i % 2 == n_searches % 2) ? word : miss);
-  out.per_search_s = seconds_since(t0) / n_searches;
-  return out;
-}
-
-void BM_ArraySearchBbd(benchmark::State& state) {
-  for (auto _ : state) {
-    g_array_bbd = run_array_leg(kRows, kWidth, ArrayOptions{});
-    benchmark::DoNotOptimize(g_array_bbd.m.match_count);
-  }
-  state.counters["search_ms"] = g_array_bbd.per_search_s * 1e3;
-  state.counters["blocks"] = static_cast<double>(g_array_bbd.m.bbd_blocks);
-  state.counters["border"] = static_cast<double>(g_array_bbd.m.bbd_border);
-}
-
-void BM_ArraySearchMonolithic(benchmark::State& state) {
-  ArrayOptions opt;
-  opt.use_bbd = false;
-  for (auto _ : state) {
-    g_array_mono = run_array_leg(kRows, kWidth, opt);
-    benchmark::DoNotOptimize(g_array_mono.m.match_count);
-  }
-  state.counters["search_ms"] = g_array_mono.per_search_s * 1e3;
-}
-
-// Scaling point between the default demonstrator and the feasibility
-// leg. One timed search per leg — a coupled 128x128 transient is ~10 s.
-void BM_ArraySearchBbd128(benchmark::State& state) {
-  ArrayOptions opt;
-  opt.run_erc = false;
-  for (auto _ : state) {
-    g_array_bbd128 = run_array_leg(128, 128, opt, 1);
-    benchmark::DoNotOptimize(g_array_bbd128.m.match_count);
-  }
-  state.counters["search_s"] = g_array_bbd128.per_search_s;
-}
-
-void BM_ArraySearchMono128(benchmark::State& state) {
-  ArrayOptions opt;
-  opt.use_bbd = false;
-  opt.run_erc = false;
-  for (auto _ : state) {
-    g_array_mono128 = run_array_leg(128, 128, opt, 1);
-    benchmark::DoNotOptimize(g_array_mono128.m.match_count);
-  }
-  state.counters["search_s"] = g_array_mono128.per_search_s;
-}
-
-// Feasibility point: one 256x256 coupled search, default 2-segment line
-// model, no ERC walk (linear per row × quadratic rows) — the legs time
-// the solve, not the lint. Monolithic solve cost is value-dependent at
-// this size (threshold pivoting re-picks its ordering from the stored
-// image; an all-rows-identical image measures ~1.2x in BBD's favour)
-// while the BBD elimination order is fixed by the partition structure.
-void BM_ArraySearch256(benchmark::State& state) {
-  ArrayOptions opt;
-  opt.run_erc = false;
-  for (auto _ : state) {
-    g_array_256 = run_array_leg(256, 256, opt, 1);
-    benchmark::DoNotOptimize(g_array_256.m.match_count);
-  }
-  state.counters["search_s"] = g_array_256.per_search_s;
-  state.counters["blocks"] = static_cast<double>(g_array_256.m.bbd_blocks);
-}
-
-void BM_ArraySearchMono256(benchmark::State& state) {
-  ArrayOptions opt;
-  opt.use_bbd = false;
-  opt.run_erc = false;
-  for (auto _ : state) {
-    g_array_mono256 = run_array_leg(256, 256, opt, 1);
-    benchmark::DoNotOptimize(g_array_mono256.m.match_count);
-  }
-  state.counters["search_s"] = g_array_mono256.per_search_s;
-}
-
-BENCHMARK(BM_ArraySearchMonolithic)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ArraySearchBbd)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ArraySearchMono128)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(BM_ArraySearchBbd128)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(BM_ArraySearch256)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(BM_ArraySearchMono256)->Iterations(1)->Unit(benchmark::kSecond);
-
-// Largest per-row ML-delay deviation of a BBD leg against its monolithic
-// reference, in percent, over rows whose matchline actually discharged
-// (matched rows have no delay to compare).
-double array_ml_delay_dev_pct(const ArrayLeg& bbd, const ArrayLeg& mono) {
-  double worst = 0.0;
-  const auto& ref = mono.m.rows;
-  const auto& test = bbd.m.rows;
-  for (std::size_t r = 0; r < ref.size() && r < test.size(); ++r) {
-    if (ref[r].latency <= 0.0) continue;
-    worst = std::max(worst,
-                     std::fabs(pct_delta(test[r].latency, ref[r].latency)));
-  }
-  return worst;
-}
-
-bool array_match_vectors_equal(const ArrayLeg& bbd, const ArrayLeg& mono) {
-  const auto& a = bbd.m.rows;
-  const auto& b = mono.m.rows;
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r)
-    if (a[r].matched != b[r].matched) return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -479,176 +334,6 @@ int main(int argc, char** argv) {
         g_replay.m.stamp_pattern_builds);
     std::fclose(f5);
     std::printf("wrote BENCH_pr5.json\n");
-  }
-
-  const double array_speedup =
-      g_array_bbd.per_search_s > 0.0
-          ? g_array_mono.per_search_s / g_array_bbd.per_search_s
-          : 0.0;
-  const double array_speedup128 =
-      g_array_bbd128.per_search_s > 0.0
-          ? g_array_mono128.per_search_s / g_array_bbd128.per_search_s
-          : 0.0;
-  const double array_speedup256 =
-      g_array_256.per_search_s > 0.0
-          ? g_array_mono256.per_search_s / g_array_256.per_search_s
-          : 0.0;
-  const double ml_dev = array_ml_delay_dev_pct(g_array_bbd, g_array_mono);
-  const double ml_dev128 =
-      array_ml_delay_dev_pct(g_array_bbd128, g_array_mono128);
-  const double ml_dev256 =
-      array_ml_delay_dev_pct(g_array_256, g_array_mono256);
-  const double energy_dev =
-      pct_delta(g_array_bbd.m.energy, g_array_mono.m.energy);
-  const double energy_dev128 =
-      pct_delta(g_array_bbd128.m.energy, g_array_mono128.m.energy);
-  const double energy_dev256 =
-      pct_delta(g_array_256.m.energy, g_array_mono256.m.energy);
-  std::printf(
-      "Full-array solver — coupled 3T2N search, BBD Schur vs monolithic "
-      "SparseLu (single-core host: block factorizations cannot fan out, "
-      "and device stamping, shared by both legs, dominates):\n"
-      "  %dx%d:   monolithic %.1f ms/search (%zu steps), BBD %.1f "
-      "ms/search (%zu steps; %zu blocks, border %zu, %llu fallbacks) — "
-      "speedup %.2fx\n"
-      "           ML delay dev: %.4f%%   energy dev: %+.4f%%   "
-      "match vectors equal: %s\n"
-      "  128x128: monolithic %.2f s/search (%zu steps), BBD %.2f "
-      "s/search (%zu steps) — speedup %.2fx   ML delay dev: %.4f%%   "
-      "energy dev: %+.4f%%   match vectors equal: %s\n"
-      "  256x256 (no ERC): monolithic %.2f s/search (%zu steps), BBD "
-      "%.2f s/search (%zu steps) — speedup %.2fx   ML delay dev: "
-      "%.4f%%   energy dev: %+.4f%%   match vectors equal: %s\n"
-      "  (step counts differ between the legs: rounding-level solution "
-      "differences steer the LTE controller onto different trajectories)\n",
-      kRows, kWidth, g_array_mono.per_search_s * 1e3, g_array_mono.m.steps,
-      g_array_bbd.per_search_s * 1e3, g_array_bbd.m.steps,
-      g_array_bbd.m.bbd_blocks, g_array_bbd.m.bbd_border,
-      static_cast<unsigned long long>(g_array_bbd.m.bbd_fallbacks),
-      array_speedup, ml_dev, energy_dev,
-      array_match_vectors_equal(g_array_bbd, g_array_mono) ? "yes" : "NO",
-      g_array_mono128.per_search_s, g_array_mono128.m.steps,
-      g_array_bbd128.per_search_s, g_array_bbd128.m.steps, array_speedup128,
-      ml_dev128, energy_dev128,
-      array_match_vectors_equal(g_array_bbd128, g_array_mono128) ? "yes"
-                                                                 : "NO",
-      g_array_mono256.per_search_s, g_array_mono256.m.steps,
-      g_array_256.per_search_s, g_array_256.m.steps, array_speedup256,
-      ml_dev256, energy_dev256,
-      array_match_vectors_equal(g_array_256, g_array_mono256) ? "yes"
-                                                              : "NO");
-
-  FILE* f6 = std::fopen("BENCH_pr6.json", "w");
-  if (f6 != nullptr) {
-    std::fprintf(
-        f6,
-        "{\n"
-        "  \"array_bbd_64x64\": {\n"
-        "    \"rows\": %d,\n"
-        "    \"width\": %d,\n"
-        "    \"searches_per_leg\": %d,\n"
-        "    \"monolithic\": {\n"
-        "      \"search_ms\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu\n"
-        "    },\n"
-        "    \"bbd\": {\n"
-        "      \"search_ms\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"blocks\": %zu,\n"
-        "      \"border\": %zu,\n"
-        "      \"fallbacks\": %llu,\n"
-        "      \"used_bbd\": %s\n"
-        "    },\n"
-        "    \"speedup\": %.4f,\n"
-        "    \"ml_delay_dev_pct_max\": %.6f,\n"
-        "    \"energy_dev_pct\": %.6f,\n"
-        "    \"match_vectors_equal\": %s\n"
-        "  },\n"
-        "  \"array_bbd_128x128\": {\n"
-        "    \"rows\": 128,\n"
-        "    \"width\": 128,\n"
-        "    \"searches_per_leg\": 1,\n"
-        "    \"monolithic\": {\n"
-        "      \"search_s\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu\n"
-        "    },\n"
-        "    \"bbd\": {\n"
-        "      \"search_s\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"blocks\": %zu,\n"
-        "      \"border\": %zu,\n"
-        "      \"fallbacks\": %llu\n"
-        "    },\n"
-        "    \"speedup\": %.4f,\n"
-        "    \"ml_delay_dev_pct_max\": %.6f,\n"
-        "    \"energy_dev_pct\": %.6f,\n"
-        "    \"match_vectors_equal\": %s\n"
-        "  },\n"
-        "  \"array_bbd_256x256\": {\n"
-        "    \"rows\": 256,\n"
-        "    \"width\": 256,\n"
-        "    \"searches_per_leg\": 1,\n"
-        "    \"monolithic\": {\n"
-        "      \"search_s\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu\n"
-        "    },\n"
-        "    \"bbd\": {\n"
-        "      \"search_s\": %.6f,\n"
-        "      \"energy_j\": %.9e,\n"
-        "      \"steps\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"blocks\": %zu,\n"
-        "      \"border\": %zu,\n"
-        "      \"fallbacks\": %llu\n"
-        "    },\n"
-        "    \"speedup\": %.4f,\n"
-        "    \"ml_delay_dev_pct_max\": %.6f,\n"
-        "    \"energy_dev_pct\": %.6f,\n"
-        "    \"match_vectors_equal\": %s\n"
-        "  }\n"
-        "}\n",
-        kRows, kWidth, kArraySearches, g_array_mono.per_search_s * 1e3,
-        g_array_mono.m.energy, g_array_mono.m.steps,
-        g_array_mono.m.newton_iters, g_array_bbd.per_search_s * 1e3,
-        g_array_bbd.m.energy, g_array_bbd.m.steps,
-        g_array_bbd.m.newton_iters, g_array_bbd.m.bbd_blocks,
-        g_array_bbd.m.bbd_border,
-        static_cast<unsigned long long>(g_array_bbd.m.bbd_fallbacks),
-        g_array_bbd.m.used_bbd ? "true" : "false", array_speedup, ml_dev,
-        energy_dev,
-        array_match_vectors_equal(g_array_bbd, g_array_mono) ? "true"
-                                                             : "false",
-        g_array_mono128.per_search_s, g_array_mono128.m.energy,
-        g_array_mono128.m.steps, g_array_mono128.m.newton_iters,
-        g_array_bbd128.per_search_s, g_array_bbd128.m.energy,
-        g_array_bbd128.m.steps, g_array_bbd128.m.newton_iters,
-        g_array_bbd128.m.bbd_blocks, g_array_bbd128.m.bbd_border,
-        static_cast<unsigned long long>(g_array_bbd128.m.bbd_fallbacks),
-        array_speedup128, ml_dev128, energy_dev128,
-        array_match_vectors_equal(g_array_bbd128, g_array_mono128)
-            ? "true"
-            : "false",
-        g_array_mono256.per_search_s, g_array_mono256.m.energy,
-        g_array_mono256.m.steps, g_array_mono256.m.newton_iters,
-        g_array_256.per_search_s, g_array_256.m.energy, g_array_256.m.steps,
-        g_array_256.m.newton_iters, g_array_256.m.bbd_blocks,
-        g_array_256.m.bbd_border,
-        static_cast<unsigned long long>(g_array_256.m.bbd_fallbacks),
-        array_speedup256, ml_dev256, energy_dev256,
-        array_match_vectors_equal(g_array_256, g_array_mono256) ? "true"
-                                                                : "false");
-    std::fclose(f6);
-    std::printf("wrote BENCH_pr6.json\n");
   }
 
   FILE* f2 = std::fopen("BENCH_pr2.json", "w");

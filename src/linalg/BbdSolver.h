@@ -1,190 +1,18 @@
-// Bordered-block-diagonal LU for array-structured MNA systems.
-//
-// An N×M TCAM array couples its per-row circuits only through the shared
-// lines (searchline taps, VDD, the precharge rail): ordering each row's
-// private unknowns first and the shared-line unknowns last gives
-//
-//     [ D_1          B_1 ] [x_1]   [b_1]
-//     [      ...     ... ] [...] = [...]
-//     [          D_K B_K ] [x_K]   [b_K]
-//     [ C_1  ...  C_K  E ] [x_s]   [b_s]
-//
-// with sparse per-block diagonals D_k and a small border of size m. The
-// solver factorizes the D_k independently (in parallel on a ThreadPool),
-// forms the dense Schur complement S = E − Σ C_k D_k⁻¹ B_k on the border,
-// and solves by block-forward / border / block-backward substitution.
-//
-// Symbolic work is shared: blocks whose D_k sparsity patterns are
-// identical (all rows of one cell kind stamp identically) reuse one
-// SparseLu symbolic analysis — the first such block runs the full
-// fill-reducing analysis, the rest copy it and replay numerically,
-// falling back to a private full factorization only when a reused pivot
-// degenerates (SparseLu::refactorize's contract).
-//
-// Determinism: numeric results are bit-identical for every thread count.
-// Per-block work writes only block-private storage, Schur contributions
-// are accumulated into S sequentially in block order (batched so scratch
-// stays bounded), and the border solve is serial — the same contract as
-// util::run_sweep.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "linalg/SparseLu.h"
-
-namespace nemtcam::util {
-class ThreadPool;
-}
 
 namespace nemtcam::linalg {
 
-// Maps every MNA unknown to its diagonal block, or to the border (-1).
-// Valid partitions have no matrix entry coupling two different blocks;
-// BbdSolver verifies this during the symbolic split and rejects the
-// matrix (factorize() returns false) when the structure disagrees.
-struct BbdPartition {
-  std::vector<int> block_of;  // unknown index -> block id, or -1 = border
-  int n_blocks = 0;
-};
-
+// Read only by perfbench/driver.cpp; remove at the next benchmark change.
 class BbdSolver {
  public:
   struct Stats {
-    std::uint64_t symbolic_builds = 0;        // full symbolic splits
-    std::uint64_t pattern_shares = 0;         // blocks reusing an analysis
-    std::uint64_t block_factorizations = 0;   // full per-block LU runs
-    std::uint64_t block_refactorizations = 0; // numeric-only replays
+    std::uint64_t block_factorizations = 0;
+    std::uint64_t block_refactorizations = 0;
+    std::uint64_t pattern_shares = 0;
   };
-
-  BbdSolver() = default;
-  BbdSolver(const BbdSolver&) = delete;
-  BbdSolver& operator=(const BbdSolver&) = delete;
-
-  // Installs the partition and the pool block work fans out on (nullptr
-  // or a 1-thread pool → serial). Drops any prior analysis.
-  void set_partition(std::shared_ptr<const BbdPartition> partition,
-                     util::ThreadPool* pool);
-  bool has_partition() const noexcept { return partition_ != nullptr; }
-
-  // Full symbolic split + numeric factorization. Returns false — leaving
-  // the solver unusable — when the matrix does not fit the partition
-  // (size mismatch or an entry coupling two blocks); the caller falls
-  // back to a monolithic factorization. Throws SingularMatrixError when
-  // a block or the Schur complement is numerically singular.
-  bool factorize(const CsrView& a);
-
-  // Numeric-only refactorization over the previously split pattern.
-  // Returns false when the pattern changed (caller redoes factorize()).
-  bool refactorize(const CsrView& a);
-
-  bool factored() const noexcept { return factored_; }
-
-  // Solves in place; b must have the factorized size.
-  void solve_inplace(std::vector<double>& b);
-
-  const Stats& stats() const noexcept { return stats_; }
-  std::size_t border_size() const noexcept { return m_; }
-  std::size_t block_count() const noexcept { return blocks_.size(); }
-
- private:
-  struct Block {
-    std::vector<std::size_t> unknowns;  // global unknown ids, ascending
-    // D_k, local CSR (indices into `unknowns`).
-    std::vector<std::size_t> d_ptr, d_cols;
-    std::vector<double> d_vals;
-    // Border positions this block touches (ascending); B columns and C
-    // rows are indexed against this list ("tloc" indices).
-    std::vector<std::size_t> touched;
-    // B_k as CSC over the touched columns.
-    std::vector<std::size_t> b_ptr;    // touched.size() + 1
-    std::vector<std::size_t> b_rows;   // local row per entry
-    std::vector<double> b_vals;
-    std::vector<std::size_t> cols_with_b;  // tloc columns with entries
-    // C_k entries (input order).
-    std::vector<std::size_t> c_rows;   // tloc row
-    std::vector<std::size_t> c_cols;   // local col
-    std::vector<double> c_vals;
-    std::vector<std::size_t> rows_with_c;  // unique tloc rows, sorted
-    std::size_t tmpl = 0;  // block index whose D pattern this one shares
-    SparseLu lu;
-
-    // Sparse Schur plan over the LU's recorded schedule: each B column's
-    // rhs activates only the elimination ops reachable from its nonzero
-    // rows, and the back-substitution only needs the stage closure that
-    // feeds the C columns — so forming C_k D_k⁻¹ B_k replays a few dozen
-    // ops per border column instead of a dense nk-length solve. Rebuilt
-    // whenever the block's LU re-pivots (schedule generation changes).
-    struct FwdOp {
-      std::uint32_t target, pivot;  // local rows
-      std::uint32_t op;             // index into the schedule's op arrays
-    };
-    std::vector<std::size_t> plan_fwd_begin;  // touched.size() + 1
-    std::vector<FwdOp> plan_fwd;
-    std::vector<std::size_t> plan_pat_begin;  // touched.size() + 1
-    std::vector<std::uint32_t> plan_pat;      // rhs rows to reset per column
-    std::vector<std::uint32_t> plan_bwd;      // stages, descending
-    std::uint64_t plan_generation = 0;
-    bool plan_valid = false;
-  };
-
-  struct Scratch {
-    std::vector<double> sk;   // C_k D_k⁻¹ B_k, dense tk × tk (batched path)
-    std::vector<double> cacc;  // one S_k column (serial direct path)
-    std::vector<double> rhs;  // forward-solve buffer (y), kept zero-clean
-    std::vector<double> x;    // back-substitution buffer, kept zero-clean
-    std::vector<double> inv_diag;  // 1/pivot per plan_bwd stage, per pass
-  };
-
-  bool split(const CsrView& a);       // symbolic: partition the pattern
-  void scatter(const CsrView& a);     // numeric: input values → storage
-  // Factors D_k (replay first, full on degeneration unless force_full),
-  // then forms this block's Schur contribution: into scr.sk when
-  // s_direct is null (batched/parallel path), or subtracted straight
-  // from the dense S at s_direct when blocks run serially in order.
-  // Returns true when the numeric replay sufficed.
-  bool block_numeric(std::size_t k, Scratch& scr, bool force_full,
-                     double* s_direct);
-  void build_schur_plan(std::size_t k);
-  void accumulate_schur(std::size_t k, const Scratch& scr);
-  void factor_schur();                // dense partial-pivot LU of S
-  void run_blocks(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn);
-  bool numeric();
-
-  std::shared_ptr<const BbdPartition> partition_;
-  util::ThreadPool* pool_ = nullptr;
-
-  std::size_t n_ = 0;
-  std::size_t m_ = 0;  // border size
-  bool analyzed_ = false;
-  bool factored_ = false;
-
-  std::vector<Block> blocks_;
-  std::vector<std::size_t> border_idx_;  // border pos -> global unknown
-  // Global unknown -> local index (interior: within its block's
-  // `unknowns`; border: position in border_idx_).
-  std::vector<std::size_t> loc_;
-  std::vector<std::size_t> block_off_;   // flat interior offsets, K + 1
-
-  // Copy of the analyzed input pattern (refactorize verification).
-  std::vector<std::size_t> in_row_ptr_, in_cols_;
-  // Input entry j writes to *scatter_[j] (stable after split()).
-  std::vector<double*> scatter_;
-
-  std::vector<double> e_base_;   // dense m×m border block of the input
-  std::vector<double> s_;        // factored Schur complement (in place)
-  std::vector<std::size_t> s_perm_;
-
-  // Solve-phase flat buffers (interior slices are disjoint per block).
-  std::vector<double> int_b_, int_y_;
-  std::vector<double> border_b_;
-  std::vector<double> xs_;  // border solution scratch
-
-  std::vector<Scratch> scratch_;
-  Stats stats_;
+  Stats stats() const noexcept { return {}; }
 };
 
 }  // namespace nemtcam::linalg

@@ -61,7 +61,6 @@ bool SparseLu::refactorize(SparseMatrix& a) {
 void SparseLu::factorize(const CsrView& a) {
   n_ = a.n;
   factored_ = false;
-  ++generation_;  // new pivot order: schedule-derived plans are stale
 
   // Keep the analyzed pattern: refactorize() verifies against it and uses
   // scatter_map_ to drop new values into the fill-extended U storage.

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -76,45 +75,6 @@ class SparseLu {
   // Total stored entries in U plus recorded L operations (fill metric).
   std::size_t fill_nnz() const noexcept { return u_cols_.size() + op_target_.size(); }
 
-  // Read-only view of the recorded elimination schedule, for callers that
-  // precompute sparse-rhs solve plans over the fixed pattern (BbdSolver's
-  // Schur plans). A forward solve is the op replay gated on nonzero pivot
-  // rows (b[op_target[i]] -= op_factor[i] · b[pivot_of_stage]); the
-  // back-substitution for stage s reads the pivot row's active entries
-  // through stage_src[stage_src_begin[s]..stage_src_begin[s+1]) (indices
-  // into u_cols/u_vals, all at later-stage columns) and divides by
-  // u_vals[diag_idx[s]]. Pointers stay valid until the next full
-  // factorize(); op_factor and u_vals refresh on every refactorize().
-  struct ScheduleView {
-    std::size_t n = 0;
-    const std::size_t* pivot_of_stage = nullptr;
-    const std::size_t* col_of_stage = nullptr;
-    const std::size_t* diag_idx = nullptr;        // stage -> u_vals index
-    const std::size_t* stage_op_begin = nullptr;  // n + 1
-    const std::size_t* op_target = nullptr;
-    const double* op_factor = nullptr;
-    const std::size_t* stage_src_begin = nullptr;  // n + 1
-    const std::size_t* stage_src = nullptr;        // u_cols/u_vals indices
-    const std::size_t* u_cols = nullptr;
-    const double* u_vals = nullptr;
-  };
-  ScheduleView schedule() const noexcept {
-    return {n_,
-            pivot_of_stage_.data(),
-            col_of_stage_.data(),
-            diag_idx_.data(),
-            stage_op_begin_.data(),
-            op_target_.data(),
-            op_factor_.data(),
-            stage_src_begin_.data(),
-            stage_src_.data(),
-            u_cols_.data(),
-            u_vals_.data()};
-  }
-  // Bumped by every full factorize(): the pivot order (and with it any
-  // schedule-derived plan) is only stable between full factorizations.
-  std::uint64_t schedule_generation() const noexcept { return generation_; }
-
  private:
   static CsrView view_of(SparseMatrix& a, std::vector<std::size_t>& row_ptr,
                          std::vector<std::size_t>& cols,
@@ -123,7 +83,6 @@ class SparseLu {
   std::size_t n_ = 0;
   double pivot_tol_ = 1e-30;
   bool factored_ = false;
-  std::uint64_t generation_ = 0;
 
   // U storage: final (post-fill) pattern of every physical row, flat CSR.
   // Values at columns eliminated from a row are exact zeros.

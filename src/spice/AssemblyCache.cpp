@@ -1,18 +1,10 @@
 #include "spice/AssemblyCache.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "linalg/BbdSolver.h"
 #include "util/Expect.h"
-#include "util/Log.h"
 
 namespace nemtcam::spice {
-
-AssemblyCache::AssemblyCache() = default;
-AssemblyCache::~AssemblyCache() = default;
-AssemblyCache::AssemblyCache(AssemblyCache&&) noexcept = default;
-AssemblyCache& AssemblyCache::operator=(AssemblyCache&&) noexcept = default;
 
 void AssemblyCache::begin(std::size_t n) {
   ++stats_.assemblies;
@@ -89,16 +81,6 @@ void AssemblyCache::invalidate() {
   cols_.clear();
   vals_.clear();
   lu_analyzed_ = false;
-  bbd_ready_ = false;  // the partition itself survives; see set_partition
-}
-
-void AssemblyCache::set_partition(
-    std::shared_ptr<const linalg::BbdPartition> partition,
-    util::ThreadPool* pool) {
-  partition_ = std::move(partition);
-  bbd_pool_ = partition_ ? pool : nullptr;
-  bbd_ready_ = false;
-  if (!partition_) bbd_.reset();
 }
 
 linalg::SparseLu& AssemblyCache::factorize() {
@@ -112,41 +94,6 @@ linalg::SparseLu& AssemblyCache::factorize() {
   lu_analyzed_ = true;
   ++stats_.full_factorizations;
   return lu_;
-}
-
-void AssemblyCache::factorize_and_solve(std::vector<double>& rhs) {
-  if (partition_) {
-    if (!bbd_) bbd_ = std::make_unique<linalg::BbdSolver>();
-    if (!bbd_->has_partition()) bbd_->set_partition(partition_, bbd_pool_);
-    const linalg::CsrView a = view();
-    bool ok = false;
-    if (bbd_ready_ && bbd_->refactorize(a)) {
-      ok = true;
-      ++stats_.bbd_refactorizations;
-    }
-    if (!ok) {
-      bbd_ready_ = false;
-      // May throw SingularMatrixError — bbd_ready_ stays false so the
-      // recovery ladder's retry re-splits from scratch.
-      if (bbd_->factorize(a)) {
-        ok = true;
-        bbd_ready_ = true;
-        ++stats_.bbd_factorizations;
-      }
-    }
-    if (ok) {
-      bbd_->solve_inplace(rhs);
-      return;
-    }
-    // The matrix does not fit the partition (an entry couples two blocks
-    // or the size is stale). Warn once and go monolithic for good.
-    ++stats_.bbd_fallbacks;
-    log::warn("AssemblyCache: matrix does not fit the BBD partition; "
-              "falling back to monolithic SparseLu");
-    clear_partition();
-  }
-  linalg::SparseLu& lu = factorize();
-  lu.solve_inplace(rhs);
 }
 
 }  // namespace nemtcam::spice

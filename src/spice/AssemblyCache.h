@@ -19,29 +19,17 @@
 // The cache also owns the SparseLu for the assembled system and keeps its
 // symbolic analysis alive across solves: factorize() first attempts the
 // cheap numeric refactorization and falls back to a full factorization
-// (fresh pivot order) when a reused pivot degenerates.
-//
-// Solver selection: a caller that knows the circuit's block structure
-// (the array fixture) installs a BbdPartition; factorize_and_solve() then
-// routes through the bordered-block-diagonal solver, falling back to the
-// monolithic SparseLu — with one warning — if the matrix turns out not to
-// fit the partition. Paths without a partition (every single-row fixture)
-// are untouched.
+// (fresh pivot order) when a reused pivot degenerates. Every circuit —
+// a single row or a coupled N×M array — solves through it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "linalg/SparseLu.h"
 
 namespace nemtcam::linalg {
 class BbdSolver;
-struct BbdPartition;
-}  // namespace nemtcam::linalg
-
-namespace nemtcam::util {
-class ThreadPool;
 }
 
 namespace nemtcam::spice {
@@ -53,15 +41,11 @@ class AssemblyCache {
     std::uint64_t pattern_builds = 0;      // build-mode passes
     std::uint64_t full_factorizations = 0;
     std::uint64_t refactorizations = 0;
-    std::uint64_t bbd_factorizations = 0;    // full BBD split + factor
-    std::uint64_t bbd_refactorizations = 0;  // numeric-only BBD replays
-    std::uint64_t bbd_fallbacks = 0;         // partition rejected → SparseLu
+    // Read only by perfbench/driver.cpp; remove at the next benchmark change.
+    std::uint64_t bbd_factorizations = 0;
+    std::uint64_t bbd_refactorizations = 0;
+    std::uint64_t bbd_fallbacks = 0;
   };
-
-  AssemblyCache();
-  ~AssemblyCache();
-  AssemblyCache(AssemblyCache&&) noexcept;
-  AssemblyCache& operator=(AssemblyCache&&) noexcept;
 
   // Starts one assembly pass over an n-unknown system.
   void begin(std::size_t n);
@@ -101,25 +85,8 @@ class AssemblyCache {
   // possible. Throws linalg::SingularMatrixError like SparseLu.
   linalg::SparseLu& factorize();
 
-  // Installs (or, with nullptr, clears) a BBD partition; subsequent
-  // factorize_and_solve() calls route through BbdSolver on `pool`. The
-  // partition survives invalidate() — a pattern rebuild re-splits the new
-  // pattern against the same partition — but Circuit drops it when the
-  // topology itself changes (the unknown numbering is stale then).
-  void set_partition(std::shared_ptr<const linalg::BbdPartition> partition,
-                     util::ThreadPool* pool);
-  void clear_partition() { set_partition(nullptr, nullptr); }
-  bool using_bbd() const noexcept { return partition_ != nullptr; }
-
-  // Factorizes the assembled system and solves in place, dispatching to
-  // the BBD solver when a partition is installed (else the monolithic
-  // SparseLu). If the matrix does not fit the partition, warns once,
-  // drops the partition, and proceeds monolithically. Throws
-  // linalg::SingularMatrixError on numeric singularity either way.
-  void factorize_and_solve(std::vector<double>& rhs);
-
-  // The BBD solver instance, when one has been used (stat inspection).
-  const linalg::BbdSolver* bbd() const noexcept { return bbd_.get(); }
+  // Read only by perfbench/driver.cpp; remove at the next benchmark change.
+  const linalg::BbdSolver* bbd() const noexcept { return nullptr; }
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -141,11 +108,6 @@ class AssemblyCache {
 
   linalg::SparseLu lu_;
   bool lu_analyzed_ = false;  // lu_ holds a symbolic analysis of this pattern
-
-  std::shared_ptr<const linalg::BbdPartition> partition_;
-  util::ThreadPool* bbd_pool_ = nullptr;
-  std::unique_ptr<linalg::BbdSolver> bbd_;
-  bool bbd_ready_ = false;  // bbd_ holds a split of the current pattern
 
   Stats stats_;
 };

@@ -95,22 +95,9 @@ class Circuit {
   AssemblyCache& solver_cache() {
     if (cache_rev_ != topology_rev_) {
       solver_cache_.invalidate();
-      // A partition indexes unknowns of the old topology — drop it; the
-      // array fixture reinstalls one after it finishes building.
-      solver_cache_.clear_partition();
       cache_rev_ = topology_rev_;
     }
     return solver_cache_;
-  }
-
-  // Installs a bordered-block-diagonal partition of this circuit's
-  // unknowns (see spice/Partition.h); Newton solves then route through
-  // linalg::BbdSolver on `pool`. Adding any device afterwards drops the
-  // partition along with the stamp pattern.
-  void set_solver_partition(
-      std::shared_ptr<const linalg::BbdPartition> partition,
-      util::ThreadPool* pool) {
-    solver_cache().set_partition(std::move(partition), pool);
   }
 
  private:

@@ -83,12 +83,9 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
       }
 
       try {
-        // Dispatches to the BBD solver when the circuit carries a
-        // partition (array fixtures), else the monolithic SparseLu.
-        cache.factorize_and_solve(rhs);  // rhs becomes v_new
+        cache.factorize().solve_inplace(rhs);  // rhs becomes v_new
         if (iter == 0)
-          log::debug("newton: n=", n, " nnz=", cache.view().nnz(),
-                     cache.using_bbd() ? " solver=bbd" : " solver=sparselu");
+          log::debug("newton: n=", n, " nnz=", cache.view().nnz());
       } catch (const linalg::SingularMatrixError&) {
         log::debug("Newton: singular system at t=", t, " iter=", iter);
         result.converged = false;

@@ -10,12 +10,10 @@
 #include "devices/Passive.h"
 #include "devices/Sources.h"
 #include "erc/TcamRules.h"
-#include "spice/Partition.h"
 #include "spice/Waveform.h"
 #include "sta/Rules.h"
 #include "sta/Sta.h"
 #include "tcam/StaBridge.h"
-#include "util/ThreadPool.h"
 
 namespace nemtcam::tcam {
 
@@ -49,16 +47,13 @@ ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
   t_edge_ = cal.t_precharge + 50e-12;
   t_end_ = t_edge_ + cal.t_search_window;
 
-  // Shared rails. The ideal sources have no series impedance, so their
-  // branch rows carry a zero diagonal — they must live in the border, not
-  // in a 1×1 block of their own.
+  // Shared rails.
   vdd_ = circuit_.node("vdd");
   circuit_.add<VSource>("Vdd", vdd_, circuit_.ground(), cal.vdd);
   circuit_.set_ic(vdd_, cal.vdd);
   const NodeId pchgb = circuit_.node("pchgb");
   circuit_.add<VSource>("Vpchgb", pchgb, circuit_.ground(),
                         step_wave(0.0, cal.vdd, cal.t_precharge));
-  claim(-1);
 
   // Row-to-segment map for the shared-line ladders.
   n_segments_ = std::clamp(opt.sl_segments, 1, rows);
@@ -81,12 +76,10 @@ ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
   slb_seg_.reserve(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) {
     const core::Ternary k = key[static_cast<std::size_t>(i)];
-    sl_seg_.push_back(build_ladder("sl" + std::to_string(i),
-                                   sl_drive(k, cal.vdd), sl_driver_owner(i),
-                                   line_owner(i)));
-    slb_seg_.push_back(build_ladder("slb" + std::to_string(i),
-                                    slb_drive(k, cal.vdd), slb_driver_owner(i),
-                                    line_owner(i)));
+    sl_seg_.push_back(
+        build_ladder("sl" + std::to_string(i), sl_drive(k, cal.vdd)));
+    slb_seg_.push_back(
+        build_ladder("slb" + std::to_string(i), slb_drive(k, cal.vdd)));
   }
 
   // Per-row matchline hardware.
@@ -98,23 +91,19 @@ ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
     circuit_.add<Capacitor>("Cml" + sfx, ml, circuit_.ground(), c_ml);
     circuit_.add<Mosfet>("Mpchg" + sfx, ml, pchgb, vdd_,
                          MosfetParams::pmos_lp(cal.w_precharge));
-    claim(row_hw_owner(r));
     ml_.push_back(ml);
     checker_.add_rule(erc::ml_precharge_rule(ml, vdd_));
   }
 }
 
 std::vector<NodeId> ArrayFixture::build_ladder(const std::string& name,
-                                               double v_drive,
-                                               int driver_owner,
-                                               int wire_owner) {
+                                               double v_drive) {
   std::vector<NodeId> ladder;
   ladder.reserve(static_cast<std::size_t>(n_segments_));
 
   const NodeId head = circuit_.node(name);
   circuit_.add<VSource>("Vdrv_" + name, head, circuit_.ground(),
                         step_wave(0.0, v_drive, t_edge_), cal_.r_line_driver);
-  claim(driver_owner);  // nonzero branch diag (−R_drv), safe off the border
   circuit_.add<Capacitor>(
       "Cline_" + name, head, circuit_.ground(),
       rows_in_seg_[0] * c_vline_ + cal_.c_driver_load);
@@ -129,7 +118,6 @@ std::vector<NodeId> ArrayFixture::build_ladder(const std::string& name,
         rows_in_seg_[static_cast<std::size_t>(s)] * c_vline_);
     ladder.push_back(n);
   }
-  claim(wire_owner);  // ByRow: between shared nodes; ByColumn: interior
   return ladder;
 }
 
@@ -141,20 +129,6 @@ NodeId ArrayFixture::sl(int row, int col) const {
 NodeId ArrayFixture::slb(int row, int col) const {
   return slb_seg_.at(static_cast<std::size_t>(col))
       .at(static_cast<std::size_t>(seg_of_row_.at(static_cast<std::size_t>(row))));
-}
-
-void ArrayFixture::claim(int owner) {
-  NEMTCAM_EXPECT(owner >= -1 && owner < n_owners());
-  owner_of_device_.resize(circuit_.devices().size(), owner);
-}
-
-void ArrayFixture::install_partition() {
-  claim(-1);  // anything nobody claimed is shared
-  if (!opt_.use_bbd) return;
-  auto part = std::make_shared<linalg::BbdPartition>(spice::make_bbd_partition(
-      circuit_, owner_of_device_, n_owners()));
-  util::ThreadPool* pool = opt_.pool ? opt_.pool : &util::shared_pool();
-  circuit_.set_solver_partition(std::move(part), pool);
 }
 
 const erc::Report& ArrayFixture::check() {
@@ -192,12 +166,6 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
                                          double strobe_delay) {
   ArraySearchMetrics m;
   m.stamp_pattern_builds = circuit_.solver_cache().stats().pattern_builds;
-  m.used_bbd = circuit_.solver_cache().using_bbd();
-  m.bbd_fallbacks = circuit_.solver_cache().stats().bbd_fallbacks;
-  if (const linalg::BbdSolver* b = circuit_.solver_cache().bbd()) {
-    m.bbd_blocks = b->block_count();
-    m.bbd_border = b->border_size();
-  }
   if (report_.has_value()) {
     m.erc_errors = report_->count(erc::Severity::Error);
     m.erc_warnings = report_->count(erc::Severity::Warning);
@@ -299,10 +267,7 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
   spice::Circuit& ckt = fx_->circuit();
 
   std::map<std::string, NodeId> extra;
-  if (spec_.shared_rails) {
-    extra = spec_.shared_rails(ckt, fx_->vdd());
-    fx_->claim(-1);  // rails feed every row
-  }
+  if (spec_.shared_rails) extra = spec_.shared_rails(ckt, fx_->vdd());
 
   static const hier::Library kEmptyLib;  // cells carry no nested instances
   for (int r = 0; r < rows_; ++r) {
@@ -312,7 +277,6 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
     if (spec_.c_ml_load_per_cell > 0.0) {
       ckt.add<Capacitor>("Cel_ml" + std::to_string(r), fx_->ml(r),
                          ckt.ground(), width_ * spec_.c_ml_load_per_cell);
-      fx_->claim(fx_->row_hw_owner(r));
     }
     for (int c = 0; c < width_; ++c) {
       std::vector<NodeId> ports;
@@ -330,7 +294,6 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
       row_cells.push_back(hier::elaborate(
           ckt, kEmptyLib, spec_.cell, row_scope + ".Xcell" + std::to_string(c),
           ports, spec_.cell.params));
-      fx_->claim(fx_->cell_owner(r, c));
     }
     if (spec_.array_rules)
       spec_.array_rules(
@@ -348,7 +311,6 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
     fx_->checker().add_rule(sta::margin_rules(
         std::move(probes), sta_options_for(spec_.cal, default_strobe())));
   }
-  fx_->install_partition();
   built_key_ = key;
   built_stored_ = stored_;
   ++builds_;

@@ -8,17 +8,10 @@
 // evaluate the key in parallel, coupling through the lines exactly as
 // the tiled silicon would.
 //
-// The resulting MNA system is bordered-block-diagonal by construction:
-// the fixture records a device→owner map while it builds and installs
-// the derived partition on the circuit's solver cache, so Newton solves
-// run through linalg::BbdSolver — blocks factorized in parallel on a
-// ThreadPool, one small dense Schur solve on the border. Two partition
-// axes exist (ArrayOptions::partition): per-column blocks own their
-// SL/SL̄ ladder and drivers outright, leaving only the N matchlines and
-// the rails in the border; per-row blocks own their matchline but push
-// every line-segment node into a 2·M·segments border. Set
-// ArrayOptions::use_bbd = false for the monolithic-SparseLu A/B leg: the
-// circuit is bit-identical, only the linear solver changes.
+// The whole array is one MNA system, solved like every row circuit: the
+// circuit's AssemblyCache replays the fixed stamp pattern and refactors
+// one monolithic SparseLu per Newton iteration, reusing its symbolic
+// analysis across iterations, time steps and replayed searches.
 //
 // The elaborate-once / replay-many contract matches SearchTemplate:
 // key changes rebind the driver waveforms, stored-word changes to the
@@ -46,33 +39,16 @@ class ThreadPool;
 
 namespace nemtcam::tcam {
 
-// Which array axis becomes the diagonal blocks. The circuit is identical
-// either way — only solver cost moves. ByColumn folds each column's
-// cells, its SL/SL̄ ladder and both drivers into one block, so the border
-// is just the N matchlines plus the rails regardless of sl_segments; it
-// is the cheaper axis whenever M·segments outnumber N (always, for the
-// square arrays here). ByRow keeps each row's matchline and cells as a
-// block — the natural mirror of the paper's all-rows-in-parallel search —
-// at the price of a 2·M·segments border.
-enum class ArrayPartition { ByColumn, ByRow };
-
 struct ArrayOptions {
   // Shared-searchline discretization: each SL/SL̄ runs as `sl_segments`
   // RC sections (per-cell wire R and C from the Calibration), rows
-  // tapping their nearest section node. More segments → finer line model
-  // but a larger border (2·M·segments shared nodes) under the ByRow
-  // partition; ByColumn keeps segments block-interior. Clamped to [1, N].
+  // tapping their nearest section node. More segments → finer line
+  // model, 2·M more unknowns per extra segment. Clamped to [1, N].
   int sl_segments = 2;
-  // Diagonal-block axis for the BBD partition (see ArrayPartition).
-  ArrayPartition partition = ArrayPartition::ByColumn;
-  // Route Newton solves through the BBD Schur solver (false = monolithic
-  // SparseLu on the identical circuit — the A/B baseline).
-  bool use_bbd = true;
   // Run the ERC pass before the transient. Worth disabling for the very
   // large bench arrays: the rules walk the full device list per row.
   bool run_erc = true;
-  // Pool for the per-row block factorizations; nullptr → the process-wide
-  // util::shared_pool(). Determinism tests pass their own fixed-size pool.
+  // Read only by perfbench/driver.cpp; remove at the next benchmark change.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -99,12 +75,8 @@ struct ArraySearchMetrics {
   std::size_t erc_errors = 0;
   std::size_t erc_warnings = 0;
   std::size_t stamp_pattern_builds = 0;  // replay ⇒ unchanged
-  // BBD telemetry: solver actually in use at measurement time (a
-  // partition-mismatch fallback clears used_bbd and bumps bbd_fallbacks).
-  bool used_bbd = false;
-  std::size_t bbd_blocks = 0;
-  std::size_t bbd_border = 0;
-  std::uint64_t bbd_fallbacks = 0;
+  // Read only by perfbench/driver.cpp; remove at the next benchmark change.
+  std::size_t bbd_blocks = 0, bbd_border = 0;
   // Array-level STA aggregate: timing bounds span every discharging row
   // (t_lo = earliest, t_hi = latest), margin/v_strobe come from the row
   // closest to the sense threshold, energy band covers the whole array.
@@ -114,9 +86,7 @@ struct ArraySearchMetrics {
 
 // Design-independent array scaffolding: VDD/precharge rails, N matchlines
 // with precharge PMOS and wire parasitics, M segmented SL/SL̄ ladders
-// driven per the key. Owner bookkeeping: the fixture claims its own
-// devices as it builds; the template claims each row's cells; everything
-// left unclaimed when install_partition() runs is shared (border).
+// driven per the key. The template adds each row's cells on top.
 class ArrayFixture {
  public:
   ArrayFixture(const Calibration& cal, const CellGeometry& geo, int rows,
@@ -140,47 +110,12 @@ class ArrayFixture {
   erc::Checker& checker() noexcept { return checker_; }
   const erc::Report& check();
 
-  // Marks every device added since the previous claim as belonging to
-  // `owner`: a block id in [0, n_owners()) or -1 = shared.
-  void claim(int owner);
-  // Owner ids under the selected partition axis. ByColumn: a cell, its
-  // column's ladder wire and both its drivers all belong to block `col`;
-  // per-row hardware (precharge PMOS, ML wire C) is shared. ByRow: a
-  // cell and the row hardware belong to block `row`, the ladder wire is
-  // shared, and each driver's branch unknown forms its own 1×1 block so
-  // the border holds only genuinely shared nodes.
-  int cell_owner(int row, int col) const {
-    return opt_.partition == ArrayPartition::ByColumn ? col : row;
-  }
-  int row_hw_owner(int row) const {
-    return opt_.partition == ArrayPartition::ByColumn ? -1 : row;
-  }
-  int line_owner(int col) const {
-    return opt_.partition == ArrayPartition::ByColumn ? col : -1;
-  }
-  int sl_driver_owner(int col) const {
-    return opt_.partition == ArrayPartition::ByColumn ? col : rows_ + 2 * col;
-  }
-  int slb_driver_owner(int col) const {
-    return opt_.partition == ArrayPartition::ByColumn ? col
-                                                      : rows_ + 2 * col + 1;
-  }
-  int n_owners() const {
-    return opt_.partition == ArrayPartition::ByColumn ? width_
-                                                      : rows_ + 2 * width_;
-  }
-
-  // Derives the BBD partition from the claimed owners and installs it on
-  // the circuit's solver cache (no-op when options disable BBD). Call
-  // after the last device is added.
-  void install_partition();
-
   // ERC gate (when enabled) + transient over the search timeline, probing
   // every matchline.
   spice::TransientResult run(double dt_max = 20e-12);
 
   // Re-aims all 2M searchline drivers at a new key (waveform rebind; no
-  // topology change, the partition and factorization pattern survive).
+  // topology change, the stamp pattern and symbolic LU survive).
   void rebind_key(const core::TernaryWord& key);
 
   ArraySearchMetrics metrics(const spice::TransientResult& result,
@@ -202,15 +137,13 @@ class ArrayFixture {
   std::vector<std::vector<spice::NodeId>> slb_seg_;
   std::vector<int> seg_of_row_;
   std::vector<int> rows_in_seg_;
-  std::vector<int> owner_of_device_;
   double c_vline_ = 0.0;  // per-cell vertical-wire C (F)
   double r_vline_ = 0.0;  // per-cell vertical-wire R (Ω)
   double t_edge_ = 0.0;
   double t_end_ = 0.0;
 
   std::vector<spice::NodeId> build_ladder(const std::string& name,
-                                          double v_drive, int driver_owner,
-                                          int wire_owner);
+                                          double v_drive);
 };
 
 // Elaborate-once / replay-many N×M array built from the same per-kind

@@ -1,12 +1,11 @@
-// Small work-stealing thread pool for embarrassingly parallel sweeps and
-// solver-internal fan-out.
+// Small work-stealing thread pool for embarrassingly parallel sweeps.
 //
 // Each worker owns a deque guarded by its own mutex: the owner pushes and
 // pops at the back, idle workers steal from the front of a victim's deque.
 // Tasks are submitted round-robin across workers. The pool is intended for
-// coarse-grained jobs (one SPICE trial, one BBD block factorization), so
-// per-task overhead is not the bottleneck; correctness and determinism of
-// the *caller* matter more than queue micro-optimisation.
+// coarse-grained jobs (one SPICE trial per task), so per-task overhead is
+// not the bottleneck; correctness and determinism of the *caller* matter
+// more than queue micro-optimisation.
 //
 // Nesting: tasks may submit further tasks. wait_idle() and parallel_for()
 // are work-assisting — the blocked thread drains queued tasks instead of
@@ -86,10 +85,8 @@ class ThreadPool {
 };
 
 // Process-wide lazily constructed pool (default_thread_count() workers at
-// first use) shared by solver-internal parallelism — the BBD block
-// factorizations of every array fixture fan out here instead of each
-// fixture spinning up its own threads. Callers needing a specific thread
-// count (determinism tests) construct their own ThreadPool instead.
+// first use). No library code runs on it; perfbench/driver.cpp times its
+// host-speed probe across it.
 ThreadPool& shared_pool();
 
 }  // namespace nemtcam::util

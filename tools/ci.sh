@@ -6,13 +6,14 @@
 # Stages:
 #   1. release build (preset `release`) + full ctest
 #   2. ASan/UBSan build (preset `asan`) + the `robustness`, `hier`,
-#      `array`, `lifetime`, `sta` and `paper` test labels (elaboration,
-#      BBD solver, threaded Schur accumulation, multi-rate engine, static
-#      analysis and the pinned paper figures under the sanitizers)
-#   3. TSan build (preset `tsan`) + the `array` and `solver` labels: the
-#      threaded Schur accumulation and the integrator paths it calls are
-#      the only concurrency in the repo, so those labels are the race
-#      surface
+#      `array`, `lifetime`, `sta` and `paper` test labels (recovery
+#      ladder, elaboration, coupled-array search, multi-rate engine,
+#      static analysis and the pinned paper figures under the sanitizers)
+#   3. TSan build (preset `tsan`) + the `threads` and `solver` labels.
+#      `threads` (test_util, test_sweep) holds the repo's only concurrency:
+#      ThreadPool, run_sweep and run_sweep_guarded. The `solver` label
+#      starts no thread; it checks that the integrator runs clean under
+#      the TSan instrumentation
 #   4. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
 #      clang-tidy when installed (the CMake option degrades gracefully)
 #   5. static ERC + STA margin rules over the shipped example decks
@@ -44,10 +45,10 @@ ctest --preset lifetime-asan -j
 ctest --preset sta-asan -j
 ctest --preset paper-asan -j
 
-echo "==== [3/6] tsan build + array/solver labels ===="
+echo "==== [3/6] tsan build + threads/solver labels ===="
 cmake --preset tsan
 cmake --build --preset tsan -j
-ctest --preset array-tsan -j
+ctest --preset threads-tsan -j
 ctest --preset solver-tsan -j
 
 echo "==== [4/6] lint build (-Werror, clang-tidy if installed) ===="
