@@ -81,13 +81,21 @@ struct Parser {
     }
   }
 
-  // Builds a waveform from tokens[i..]; handles DC, PULSE, PWL, SIN.
+  // Fails on t[n], the first token of `t` a card did not consume.
+  void reject_from(const std::vector<std::string>& t, std::size_t n) {
+    if (n < t.size())
+      fail(line_no, "unexpected token '" + t[n] + "' on " + t[0]);
+  }
+
+  // Builds a waveform from tokens[i..], the rest of the card; handles DC,
+  // PULSE, PWL, SIN.
   std::unique_ptr<Waveform> waveform(const std::vector<std::string>& t,
                                      std::size_t i) {
     if (i >= t.size()) fail(line_no, "missing source value");
     const std::string head = lower(t[i]);
     if (head == "pulse") {
       if (t.size() - i - 1 < 6) fail(line_no, "PULSE needs 6-7 arguments");
+      reject_from(t, i + 8);
       const double v1 = num(t[i + 1]);
       const double v2 = num(t[i + 2]);
       const double td = num(t[i + 3]);
@@ -99,13 +107,16 @@ struct Parser {
     }
     if (head == "pwl") {
       std::vector<std::pair<double, double>> pts;
-      for (std::size_t k = i + 1; k + 1 < t.size(); k += 2)
+      std::size_t k = i + 1;
+      for (; k + 1 < t.size(); k += 2)
         pts.emplace_back(num(t[k]), num(t[k + 1]));
       if (pts.empty()) fail(line_no, "PWL needs time/value pairs");
+      reject_from(t, k);
       return std::make_unique<PwlWave>(std::move(pts));
     }
     if (head == "sin") {
       if (t.size() - i - 1 < 3) fail(line_no, "SIN needs 3-4 arguments");
+      reject_from(t, i + 5);
       const double off = num(t[i + 1]);
       const double ampl = num(t[i + 2]);
       const double freq = num(t[i + 3]);
@@ -114,8 +125,10 @@ struct Parser {
     }
     if (head == "dc") {
       if (i + 1 >= t.size()) fail(line_no, "DC needs a value");
+      reject_from(t, i + 2);
       return std::make_unique<DcWave>(num(t[i + 1]));
     }
+    reject_from(t, i + 1);
     return std::make_unique<DcWave>(num(t[i]));
   }
 };
@@ -146,20 +159,29 @@ Device* add_element_card(
   auto need = [&](std::size_t n) {
     if (tokens.size() < n) fail(p.line_no, "too few fields for " + tokens[0]);
   };
+  // Exactly n fields: nothing after them.
+  auto exact = [&](std::size_t n) {
+    need(n);
+    p.reject_from(tokens, n);
+  };
+  // Splits an optional trailing key=value; a plain token fails the card.
+  auto kv = [&](std::size_t i, std::string& key, std::string& value) {
+    if (!split_kv(tokens[i], key, value)) p.reject_from(tokens, i);
+  };
 
   switch (kind) {
     case 'r': {
-      need(4);
+      exact(4);
       return &circuit.add<Resistor>(name, node(tokens[1]), node(tokens[2]),
                                     p.num(tokens[3]));
     }
     case 'c': {
-      need(4);
+      exact(4);
       return &circuit.add<Capacitor>(name, node(tokens[1]), node(tokens[2]),
                                      p.num(tokens[3]));
     }
     case 'l': {
-      need(4);
+      exact(4);
       return &circuit.add<Inductor>(name, node(tokens[1]), node(tokens[2]),
                                     p.num(tokens[3]));
     }
@@ -168,7 +190,7 @@ Device* add_element_card(
       DiodeParams dp;
       for (std::size_t i = 3; i < tokens.size(); ++i) {
         std::string key, value;
-        if (!split_kv(tokens[i], key, value)) continue;
+        kv(i, key, value);
         if (key == "is") dp.i_sat = p.num(value);
         else if (key == "n") dp.n_ideality = p.num(value);
         else fail(p.line_no, "unknown diode parameter '" + key + "'");
@@ -192,7 +214,7 @@ Device* add_element_card(
       double vth = -1.0;
       for (std::size_t i = 5; i < tokens.size(); ++i) {
         std::string key, value;
-        if (!split_kv(tokens[i], key, value)) continue;
+        kv(i, key, value);
         if (key == "w") w = p.num(value);
         else if (key == "vth") vth = p.num(value);
         else fail(p.line_no, "unknown MOSFET parameter '" + key + "'");
@@ -206,20 +228,20 @@ Device* add_element_card(
                                   node(tokens[3]), mp);
     }
     case 'e': {
-      need(6);
+      exact(6);
       return &circuit.add<Vcvs>(name, node(tokens[1]), node(tokens[2]),
                                 node(tokens[3]), node(tokens[4]),
                                 p.num(tokens[5]));
     }
     case 'g': {
-      need(6);
+      exact(6);
       return &circuit.add<Vccs>(name, node(tokens[1]), node(tokens[2]),
                                 node(tokens[3]), node(tokens[4]),
                                 p.num(tokens[5]));
     }
     case 'f':
     case 'h': {
-      need(5);
+      exact(5);
       if (deferred == nullptr)
         fail(p.line_no,
              "current-controlled source '" + tokens[0] +
@@ -242,6 +264,8 @@ Device* add_element_card(
           closed = true;
         } else if (lower(tokens[i]) == "off") {
           closed = false;
+        } else {
+          p.reject_from(tokens, i);
         }
       }
       return &circuit.add<Switch>(name, node(tokens[1]), node(tokens[2]), ron,
@@ -263,6 +287,8 @@ Device* add_element_card(
           else fail(p.line_no, "unknown relay parameter '" + key + "'");
         } else if (lower(tokens[i]) == "closed") {
           closed = true;
+        } else {
+          p.reject_from(tokens, i);
         }
       }
       auto& relay = circuit.add<NemRelay>(name, node(tokens[1]),
@@ -276,8 +302,9 @@ Device* add_element_card(
       double state = 0.0;
       for (std::size_t i = 3; i < tokens.size(); ++i) {
         std::string key, value;
-        if (split_kv(tokens[i], key, value) && key == "state")
-          state = p.num(value);
+        kv(i, key, value);
+        if (key == "state") state = p.num(value);
+        else fail(p.line_no, "unknown RRAM parameter '" + key + "'");
       }
       auto& rram = circuit.add<Rram>(name, node(tokens[1]), node(tokens[2]));
       rram.set_state(state);
@@ -292,6 +319,7 @@ Device* add_element_card(
         const std::string flag = lower(tokens[i]);
         if (flag == "low") fefet.set_low_vth(true);
         else if (flag == "high") fefet.set_low_vth(false);
+        else p.reject_from(tokens, i);
       }
       return &fefet;
     }

@@ -10,7 +10,6 @@
 #include "devices/Passive.h"
 #include "devices/Sources.h"
 #include "erc/TcamRules.h"
-#include "spice/Waveform.h"
 #include "sta/Rules.h"
 #include "sta/Sta.h"
 #include "tcam/StaBridge.h"
@@ -19,24 +18,6 @@ namespace nemtcam::tcam {
 
 using namespace nemtcam::devices;
 using spice::NodeId;
-
-namespace {
-
-std::unique_ptr<spice::Waveform> step_wave(double v0, double v1, double t_edge,
-                                           double t_rise = 20e-12) {
-  return std::make_unique<spice::PwlWave>(
-      std::vector<std::pair<double, double>>{
-          {0.0, v0}, {t_edge, v0}, {t_edge + t_rise, v1}});
-}
-
-double sl_drive(core::Ternary k, double vdd) {
-  return k == core::Ternary::One ? vdd : 0.0;
-}
-double slb_drive(core::Ternary k, double vdd) {
-  return k == core::Ternary::Zero ? vdd : 0.0;
-}
-
-}  // namespace
 
 ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
                            int rows, int width, const core::TernaryWord& key,
@@ -75,11 +56,10 @@ ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
   sl_seg_.reserve(static_cast<std::size_t>(width));
   slb_seg_.reserve(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) {
-    const core::Ternary k = key[static_cast<std::size_t>(i)];
-    sl_seg_.push_back(
-        build_ladder("sl" + std::to_string(i), sl_drive(k, cal.vdd)));
-    slb_seg_.push_back(
-        build_ladder("slb" + std::to_string(i), slb_drive(k, cal.vdd)));
+    const SearchlineLevels v =
+        searchline_levels(key[static_cast<std::size_t>(i)], cal.vdd);
+    sl_seg_.push_back(build_ladder("sl" + std::to_string(i), v.sl));
+    slb_seg_.push_back(build_ladder("slb" + std::to_string(i), v.slb));
   }
 
   // Per-row matchline hardware.
@@ -131,6 +111,17 @@ NodeId ArrayFixture::slb(int row, int col) const {
       .at(static_cast<std::size_t>(seg_of_row_.at(static_cast<std::size_t>(row))));
 }
 
+PortNets ArrayFixture::port_nets(int row) const {
+  PortNets nets{{{"ml", ml(row)}, {"vdd", vdd_}}, {}};
+  std::vector<NodeId>& sl_taps = nets.columns["sl"];
+  std::vector<NodeId>& slb_taps = nets.columns["slb"];
+  for (int c = 0; c < width_; ++c) {
+    sl_taps.push_back(sl(row, c));
+    slb_taps.push_back(slb(row, c));
+  }
+  return nets;
+}
+
 const erc::Report& ArrayFixture::check() {
   if (!report_.has_value()) report_ = checker_.run(circuit_);
   return *report_;
@@ -153,12 +144,13 @@ spice::TransientResult ArrayFixture::run(double dt_max) {
 void ArrayFixture::rebind_key(const core::TernaryWord& key) {
   NEMTCAM_EXPECT(static_cast<int>(key.size()) == width_);
   for (int i = 0; i < width_; ++i) {
-    const core::Ternary k = key[static_cast<std::size_t>(i)];
+    const SearchlineLevels v =
+        searchline_levels(key[static_cast<std::size_t>(i)], cal_.vdd);
     const std::string sfx = std::to_string(i);
-    NEMTCAM_EXPECT(circuit_.rebind_source(
-        "Vdrv_sl" + sfx, step_wave(0.0, sl_drive(k, cal_.vdd), t_edge_)));
-    NEMTCAM_EXPECT(circuit_.rebind_source(
-        "Vdrv_slb" + sfx, step_wave(0.0, slb_drive(k, cal_.vdd), t_edge_)));
+    NEMTCAM_EXPECT(circuit_.rebind_source("Vdrv_sl" + sfx,
+                                          step_wave(0.0, v.sl, t_edge_)));
+    NEMTCAM_EXPECT(circuit_.rebind_source("Vdrv_slb" + sfx,
+                                          step_wave(0.0, v.slb, t_edge_)));
   }
 }
 
@@ -266,10 +258,9 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
   cells_.assign(static_cast<std::size_t>(rows_), {});
   spice::Circuit& ckt = fx_->circuit();
 
-  std::map<std::string, NodeId> extra;
-  if (spec_.shared_rails) extra = spec_.shared_rails(ckt, fx_->vdd());
+  std::map<std::string, NodeId> rails;
+  if (spec_.shared_rails) rails = spec_.shared_rails(ckt, fx_->vdd());
 
-  static const hier::Library kEmptyLib;  // cells carry no nested instances
   for (int r = 0; r < rows_; ++r) {
     const std::string row_scope = "Xrow" + std::to_string(r);
     auto& row_cells = cells_[static_cast<std::size_t>(r)];
@@ -278,23 +269,13 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
       ckt.add<Capacitor>("Cel_ml" + std::to_string(r), fx_->ml(r),
                          ckt.ground(), width_ * spec_.c_ml_load_per_cell);
     }
-    for (int c = 0; c < width_; ++c) {
-      std::vector<NodeId> ports;
-      ports.reserve(spec_.cell.ports.size());
-      for (const std::string& p : spec_.cell.ports) {
-        if (p == "ml") ports.push_back(fx_->ml(r));
-        else if (p == "vdd") ports.push_back(fx_->vdd());
-        else if (p == "sl") ports.push_back(fx_->sl(r, c));
-        else if (p == "slb") ports.push_back(fx_->slb(r, c));
-        else if (const auto it = extra.find(p); it != extra.end())
-          ports.push_back(it->second);
-        else
-          ports.push_back(spice::kGround);  // unused in this transaction
-      }
-      row_cells.push_back(hier::elaborate(
-          ckt, kEmptyLib, spec_.cell, row_scope + ".Xcell" + std::to_string(c),
-          ports, spec_.cell.params));
-    }
+    // The fixture's nets take precedence over a shared rail of the same name.
+    PortNets nets = fx_->port_nets(r);
+    nets.row.insert(rails.begin(), rails.end());
+    for (int c = 0; c < width_; ++c)
+      row_cells.push_back(elaborate_cell(
+          ckt, spec_.cell, row_scope + ".Xcell" + std::to_string(c), nets, c,
+          spec_.cell.params));
     if (spec_.array_rules)
       spec_.array_rules(
           ArrayRowContext{fx_->checker(), fx_->ml(r), fx_->vdd(), r, width_,

@@ -104,6 +104,9 @@ class ArrayFixture {
   // nearest that row.
   spice::NodeId sl(int row, int col) const;
   spice::NodeId slb(int row, int col) const;
+  // The nets row `row`'s cell ports bind to: its ml, vdd, and its taps of
+  // each column's sl/slb.
+  PortNets port_nets(int row) const;
   double t_edge() const noexcept { return t_edge_; }
   double t_end() const noexcept { return t_end_; }
 

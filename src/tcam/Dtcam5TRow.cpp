@@ -1,17 +1,10 @@
 #include "tcam/Dtcam5TRow.h"
 
-#include <algorithm>
-
 #include "devices/Mosfet.h"
-#include "devices/Passive.h"
-#include "devices/Sources.h"
 #include "erc/TcamRules.h"
 #include "hier/Elaborate.h"
 #include "spice/Transient.h"
-#include "spice/Waveform.h"
-#include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
-#include "tcam/SearchTemplate.h"
 
 namespace nemtcam::tcam {
 
@@ -35,10 +28,6 @@ Dtcam5TRow::StoredLevels Dtcam5TRow::levels_for(Ternary t, double v_high) {
     case Ternary::X: return {0.0, 0.0};
   }
   return {0.0, 0.0};
-}
-
-Dtcam5TRow::StoredLevels Dtcam5TRow::levels_for(Ternary t) const {
-  return levels_for(t, cal().v_store_one);
 }
 
 SearchTemplateSpec dtcam5t_search_spec(const Calibration& c) {
@@ -78,84 +67,37 @@ SearchTemplateSpec dtcam5t_search_spec(const Calibration& c) {
   return spec;
 }
 
-WriteMetrics Dtcam5TRow::simulate_write(const TernaryWord& old_word,
-                                        const TernaryWord& new_word) {
-  const Calibration& c = cal();
-  Circuit ckt;
-  const double t0 = 0.1e-9;
-  const double t_end = t0 + 3e-9;
-
-  const double c_wl = width() * c.c_hline_per_cell(kGeo);
-  const NodeId wl = add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
-  const double c_bl = array_rows() * c.c_vline_per_cell(kGeo);
-
-  struct Monitored {
-    NodeId node;
-    bool target_one;
+WriteTemplateSpec dtcam5t_write_spec(const Calibration& c) {
+  WriteTemplateSpec w;
+  w.t_end = kWriteEdge + 3e-9;
+  // Each bitline charges its storage gate to V_DD or empties it; ML and
+  // the searchlines are grounded.
+  using Levels = Dtcam5TRow::StoredLevels;
+  const auto bitline = [&c](std::string port, double Levels::*level) {
+    return column_line(std::move(port), c, kGeo,
+                       [vdd = c.vdd, level](Ternary t) {
+                         return Dtcam5TRow::levels_for(t, vdd).*level;
+                       });
   };
-  std::vector<Monitored> monitored;
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const StoredLevels old_lv = levels_for(old_word[static_cast<std::size_t>(i)]);
-    const StoredLevels new_lv = levels_for(new_word[static_cast<std::size_t>(i)]);
-
-    const NodeId bl = add_driven_line(ckt, c, "bl" + sfx, c_bl, 0.0,
-                                      new_lv.v1 > 0.0 ? c.vdd : 0.0, t0);
-    const NodeId blb = add_driven_line(ckt, c, "blb" + sfx, c_bl, 0.0,
-                                       new_lv.v2 > 0.0 ? c.vdd : 0.0, t0);
-    const NodeId stg1 = ckt.node("stg1_" + sfx);
-    const NodeId stg2 = ckt.node("stg2_" + sfx);
-    const NodeId cmp_a = ckt.node("cmpa_" + sfx);
-    const NodeId cmp_b = ckt.node("cmpb_" + sfx);
-
-    ckt.add<Mosfet>("Tw1_" + sfx, stg1, wl, bl, c.nem_write_nmos());
-    ckt.add<Mosfet>("Tw2_" + sfx, stg2, wl, blb, c.nem_write_nmos());
-    // Searchlines and ML grounded during the write.
-    ckt.add<Mosfet>("Mc1_" + sfx, ckt.ground(), stg1, cmp_a,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc2_" + sfx, cmp_a, ckt.ground(), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc3_" + sfx, ckt.ground(), stg2, cmp_b,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc4_" + sfx, cmp_b, ckt.ground(), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-
-    if (old_lv.v1 > 0.0) ckt.set_ic(stg1, old_lv.v1);
-    if (old_lv.v2 > 0.0) ckt.set_ic(stg2, old_lv.v2);
-    monitored.push_back({stg1, new_lv.v1 > 0.0});
-    monitored.push_back({stg2, new_lv.v2 > 0.0});
-  }
-
-  const TransientOptions opts = spice::step_defaults(t_end, 20e-12);
-  const auto result = run_transient(ckt, opts);
-
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
-  bool all_ok = true;
-  double latest = 0.0;
-  for (const auto& mon : monitored) {
-    const spice::Trace tr = result.node_trace(mon.node);
-    // A written '1' first reaches V_WL − V_th quickly and then creeps
-    // toward the bitline level through moderate inversion, so the '1'
-    // acceptance band is wide ([0.65, 1.05] V); '0' must settle near GND.
-    const double target = mon.target_one ? 0.85 * c.vdd : 0.0;
-    const double tol = mon.target_one ? 0.2 * c.vdd : 0.12 * c.vdd;
-    const auto ts = tr.settle_time(target, tol);
-    if (!ts.has_value()) {
-      all_ok = false;
-      m.note = "storage node " + ckt.node_name(mon.node) + " did not settle";
-      continue;
+  w.nets = {row_line("wl", c, kGeo, c.v_wl_write),
+            bitline("bl", &Levels::v1), bitline("blb", &Levels::v2)};
+  w.check = [vdd = c.vdd](const spice::TransientResult& r,
+                          const hier::InstanceHandles& cell, Ternary,
+                          Ternary t, WriteMetrics& m) {
+    const Levels lv = Dtcam5TRow::levels_for(t, vdd);
+    for (const auto& [node, one] :
+         {std::pair{"stg1", lv.v1 > 0.0}, std::pair{"stg2", lv.v2 > 0.0}}) {
+      // A written '1' first reaches V_WL − V_th quickly and then creeps
+      // toward the bitline level through moderate inversion, so the '1'
+      // acceptance band is wide ([0.65, 1.05] V); '0' must settle near GND.
+      const auto ts = r.node_trace(cell.node_at(node))
+                          .settle_time(one ? 0.85 * vdd : 0.0,
+                                       one ? 0.2 * vdd : 0.12 * vdd);
+      record_outcome(m, cell, node, ts.has_value(),
+                     ts.value_or(0.0) - kWriteEdge);
     }
-    latest = std::max(latest, std::max(*ts - t0, 0.0));
-  }
-  m.ok = all_ok;
-  m.latency = latest;
-  return m;
+  };
+  return w;
 }
 
 double Dtcam5TRow::simulate_retention(double v_start) const {
@@ -181,7 +123,7 @@ double Dtcam5TRow::simulate_retention(double v_start) const {
 RefreshMetrics Dtcam5TRow::row_refresh_cost() {
   RefreshMetrics m;
   const TernaryWord word = stored_;
-  const WriteMetrics w = simulate_write(word, word);
+  const WriteMetrics w = write(word);
   m.energy_per_op = w.energy;  // one row op
   m.latency = 2e-9;            // WL assertion window per row op
   m.retention_time = simulate_retention(cal().v_store_one);

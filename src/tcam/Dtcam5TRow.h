@@ -33,8 +33,9 @@ class Dtcam5TRow final : public TcamRow {
   // keep the compare transistor decisively conductive (V_th + ~100 mV).
   double simulate_retention(double v_start) const;
 
-  // Conventional refresh: one row read-and-write-back; reports per-op
-  // energy/blocked time and the array refresh power (rows × E / retention).
+  // Conventional refresh: one row read-and-write-back (a write of the
+  // stored word); reports per-op energy/blocked time and the array
+  // refresh power (rows × E / retention).
   RefreshMetrics row_refresh_cost();
 
   struct StoredLevels {
@@ -42,12 +43,6 @@ class Dtcam5TRow final : public TcamRow {
     double v2;
   };
   static StoredLevels levels_for(Ternary t, double v_high);
-  StoredLevels levels_for(Ternary t) const;
-
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
 };
 
 }  // namespace nemtcam::tcam

@@ -25,12 +25,8 @@ class Fefet2FRow final : public TcamRow {
     bool f1_low_vth;
     bool f2_low_vth;
   };
+  // Also the 4T2F row's encoding (F1 ↔ Fa, F2 ↔ Fb).
   static FefetStates states_for(Ternary t);
-
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
 };
 
 }  // namespace nemtcam::tcam

@@ -10,7 +10,8 @@
 // half-selected cells (the disturb robustness the paper credits this
 // design with, at the cost of twice the transistors).
 //
-// Encoding matches the 2FeFET row: stored '1' → Fa high-V_th, Fb low-V_th.
+// Encoding matches the 2FeFET row (Fefet2FRow::states_for): stored '1' →
+// Fa high-V_th, Fb low-V_th.
 #pragma once
 
 #include "tcam/TcamRow.h"
@@ -22,17 +23,6 @@ class Fefet4T2FRow final : public TcamRow {
   Fefet4T2FRow(int width, int array_rows, const Calibration& cal);
 
   TcamKind kind() const override { return TcamKind::Fefet4T2F; }
-
-  struct FefetStates {
-    bool fa_low_vth;
-    bool fb_low_vth;
-  };
-  static FefetStates states_for(Ternary t);
-
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
 };
 
 }  // namespace nemtcam::tcam

@@ -16,15 +16,35 @@ using namespace nemtcam::devices;
 using spice::NodeId;
 using spice::PwlWave;
 
-namespace {
-
-std::unique_ptr<spice::Waveform> step_wave(double v0, double v1, double t_edge,
-                                           double t_rise = 20e-12) {
+std::unique_ptr<spice::Waveform> step_wave(double v0, double v1,
+                                           double t_edge) {
   return std::make_unique<PwlWave>(std::vector<std::pair<double, double>>{
-      {0.0, v0}, {t_edge, v0}, {t_edge + t_rise, v1}});
+      {0.0, v0}, {t_edge, v0}, {t_edge + 20e-12, v1}});
 }
 
-}  // namespace
+SearchlineLevels searchline_levels(core::Ternary key_trit, double vdd) {
+  return {key_trit == core::Ternary::One ? vdd : 0.0,
+          key_trit == core::Ternary::Zero ? vdd : 0.0};
+}
+
+hier::InstanceHandles elaborate_cell(spice::Circuit& ckt,
+                                     const hier::SubcktDef& cell,
+                                     const std::string& scope,
+                                     const PortNets& nets, int col,
+                                     const hier::ParamEnv& env) {
+  std::vector<NodeId> ports;
+  ports.reserve(cell.ports.size());
+  for (const std::string& p : cell.ports) {
+    if (const auto it = nets.columns.find(p); it != nets.columns.end())
+      ports.push_back(it->second.at(static_cast<std::size_t>(col)));
+    else if (const auto jt = nets.row.find(p); jt != nets.row.end())
+      ports.push_back(jt->second);
+    else
+      ports.push_back(spice::kGround);  // unused in this transaction
+  }
+  static const hier::Library kEmptyLib;
+  return hier::elaborate(ckt, kEmptyLib, cell, scope, ports, env);
+}
 
 NodeId add_driven_line(spice::Circuit& c, const Calibration& cal,
                        const std::string& name, double c_line, double v0,
@@ -34,16 +54,6 @@ NodeId add_driven_line(spice::Circuit& c, const Calibration& cal,
                  cal.r_line_driver);
   c.add<Capacitor>("Cline_" + name, n, c.ground(),
                    c_line + cal.c_driver_load);
-  return n;
-}
-
-NodeId add_static_line(spice::Circuit& c, const Calibration& cal,
-                       const std::string& name, double c_line, double level) {
-  const NodeId n = c.node(name);
-  c.add<VSource>("Vdrv_" + name, n, c.ground(), level, cal.r_line_driver);
-  c.add<Capacitor>("Cline_" + name, n, c.ground(),
-                   c_line + cal.c_driver_load);
-  if (level != 0.0) c.set_ic(n, level);
   return n;
 }
 
@@ -82,29 +92,30 @@ SearchFixture::SearchFixture(const Calibration& cal, const CellGeometry& geo,
   sl_.reserve(static_cast<std::size_t>(width));
   slb_.reserve(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) {
-    const core::Ternary k = key[static_cast<std::size_t>(i)];
-    const double v_sl = (k == core::Ternary::One) ? cal.vdd : 0.0;
-    const double v_slb = (k == core::Ternary::Zero) ? cal.vdd : 0.0;
+    const SearchlineLevels v =
+        searchline_levels(key[static_cast<std::size_t>(i)], cal.vdd);
     sl_.push_back(add_driven_line(circuit_, cal, "sl" + std::to_string(i),
-                                  c_sl, 0.0, v_sl, t_edge_));
+                                  c_sl, 0.0, v.sl, t_edge_));
     slb_.push_back(add_driven_line(circuit_, cal, "slb" + std::to_string(i),
-                                   c_sl, 0.0, v_slb, t_edge_));
+                                   c_sl, 0.0, v.slb, t_edge_));
   }
 
   checker_.add_rule(erc::ml_precharge_rule(ml_, vdd_));
 }
 
+PortNets SearchFixture::port_nets() const {
+  return {{{"ml", ml_}, {"vdd", vdd_}}, {{"sl", sl_}, {"slb", slb_}}};
+}
+
 void SearchFixture::rebind_key(const core::TernaryWord& key) {
   NEMTCAM_EXPECT(key.size() == sl_.size());
   for (std::size_t i = 0; i < sl_.size(); ++i) {
-    const core::Ternary k = key[i];
-    const double v_sl = (k == core::Ternary::One) ? cal_.vdd : 0.0;
-    const double v_slb = (k == core::Ternary::Zero) ? cal_.vdd : 0.0;
+    const SearchlineLevels v = searchline_levels(key[i], cal_.vdd);
     const std::string sfx = std::to_string(i);
     NEMTCAM_EXPECT(circuit_.rebind_source("Vdrv_sl" + sfx,
-                                          step_wave(0.0, v_sl, t_edge_)));
+                                          step_wave(0.0, v.sl, t_edge_)));
     NEMTCAM_EXPECT(circuit_.rebind_source("Vdrv_slb" + sfx,
-                                          step_wave(0.0, v_slb, t_edge_)));
+                                          step_wave(0.0, v.slb, t_edge_)));
   }
 }
 

@@ -1,13 +1,17 @@
 // Shared transaction scaffolding for the circuit-level TCAM rows: match-
-// line precharge, searchline drivers, line parasitics, and measurement.
+// line precharge, searchline drivers, line parasitics, port binding and
+// measurement.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/Ternary.h"
 #include "erc/Checker.h"
+#include "hier/Elaborate.h"
 #include "spice/Circuit.h"
 #include "spice/Transient.h"
 #include "tcam/Calibration.h"
@@ -15,10 +19,40 @@
 
 namespace nemtcam::tcam {
 
+// The edge every line driver makes: `v0` until `t_edge`, then a 20 ps
+// linear ramp to `v1`.
+std::unique_ptr<spice::Waveform> step_wave(double v0, double v1, double t_edge);
+
+// Searchline levels for one key trit: 1 → SL = VDD, SL̄ = 0; 0 → SL = 0,
+// SL̄ = VDD; X → both 0, so no compare path conducts.
+struct SearchlineLevels {
+  double sl;
+  double slb;
+};
+SearchlineLevels searchline_levels(core::Ternary key_trit, double vdd);
+
+// Where one transaction binds a cell's ports, by port name: a `row` net is
+// shared by every cell of the row (ml, vdd, shared rails, a write's
+// wordline), a `columns` entry gives the port one net per column (sl/slb,
+// a write's bitlines). A port named in neither binds to ground: the
+// transaction does not use it (a search's bitlines, a write's matchline).
+struct PortNets {
+  std::map<std::string, spice::NodeId> row;
+  std::map<std::string, std::vector<spice::NodeId>> columns;
+};
+
+// Elaborates one instance of `cell` (which carries no nested instances)
+// under `scope`, its ports bound through `nets` for column `col`.
+hier::InstanceHandles elaborate_cell(spice::Circuit& ckt,
+                                     const hier::SubcktDef& cell,
+                                     const std::string& scope,
+                                     const PortNets& nets, int col,
+                                     const hier::ParamEnv& env);
+
 // Builds the design-independent part of a search transaction:
 //  - VDD rail, matchline with precharge PMOS and wire/sense parasitics,
 //  - per-column SL/SL̄ pairs driven according to the key
-//    (key 1 → SL=VDD, SL̄=0; key 0 → SL=0, SL̄=VDD; key X → both 0),
+//    (searchline_levels),
 //  - the transaction timeline: ML precharges during [0, t_precharge],
 //    the precharge device turns off, then SLs switch at t_edge.
 // The caller attaches one cell per column between ml and the sl/slb pair,
@@ -56,6 +90,9 @@ class SearchFixture {
   // run: the result carries the structured report as its failure text.
   spice::TransientResult run(double dt_max = 20e-12);
 
+  // The nets a cell's ports bind to: ml and vdd, and each column's sl/slb.
+  PortNets port_nets() const;
+
   // Re-aims the searchline drivers at a new key without touching the
   // topology: each Vdrv_sl/Vdrv_slb source gets a fresh step waveform
   // (Circuit::rebind_source), so the solver cache's stamp pattern and
@@ -90,15 +127,10 @@ class SearchFixture {
 };
 
 // Adds a driven line: a node with wire capacitance `c_line` and a source
-// stepping from `v0` to `v1` at `t_edge` (20 ps edge) through the line
+// stepping from `v0` to `v1` at `t_edge` (step_wave) through the line
 // driver impedance. Returns the line node.
 spice::NodeId add_driven_line(spice::Circuit& c, const Calibration& cal,
                               const std::string& name, double c_line,
                               double v0, double v1, double t_edge);
-
-// Adds a line held at a constant level through the driver impedance.
-spice::NodeId add_static_line(spice::Circuit& c, const Calibration& cal,
-                              const std::string& name, double c_line,
-                              double level);
 
 }  // namespace nemtcam::tcam

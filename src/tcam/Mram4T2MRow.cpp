@@ -1,25 +1,16 @@
 #include "tcam/Mram4T2MRow.h"
 
-#include <algorithm>
-
 #include "devices/Mosfet.h"
 #include "devices/Mtj.h"
-#include "devices/Passive.h"
-#include "devices/Sources.h"
 #include "erc/TcamRules.h"
 #include "hier/Elaborate.h"
-#include "spice/Transient.h"
-#include "spice/Waveform.h"
-#include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
-#include "tcam/SearchTemplate.h"
 
 namespace nemtcam::tcam {
 
 using namespace nemtcam::devices;
 using spice::Circuit;
 using spice::NodeId;
-using spice::TransientOptions;
 
 namespace {
 
@@ -60,7 +51,11 @@ SearchTemplateSpec mram4t2m_search_spec(const Calibration& cal) {
   spec.geo = kGeo;
   spec.t_strobe = 6e-9;
   spec.cell.name = "mram4t2m_cell";
-  spec.cell.ports = {"ml", "sl", "slb"};
+  // wl/wbl steer the write current; the search grounds them.
+  spec.cell.ports = {"ml", "sl", "slb", "wl", "wbl"};
+  // The access device's size and threshold, overridden by the write.
+  spec.cell.params = {{"tacc_w", c.w_nem_write},
+                      {"tacc_vth", c.vth_nem_write}};
   const auto mtj = [](Circuit& k, const std::string& n,
                       const std::vector<NodeId>& nd,
                       const hier::ParamEnv&) -> spice::Device& {
@@ -76,7 +71,14 @@ SearchTemplateSpec mram4t2m_search_spec(const Calibration& cal) {
     };
   };
   spec.cell.emit("Ts", {"ml", "mid", "0"}, fet(sense_fet(2.0)));
-  spec.cell.emit("Tacc", {"mid", "0", "0"}, fet(c.nem_write_nmos()));
+  spec.cell.emit("Tacc", {"mid", "wl", "wbl"},
+                 [](Circuit& k, const std::string& n,
+                    const std::vector<NodeId>& nd,
+                    const hier::ParamEnv& env) -> spice::Device& {
+                   MosfetParams p = MosfetParams::nmos_lp(env.at("tacc_w"));
+                   p.vth = env.at("tacc_vth");
+                   return k.add<Mosfet>(n, nd[0], nd[1], nd[2], p);
+                 });
   spec.bind = [](Circuit&, const hier::InstanceHandles& cell, Ternary t) {
     const Mram4T2MRow::MtjStates st = Mram4T2MRow::states_for(t);
     auto* m1 = dynamic_cast<Mtj*>(cell.device("M1"));
@@ -91,87 +93,50 @@ SearchTemplateSpec mram4t2m_search_spec(const Calibration& cal) {
   return spec;
 }
 
-WriteMetrics Mram4T2MRow::simulate_write(const TernaryWord& old_word,
-                                         const TernaryWord& new_word) {
-  const Calibration& c = cal();
-  Circuit ckt;
-  const double t0 = 0.1e-9;
-  const double t_end = t0 + 14e-9;
-
-  const double c_wl = width() * c.c_hline_per_cell(kGeo);
-  const NodeId wl = add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
-  const double c_sl = array_rows() * c.c_vline_per_cell(kGeo);
-
-  std::vector<Mtj*> m1s(static_cast<std::size_t>(width()));
-  std::vector<Mtj*> m2s(static_cast<std::size_t>(width()));
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const MtjStates old_st = states_for(old_word[static_cast<std::size_t>(i)]);
-    const MtjStates new_st = states_for(new_word[static_cast<std::size_t>(i)]);
-
-    // Bipolar searchline drive steers super-critical current through both
-    // junctions at once (polarity per junction sets P vs AP); the access
-    // transistor sinks the sum at the divider node.
-    // Junction orientation: M1 is SL→mid (positive SL drive → parallel),
-    // M2 is mid→SL̄ (positive SL̄ drive pushes current bottom-up → AP).
-    const double v_sl = new_st.m1_parallel ? kWriteDrive : -kWriteDrive;
-    const double v_slb = new_st.m2_parallel ? -kWriteDrive : kWriteDrive;
-    const NodeId sl = add_driven_line(ckt, c, "sl" + sfx, c_sl, 0.0, v_sl, t0);
-    const NodeId slb =
-        add_driven_line(ckt, c, "slb" + sfx, c_sl, 0.0, v_slb, t0);
-    const NodeId mid = ckt.node("mid_" + sfx);
-    const NodeId wbl = ckt.node("wbl_" + sfx);
-    ckt.add<VSource>("Vwbl_" + sfx, wbl, ckt.ground(), 0.0);
-
-    m1s[static_cast<std::size_t>(i)] = &ckt.add<Mtj>("M1_" + sfx, sl, mid);
-    m2s[static_cast<std::size_t>(i)] = &ckt.add<Mtj>("M2_" + sfx, mid, slb);
-    m1s[static_cast<std::size_t>(i)]->set_parallel(old_st.m1_parallel);
-    m2s[static_cast<std::size_t>(i)]->set_parallel(old_st.m2_parallel);
-    // Strong write-access device (current compliance is not wanted here —
-    // the junction currents must stay super-critical).
-    ckt.add<Mosfet>("Tacc_" + sfx, mid, wl, wbl, MosfetParams::nmos_lp(4.0));
-    ckt.add<Mosfet>("Ts_" + sfx, ckt.ground(), mid, ckt.ground(),
-                    sense_fet(2.0));
-  }
-
-  const TransientOptions opts = spice::step_defaults(t_end, 50e-12);
-  const auto result = run_transient(ckt, opts);
-
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
-
-  bool all_ok = true;
-  double latest = 0.0;
-  for (int i = 0; i < width(); ++i) {
-    const MtjStates new_st = states_for(new_word[static_cast<std::size_t>(i)]);
-    const MtjStates old_st = states_for(old_word[static_cast<std::size_t>(i)]);
-    for (const auto& [dev, want_p, was_p] :
-         {std::tuple{m1s[static_cast<std::size_t>(i)], new_st.m1_parallel,
-                     old_st.m1_parallel},
-          std::tuple{m2s[static_cast<std::size_t>(i)], new_st.m2_parallel,
-                     old_st.m2_parallel}}) {
-      const bool is_p = dev->state() > 0.9;
-      const bool is_ap = dev->state() < 0.1;
-      if ((want_p && !is_p) || (!want_p && !is_ap)) {
-        all_ok = false;
-        m.note = "MTJ " + dev->name() + " did not reach target state";
-        continue;
-      }
-      if (want_p != was_p) {
-        const double ts = want_p ? dev->t_parallel_complete()
-                                 : dev->t_antiparallel_complete();
-        if (ts > 0.0) latest = std::max(latest, ts - t0);
-      }
+WriteTemplateSpec mram4t2m_write_spec(const Calibration& c) {
+  using States = Mram4T2MRow::MtjStates;
+  WriteTemplateSpec w;
+  w.t_end = kWriteEdge + 14e-9;
+  w.dt_max = 50e-12;
+  // Strong write-access device (current compliance is not wanted here —
+  // the junction currents must stay super-critical).
+  w.params = {{"tacc_w", 4.0}, {"tacc_vth", MosfetParams::nmos_lp(4.0).vth}};
+  // Bipolar searchline drive steers super-critical current through both
+  // junctions at once (polarity per junction sets P vs AP); the access
+  // transistor sinks the sum at the divider node into a 0 V write bitline.
+  // Junction orientation: M1 is SL→mid (positive SL drive → parallel),
+  // M2 is mid→SL̄ (positive SL̄ drive pushes current bottom-up → AP).
+  const auto searchline = [&c](std::string port, bool States::*parallel,
+                               double v_parallel) {
+    return column_line(std::move(port), c, kGeo,
+                       [parallel, v_parallel](Ternary t) {
+                         return Mram4T2MRow::states_for(t).*parallel
+                                    ? v_parallel
+                                    : -v_parallel;
+                       });
+  };
+  w.nets = {row_line("wl", c, kGeo, c.v_wl_write),
+            searchline("sl", &States::m1_parallel, kWriteDrive),
+            searchline("slb", &States::m2_parallel, -kWriteDrive),
+            held_net("wbl", /*per_column=*/true, 0.0)};
+  w.check = [](const spice::TransientResult&,
+               const hier::InstanceHandles& cell, Ternary old_t,
+               Ternary new_t, WriteMetrics& m) {
+    const States was = Mram4T2MRow::states_for(old_t);
+    const States want = Mram4T2MRow::states_for(new_t);
+    for (const auto& [base, want_p, was_p] :
+         {std::tuple{"M1", want.m1_parallel, was.m1_parallel},
+          std::tuple{"M2", want.m2_parallel, was.m2_parallel}}) {
+      const auto* dev = dynamic_cast<const Mtj*>(cell.device(base));
+      NEMTCAM_EXPECT(dev != nullptr);
+      const double ts = want_p ? dev->t_parallel_complete()
+                               : dev->t_antiparallel_complete();
+      record_outcome(m, cell, base,
+                     want_p ? dev->state() > 0.9 : dev->state() < 0.1,
+                     want_p != was_p ? ts - kWriteEdge : 0.0);
     }
-  }
-  m.ok = all_ok;
-  m.latency = latest;
-  return m;
+  };
+  return w;
 }
 
 }  // namespace nemtcam::tcam

@@ -6,7 +6,8 @@
 // Cell (per column):
 //   SL ── M1 ── mid ── M2 ── SL̄          (MTJ resistive divider)
 //   Ts: D=ML, G=mid, S=GND                (higher-V_t sense device)
-//   Tacc_w: mid ↔ WBL, gate=WL            (write current steering)
+//   Tacc: mid ↔ WBL, gate=WL              (write current steering; the
+//                                          search grounds WL and WBL)
 //
 // Encoding: stored '1' → M1 antiparallel, M2 parallel. With complementary
 // searchline drive, the divider puts mid ≈ 0.71 V on a mismatch (Ts
@@ -38,11 +39,6 @@ class Mram4T2MRow final : public TcamRow {
     bool m2_parallel;
   };
   static MtjStates states_for(Ternary t);
-
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
 };
 
 }  // namespace nemtcam::tcam

@@ -4,15 +4,11 @@
 
 #include "devices/Mosfet.h"
 #include "devices/NemRelay.h"
-#include "devices/Passive.h"
-#include "devices/Sources.h"
 #include "erc/TcamRules.h"
 #include "hier/Elaborate.h"
 #include "spice/Transient.h"
-#include "spice/Waveform.h"
 #include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
-#include "tcam/SearchTemplate.h"
 #include "util/Random.h"
 
 namespace nemtcam::tcam {
@@ -20,7 +16,6 @@ namespace nemtcam::tcam {
 using namespace nemtcam::devices;
 using spice::Circuit;
 using spice::NodeId;
-using spice::PwlWave;
 using spice::TransientOptions;
 
 namespace {
@@ -47,14 +42,6 @@ NemRelayParams varied_relay_params(util::Rng& rng, double sigma) {
     np.v_po = std::min(rng.normal(np.v_po, sigma), np.v_pi - 0.05);
   }
   return np;
-}
-
-// Same edge shape add_driven_line gives its sources — used when a replay
-// rebinds a line driver to a new target level.
-std::unique_ptr<spice::Waveform> drive_wave(double v0, double v1,
-                                            double t_edge) {
-  return std::make_unique<PwlWave>(std::vector<std::pair<double, double>>{
-      {0.0, v0}, {t_edge, v0}, {t_edge + 20e-12, v1}});
 }
 
 // One 3T2N cell, all nets as ports. A search grounds bl/blb/wl; a write
@@ -87,23 +74,6 @@ hier::SubcktDef nem_cell_def(const Calibration& c) {
   return def;
 }
 
-// Seeds one cell's relays and storage-node ICs for a stored trit. Writes
-// the zero ICs too: a replayed template must not inherit the previous
-// word's levels (an absent IC and an explicit 0 are equivalent at t=0).
-void bind_nem_cell(Circuit& ckt, const hier::InstanceHandles& cell,
-                   Ternary t, double v_store_one) {
-  const RelayTargets tgt = targets_for(t);
-  const double v1 = tgt.n1_closed ? v_store_one : 0.0;
-  const double v2 = tgt.n2_closed ? v_store_one : 0.0;
-  auto* n1 = dynamic_cast<NemRelay*>(cell.device("N1"));
-  auto* n2 = dynamic_cast<NemRelay*>(cell.device("N2"));
-  NEMTCAM_EXPECT(n1 != nullptr && n2 != nullptr);
-  n1->set_state(tgt.n1_closed, v1);
-  n2->set_state(tgt.n2_closed, v2);
-  ckt.set_ic(cell.node_at("stg1"), v1);
-  ckt.set_ic(cell.node_at("stg2"), v2);
-}
-
 std::string hier_relay_name(const char* base, std::size_t col) {
   return "Xcell" + std::to_string(col) + "." + base;
 }
@@ -116,10 +86,20 @@ SearchTemplateSpec nem3t2n_search_spec(const Calibration& c) {
   spec.geo = c.geo_nem;
   spec.t_strobe = c.t_strobe_nem;
   spec.cell = nem_cell_def(c);
-  spec.bind = [v1 = c.v_store_one](Circuit& ckt,
-                                   const hier::InstanceHandles& cell,
-                                   Ternary t) {
-    bind_nem_cell(ckt, cell, t, v1);
+  // Seeds the relays and storage-node ICs, zero ICs included.
+  spec.bind = [v_one = c.v_store_one](Circuit& ckt,
+                                      const hier::InstanceHandles& cell,
+                                      Ternary t) {
+    const RelayTargets tgt = targets_for(t);
+    const double v1 = tgt.n1_closed ? v_one : 0.0;
+    const double v2 = tgt.n2_closed ? v_one : 0.0;
+    auto* n1 = dynamic_cast<NemRelay*>(cell.device("N1"));
+    auto* n2 = dynamic_cast<NemRelay*>(cell.device("N2"));
+    NEMTCAM_EXPECT(n1 != nullptr && n2 != nullptr);
+    n1->set_state(tgt.n1_closed, v1);
+    n2->set_state(tgt.n2_closed, v2);
+    ckt.set_ic(cell.node_at("stg1"), v1);
+    ckt.set_ic(cell.node_at("stg2"), v2);
   };
   spec.array_rules = [v_refresh = c.v_refresh](const ArrayRowContext& rc,
                                                const TernaryWord& stored) {
@@ -139,102 +119,38 @@ SearchTemplateSpec nem3t2n_search_spec(const Calibration& c) {
   return spec;
 }
 
-// The elaborated write transaction: WL/BL/BL̄ drivers plus one cell per
-// column, built once. A replay rebinds the bitline waveforms to the new
-// word, re-seeds the relays from the old word, and reruns the transient
-// on the same stamp pattern.
-struct NemWriteTemplate {
-  Circuit ckt;
-  std::vector<hier::InstanceHandles> cells;
-  double t_end = 0.0;
-};
+WriteTemplateSpec nem3t2n_write_spec(const Calibration& c) {
+  WriteTemplateSpec w;
+  w.t_end = kWriteEdge + c.t_write_window_nem;
+  // Boosted wordline crossing the whole row; each bitline charges one relay
+  // gate to V_DD (close) or to 0 (open).
+  w.nets = {row_line("wl", c, c.geo_nem, c.v_wl_write),
+            column_line("bl", c, c.geo_nem,
+                        [vdd = c.vdd](Ternary t) {
+                          return targets_for(t).n1_closed ? vdd : 0.0;
+                        }),
+            column_line("blb", c, c.geo_nem, [vdd = c.vdd](Ternary t) {
+              return targets_for(t).n2_closed ? vdd : 0.0;
+            })};
+  w.check = [](const spice::TransientResult&,
+               const hier::InstanceHandles& cell, Ternary, Ternary t,
+               WriteMetrics& m) {
+    const RelayTargets tgt = targets_for(t);
+    for (const auto& [base, want_closed] :
+         {std::pair{"N1", tgt.n1_closed}, std::pair{"N2", tgt.n2_closed}}) {
+      const auto* relay = dynamic_cast<const NemRelay*>(cell.device(base));
+      NEMTCAM_EXPECT(relay != nullptr);
+      const double t_settle = want_closed ? relay->t_contact_closed()
+                                          : relay->t_contact_opened();
+      record_outcome(m, cell, base, relay->contact() == want_closed,
+                     t_settle - kWriteEdge);
+    }
+  };
+  return w;
+}
 
 Nem3T2NRow::Nem3T2NRow(int width, int array_rows, const Calibration& cal)
     : TcamRow(width, array_rows, cal) {}
-
-Nem3T2NRow::~Nem3T2NRow() = default;
-
-WriteMetrics Nem3T2NRow::simulate_write(const TernaryWord& old_word,
-                                        const TernaryWord& new_word) {
-  const Calibration& c = cal();
-  const double t0 = 0.1e-9;
-  if (!write_tpl_) {
-    auto tpl = std::make_unique<NemWriteTemplate>();
-    tpl->t_end = t0 + c.t_write_window_nem;
-    Circuit& ckt = tpl->ckt;
-    // Boosted wordline crossing the whole row.
-    const double c_wl = width() * c.c_hline_per_cell(c.geo_nem);
-    const NodeId wl =
-        add_driven_line(ckt, c, "wl", c_wl, 0.0, c.v_wl_write, t0);
-    const double c_bl = array_rows() * c.c_vline_per_cell(c.geo_nem);
-    const hier::SubcktDef cell = nem_cell_def(c);
-    static const hier::Library kEmptyLib;
-    for (int i = 0; i < width(); ++i) {
-      const std::string sfx = std::to_string(i);
-      const RelayTargets tgt =
-          targets_for(new_word[static_cast<std::size_t>(i)]);
-      const NodeId bl = add_driven_line(ckt, c, "bl" + sfx, c_bl, 0.0,
-                                        tgt.n1_closed ? c.vdd : 0.0, t0);
-      const NodeId blb = add_driven_line(ckt, c, "blb" + sfx, c_bl, 0.0,
-                                         tgt.n2_closed ? c.vdd : 0.0, t0);
-      // Port order of nem_cell_def: ml, sl, slb grounded during a write.
-      tpl->cells.push_back(hier::elaborate(
-          ckt, kEmptyLib, cell, "Xcell" + sfx,
-          {spice::kGround, spice::kGround, spice::kGround, bl, blb, wl}));
-    }
-    write_tpl_ = std::move(tpl);
-  } else {
-    for (int i = 0; i < width(); ++i) {
-      const std::string sfx = std::to_string(i);
-      const RelayTargets tgt =
-          targets_for(new_word[static_cast<std::size_t>(i)]);
-      NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
-          "Vdrv_bl" + sfx, drive_wave(0.0, tgt.n1_closed ? c.vdd : 0.0, t0)));
-      NEMTCAM_EXPECT(write_tpl_->ckt.rebind_source(
-          "Vdrv_blb" + sfx,
-          drive_wave(0.0, tgt.n2_closed ? c.vdd : 0.0, t0)));
-    }
-  }
-
-  Circuit& ckt = write_tpl_->ckt;
-  ckt.reset_device_states();
-  for (int i = 0; i < width(); ++i)
-    bind_nem_cell(ckt, write_tpl_->cells[static_cast<std::size_t>(i)],
-                  old_word[static_cast<std::size_t>(i)], c.v_store_one);
-
-  const TransientOptions opts = spice::step_defaults(write_tpl_->t_end, 20e-12);
-  const auto result = run_transient(ckt, opts);
-
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
-
-  double latest = 0.0;
-  bool all_ok = true;
-  for (int i = 0; i < width(); ++i) {
-    const auto& cell = write_tpl_->cells[static_cast<std::size_t>(i)];
-    const RelayTargets tgt = targets_for(new_word[static_cast<std::size_t>(i)]);
-    for (const auto& [base, want_closed] :
-         {std::pair{"N1", tgt.n1_closed}, std::pair{"N2", tgt.n2_closed}}) {
-      auto* relay = dynamic_cast<NemRelay*>(cell.device(base));
-      NEMTCAM_EXPECT(relay != nullptr);
-      if (relay->contact() != want_closed) {
-        all_ok = false;
-        m.note = "relay " + relay->name() + " did not reach target state";
-        continue;
-      }
-      const double t_settle =
-          want_closed ? relay->t_contact_closed() : relay->t_contact_opened();
-      if (t_settle > 0.0) latest = std::max(latest, t_settle - t0);
-    }
-  }
-  m.ok = all_ok;
-  m.latency = latest;
-  return m;
-}
 
 double Nem3T2NRow::simulate_retention(double v_start) const {
   const Calibration& c = cal();

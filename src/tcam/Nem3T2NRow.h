@@ -13,22 +13,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "tcam/TcamRow.h"
 
 namespace nemtcam::tcam {
 
-// Elaborated write-transaction template (defined in the .cpp): the write
-// netlist built once, replayed per transaction by rebinding the BL/BL̄
-// drive waveforms and re-seeding the relay states.
-struct NemWriteTemplate;
-
 class Nem3T2NRow final : public TcamRow {
  public:
   Nem3T2NRow(int width, int array_rows, const Calibration& cal);
-  ~Nem3T2NRow() override;  // out-of-line: NemWriteTemplate is incomplete
 
   TcamKind kind() const override { return TcamKind::Nem3T2N; }
 
@@ -55,12 +47,7 @@ class Nem3T2NRow final : public TcamRow {
   void set_threshold_sigma(double sigma_volts) { sigma_vth_ = sigma_volts; }
   void set_variation_seed(std::uint64_t seed) { seed_ = seed; }
 
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
  private:
-  std::unique_ptr<NemWriteTemplate> write_tpl_;
   double sigma_vth_ = 0.0;
   std::uint64_t seed_ = 1;
 };

@@ -37,8 +37,6 @@ class Rram2T2RRow final : public TcamRow {
   static RramStates states_for(Ternary t);
 
  protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
   void rebind_devices(spice::Circuit& ckt) override;
 
  private:

@@ -22,32 +22,19 @@ void SearchTemplate::build(const core::TernaryWord& key,
   cells_.clear();
   cells_.reserve(static_cast<std::size_t>(width_));
 
-  std::map<std::string, spice::NodeId> extra;
+  // The fixture's nets take precedence over a shared rail of the same name.
+  PortNets nets = fx_->port_nets();
   if (spec_.shared_rails)
-    extra = spec_.shared_rails(fx_->circuit(), fx_->vdd());
+    nets.row.merge(spec_.shared_rails(fx_->circuit(), fx_->vdd()));
   if (spec_.c_ml_load_per_cell > 0.0)
     fx_->circuit().add<devices::Capacitor>("Cel_ml", fx_->ml(),
                                            fx_->circuit().ground(),
                                            width_ * spec_.c_ml_load_per_cell);
 
-  static const hier::Library kEmptyLib;  // cells carry no nested instances
-  for (int i = 0; i < width_; ++i) {
-    std::vector<spice::NodeId> ports;
-    ports.reserve(spec_.cell.ports.size());
-    for (const std::string& p : spec_.cell.ports) {
-      if (p == "ml") ports.push_back(fx_->ml());
-      else if (p == "vdd") ports.push_back(fx_->vdd());
-      else if (p == "sl") ports.push_back(fx_->sl(i));
-      else if (p == "slb") ports.push_back(fx_->slb(i));
-      else if (const auto it = extra.find(p); it != extra.end())
-        ports.push_back(it->second);
-      else
-        ports.push_back(spice::kGround);  // unused in this transaction
-    }
-    cells_.push_back(hier::elaborate(fx_->circuit(), kEmptyLib, spec_.cell,
-                                     "Xcell" + std::to_string(i), ports,
-                                     spec_.cell.params));
-  }
+  for (int i = 0; i < width_; ++i)
+    cells_.push_back(elaborate_cell(fx_->circuit(), spec_.cell,
+                                    "Xcell" + std::to_string(i), nets, i,
+                                    spec_.cell.params));
 
   if (spec_.array_rules)
     spec_.array_rules(

@@ -57,11 +57,14 @@ struct SearchTemplateSpec {
   // already models (e.g. the RRAM MIM electrode plates).
   double c_ml_load_per_cell = 0.0;
 
-  // Per-column cell. Ports are bound by name: "ml", "vdd", "sl", "slb"
-  // resolve to the fixture nets (sl/slb per column), names returned by the
-  // prelude resolve to those nets, anything else binds to ground — which
-  // is how one all-ports cell definition serves both search (BL/WL
-  // grounded) and write (ML/SL grounded) transactions.
+  // Per-column cell, elaborated by the kind's search and by its write
+  // (WriteTemplate). Ports are bound by name (PortNets): a search binds
+  // "ml", "vdd", "sl", "slb" to the fixture nets (sl/slb per column) and
+  // the names shared_rails returns to those rails; a write binds the nets
+  // of the kind's WriteTemplateSpec. Anything else binds to ground — which
+  // is how one all-ports cell definition serves both the search (bitlines
+  // and wordline grounded) and the write (matchline grounded) of every
+  // design.
   hier::SubcktDef cell;
 
   // Optional: builds design-specific rails shared by every cell — and, in

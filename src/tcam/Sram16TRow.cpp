@@ -1,24 +1,15 @@
 #include "tcam/Sram16TRow.h"
 
-#include <algorithm>
-
 #include "devices/Mosfet.h"
-#include "devices/Passive.h"
-#include "devices/Sources.h"
 #include "erc/TcamRules.h"
 #include "hier/Elaborate.h"
-#include "spice/Transient.h"
-#include "spice/Waveform.h"
-#include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
-#include "tcam/SearchTemplate.h"
 
 namespace nemtcam::tcam {
 
 using namespace nemtcam::devices;
 using spice::Circuit;
 using spice::NodeId;
-using spice::TransientOptions;
 
 Sram16TRow::Sram16TRow(int width, int array_rows, const Calibration& cal)
     : TcamRow(width, array_rows, cal) {}
@@ -33,25 +24,6 @@ Sram16TRow::CellBits Sram16TRow::bits_for(Ternary t) {
 }
 
 namespace {
-
-// Adds one 6T SRAM bit cell; returns nothing (nodes are created by name).
-// q/qb are the storage nodes; bl/blb the bitlines; wl the wordline.
-void add_6t_cell(Circuit& ckt, const Calibration& c, const std::string& name,
-                 NodeId vdd, NodeId q, NodeId qb, NodeId bl, NodeId blb,
-                 NodeId wl) {
-  ckt.add<Mosfet>(name + "_pu1", q, qb, vdd,
-                  MosfetParams::pmos_lp(c.w_sram_pullup));
-  ckt.add<Mosfet>(name + "_pd1", q, qb, ckt.ground(),
-                  MosfetParams::nmos_lp(c.w_sram_pulldn));
-  ckt.add<Mosfet>(name + "_pu2", qb, q, vdd,
-                  MosfetParams::pmos_lp(c.w_sram_pullup));
-  ckt.add<Mosfet>(name + "_pd2", qb, q, ckt.ground(),
-                  MosfetParams::nmos_lp(c.w_sram_pulldn));
-  ckt.add<Mosfet>(name + "_ax1", bl, wl, q,
-                  MosfetParams::nmos_lp(c.w_sram_access));
-  ckt.add<Mosfet>(name + "_ax2", blb, wl, qb,
-                  MosfetParams::nmos_lp(c.w_sram_access));
-}
 
 void seed_cell_state(Circuit& ckt, NodeId q, NodeId qb, bool value,
                      double vdd) {
@@ -132,97 +104,41 @@ SearchTemplateSpec sram16t_search_spec(const Calibration& c) {
   return spec;
 }
 
-WriteMetrics Sram16TRow::simulate_write(const TernaryWord& old_word,
-                                        const TernaryWord& new_word) {
-  const Calibration& c = cal();
-  Circuit ckt;
-  const double t0 = 0.1e-9;
-  const double t_end = t0 + c.t_write_window_sram;
-
-  const NodeId vdd = ckt.node("vdd");
-  ckt.add<VSource>("Vdd", vdd, ckt.ground(), c.vdd);
-  ckt.set_ic(vdd, c.vdd);
-
-  const double c_wl = width() * c.c_hline_per_cell(c.geo_sram);
-  const NodeId wl = add_driven_line(ckt, c, "wl", c_wl, 0.0, c.vdd, t0);
-
-  const double c_bl = array_rows() * c.c_vline_per_cell(c.geo_sram);
-
-  struct Monitored {
-    NodeId node;
-    double target;
+WriteTemplateSpec sram16t_write_spec(const Calibration& c) {
+  using Bits = Sram16TRow::CellBits;
+  WriteTemplateSpec w;
+  w.t_end = kWriteEdge + c.t_write_window_sram;
+  // Four bitlines per column, a complementary pair per 6T cell, driven to
+  // the new bits while the wordline opens the access devices. ML and the
+  // searchlines stay grounded: the compare network only loads the storage
+  // nodes.
+  const auto bitline = [&c](std::string port, bool Bits::*bit, bool when) {
+    return column_line(std::move(port), c, c.geo_sram,
+                       [vdd = c.vdd, bit, when](Ternary t) {
+                         return Sram16TRow::bits_for(t).*bit == when ? vdd
+                                                                     : 0.0;
+                       });
   };
-  std::vector<Monitored> monitored;
-
-  for (int i = 0; i < width(); ++i) {
-    const std::string sfx = std::to_string(i);
-    const CellBits old_bits = bits_for(old_word[static_cast<std::size_t>(i)]);
-    const CellBits new_bits = bits_for(new_word[static_cast<std::size_t>(i)]);
-
-    // Four bitlines per column (two per 6T cell).
-    const NodeId bl1 = add_driven_line(ckt, c, "bl1_" + sfx, c_bl, 0.0,
-                                       new_bits.d1 ? c.vdd : 0.0, t0);
-    const NodeId bl1b = add_driven_line(ckt, c, "bl1b_" + sfx, c_bl, 0.0,
-                                        new_bits.d1 ? 0.0 : c.vdd, t0);
-    const NodeId bl2 = add_driven_line(ckt, c, "bl2_" + sfx, c_bl, 0.0,
-                                       new_bits.d2 ? c.vdd : 0.0, t0);
-    const NodeId bl2b = add_driven_line(ckt, c, "bl2b_" + sfx, c_bl, 0.0,
-                                        new_bits.d2 ? 0.0 : c.vdd, t0);
-
-    const NodeId d1 = ckt.node("d1_" + sfx);
-    const NodeId d1b = ckt.node("d1b_" + sfx);
-    const NodeId d2 = ckt.node("d2_" + sfx);
-    const NodeId d2b = ckt.node("d2b_" + sfx);
-
-    add_6t_cell(ckt, c, "c1_" + sfx, vdd, d1, d1b, bl1, bl1b, wl);
-    add_6t_cell(ckt, c, "c2_" + sfx, vdd, d2, d2b, bl2, bl2b, wl);
-    seed_cell_state(ckt, d1, d1b, old_bits.d1, c.vdd);
-    seed_cell_state(ckt, d2, d2b, old_bits.d2, c.vdd);
-
-    // Compare network loads the storage nodes during a write; ML and the
-    // searchlines are grounded.
-    const NodeId cmp_a = ckt.node("cmpa_" + sfx);
-    const NodeId cmp_b = ckt.node("cmpb_" + sfx);
-    ckt.add<Mosfet>("Mc1_" + sfx, ckt.ground(), d1, cmp_a,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc2_" + sfx, cmp_a, ckt.ground(), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc3_" + sfx, ckt.ground(), d2, cmp_b,
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-    ckt.add<Mosfet>("Mc4_" + sfx, cmp_b, ckt.ground(), ckt.ground(),
-                    MosfetParams::nmos_lp(c.w_sram_cmp));
-
-    monitored.push_back({d1, new_bits.d1 ? c.vdd : 0.0});
-    monitored.push_back({d1b, new_bits.d1 ? 0.0 : c.vdd});
-    monitored.push_back({d2, new_bits.d2 ? c.vdd : 0.0});
-    monitored.push_back({d2b, new_bits.d2 ? 0.0 : c.vdd});
-  }
-
-  const TransientOptions opts = spice::step_defaults(t_end, 20e-12);
-  const auto result = run_transient(ckt, opts);
-
-  WriteMetrics m;
-  if (!result.finished) {
-    m.note = "transient failed: " + result.failure;
-    return m;
-  }
-  m.energy = result.total_source_energy();
-
-  bool all_ok = true;
-  double latest = 0.0;
-  for (const auto& mon : monitored) {
-    const spice::Trace tr = result.node_trace(mon.node);
-    const auto ts = tr.settle_time(mon.target, 0.1 * c.vdd);
-    if (!ts.has_value()) {
-      all_ok = false;
-      m.note = "cell node " + ckt.node_name(mon.node) + " did not settle";
-      continue;
+  w.nets = {held_net("vdd", /*per_column=*/false, c.vdd),
+            row_line("wl", c, c.geo_sram, c.vdd),
+            bitline("bl1", &Bits::d1, true),
+            bitline("bl1b", &Bits::d1, false),
+            bitline("bl2", &Bits::d2, true),
+            bitline("bl2b", &Bits::d2, false)};
+  w.check = [vdd = c.vdd](const spice::TransientResult& r,
+                          const hier::InstanceHandles& cell, Ternary,
+                          Ternary t, WriteMetrics& m) {
+    const Bits want = Sram16TRow::bits_for(t);
+    for (const auto& [node, high] :
+         {std::pair{"d1", want.d1}, std::pair{"d1b", !want.d1},
+          std::pair{"d2", want.d2}, std::pair{"d2b", !want.d2}}) {
+      const auto ts = r.node_trace(cell.node_at(node))
+                          .settle_time(high ? vdd : 0.0, 0.1 * vdd);
+      record_outcome(m, cell, node, ts.has_value(),
+                     ts.value_or(0.0) - kWriteEdge);
     }
-    latest = std::max(latest, std::max(*ts - t0, 0.0));
-  }
-  m.ok = all_ok;
-  m.latency = latest;
-  return m;
+  };
+  return w;
 }
 
 }  // namespace nemtcam::tcam

@@ -23,11 +23,6 @@ class Sram16TRow final : public TcamRow {
     bool d2;
   };
   static CellBits bits_for(Ternary t);
-
- protected:
-  WriteMetrics simulate_write(const TernaryWord& old_word,
-                              const TernaryWord& new_word) override;
-
 };
 
 }  // namespace nemtcam::tcam

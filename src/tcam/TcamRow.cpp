@@ -2,6 +2,7 @@
 
 #include "tcam/RowSpecs.h"
 #include "tcam/SearchTemplate.h"
+#include "tcam/WriteTemplate.h"
 
 #include "tcam/Dtcam5TRow.h"
 #include "tcam/Fefet2FRow.h"
@@ -51,8 +52,11 @@ SearchMetrics TcamRow::search(const TernaryWord& key) {
 
 WriteMetrics TcamRow::write(const TernaryWord& word) {
   NEMTCAM_EXPECT(static_cast<int>(word.size()) == width());
-  const TernaryWord old_word = stored_;
-  WriteMetrics m = simulate_write(old_word, word);
+  if (!write_tpl_)
+    write_tpl_ = std::make_unique<WriteTemplate>(
+        search_spec_for(kind(), cal()), write_spec_for(kind(), cal()),
+        width(), array_rows());
+  WriteMetrics m = write_tpl_->write(stored_, word);
   if (m.ok) stored_ = word;
   return m;
 }
@@ -88,6 +92,20 @@ SearchTemplateSpec search_spec_for(TcamKind kind, const Calibration& cal) {
     case TcamKind::Dtcam5T: return dtcam5t_search_spec(cal);
     case TcamKind::Fefet4T2F: return fefet4t2f_search_spec(cal);
     case TcamKind::Mram4T2M: return mram4t2m_search_spec(cal);
+  }
+  NEMTCAM_EXPECT_MSG(false, "unknown TcamKind");
+  return {};
+}
+
+WriteTemplateSpec write_spec_for(TcamKind kind, const Calibration& cal) {
+  switch (kind) {
+    case TcamKind::Sram16T: return sram16t_write_spec(cal);
+    case TcamKind::Nem3T2N: return nem3t2n_write_spec(cal);
+    case TcamKind::Rram2T2R: return rram2t2r_write_spec(cal);
+    case TcamKind::Fefet2F: return fefet2f_write_spec(cal);
+    case TcamKind::Dtcam5T: return dtcam5t_write_spec(cal);
+    case TcamKind::Fefet4T2F: return fefet4t2f_write_spec(cal);
+    case TcamKind::Mram4T2M: return mram4t2m_write_spec(cal);
   }
   NEMTCAM_EXPECT_MSG(false, "unknown TcamKind");
   return {};

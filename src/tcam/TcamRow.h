@@ -9,10 +9,11 @@
 // Every transaction (write / search / refresh) runs a transient analysis
 // on a transistor-level netlist seeded from the currently stored word;
 // metrics come from the waveforms and device state telemetry, exactly like
-// .measure on a SPICE deck. A search elaborates the kind's SearchTemplate
-// (tcam/RowSpecs.h) once and replays it: a new key rebinds the searchline
-// drivers, a new stored word rebuilds. Writes and refreshes build their own
-// netlists (the 3T2N write replays a template of its own).
+// .measure on a SPICE deck. Searches and writes elaborate the kind's cell
+// (tcam/RowSpecs.h) into a template once and replay it. A search's
+// SearchTemplate rebinds the searchline drivers for a new key and rebuilds
+// for a new stored word; a write's WriteTemplate rebinds the write drivers
+// to each (old, new) word pair. Refreshes build their own netlists.
 #pragma once
 
 #include <memory>
@@ -43,10 +44,11 @@ enum class TcamKind {
 const char* kind_name(TcamKind k);
 
 class SearchTemplate;
+class WriteTemplate;
 
 class TcamRow {
  public:
-  virtual ~TcamRow();  // out-of-line: SearchTemplate is incomplete here
+  virtual ~TcamRow();  // out-of-line: the templates are incomplete here
 
   virtual TcamKind kind() const = 0;
   int width() const noexcept { return width_; }
@@ -59,8 +61,9 @@ class TcamRow {
 
   const TernaryWord& stored() const noexcept { return stored_; }
 
-  // Simulates the full write transaction replacing the stored word.
-  // On success the stored word is updated.
+  // Simulates the full write transaction replacing the stored word, on the
+  // kind's WriteTemplate (elaborated on the first write). On success the
+  // stored word is updated.
   WriteMetrics write(const TernaryWord& word);
 
   // Simulates a search against the stored word at the kind's width-scaled
@@ -69,9 +72,6 @@ class TcamRow {
 
  protected:
   TcamRow(int width, int array_rows, const Calibration& cal);
-
-  virtual WriteMetrics simulate_write(const TernaryWord& old_word,
-                                      const TernaryWord& new_word) = 0;
 
   // In-place device-parameter edits on the search circuit, applied after
   // the template is built or rebound and before every replay (the RRAM
@@ -83,6 +83,9 @@ class TcamRow {
  private:
   // Elaborated from search_spec_for(kind(), cal()) on the first search.
   std::unique_ptr<SearchTemplate> search_tpl_;
+  // Elaborated from the same cell and write_spec_for(kind(), cal()) on the
+  // first write.
+  std::unique_ptr<WriteTemplate> write_tpl_;
   int width_;
   int array_rows_;
   Calibration cal_;

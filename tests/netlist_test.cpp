@@ -235,6 +235,44 @@ TEST(Netlist, ErrorsCarryLineNumbers) {
                NetlistError);
 }
 
+TEST(Netlist, RejectsUnconsumedTokens) {
+  // Every element card fails on a token it does not use (a misspelled
+  // flag or key, a stray field) and names the line, instead of building a
+  // device that silently ignores it.
+  const char* const kCards[] = {
+      "R1 a 0 1k 2k",
+      "C1 a 0 1p extra",
+      "L1 a 0 1n extra",
+      "D1 a 0 is",
+      "V1 a 0 1 2",
+      "V1 a 0 DC 1 AC",
+      "V1 a 0 PULSE(0 1 0 1n 1n 5n 10n 3)",
+      "V1 a 0 PWL(0 0 1n)",
+      "V1 a 0 SIN(0 1 1meg 0 9)",
+      "I1 a 0 1m 2m",
+      "M1 a a 0 NMOS w2",
+      "E1 a 0 a 0 2 3",
+      "G1 a 0 a 0 1m 3",
+      "S1 a 0 ron=1 shut",
+      "N1 a a 0 0 clsoed",
+      "Z1 a 0 stat=1",
+      "Z1 a 0 lrs",
+      "Q1 a a 0 lo",
+  };
+  for (const char* card : kCards) {
+    SCOPED_TRACE(card);
+    try {
+      parse_netlist(std::string("t\nR0 a 0 1k\n") + card + "\n.end\n");
+      ADD_FAILURE() << "accepted: " << card;
+    } catch (const NetlistError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_netlist("t\nV1 a 0 1\nR1 a 0 1k\nF1 a 0 V1 2 3\n.end\n"),
+               NetlistError);
+}
+
 TEST(Netlist, SubcktFlattensWithScopedNames) {
   const auto deck = parse_netlist(
       "two RC stages from one template\n"

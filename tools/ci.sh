@@ -6,9 +6,12 @@
 # Stages:
 #   1. release build (preset `release`) + full ctest
 #   2. ASan/UBSan build (preset `asan`) + the `robustness`, `hier`,
-#      `array`, `lifetime`, `sta` and `paper` test labels (recovery
-#      ladder, elaboration, coupled-array search, multi-rate engine,
-#      static analysis and the pinned paper figures under the sanitizers)
+#      `array`, `lifetime`, `sta`, `paper`, `tcam` and `netlist` test
+#      labels (recovery ladder, elaboration, coupled-array search,
+#      multi-rate engine, static analysis, the pinned paper figures, every
+#      design's row writes on the replayed write template, whose cells'
+#      device pointers live across writes, and the netlist parser's error
+#      paths under the sanitizers)
 #   3. TSan build (preset `tsan`) + the `threads` and `solver` labels.
 #      `threads` (test_util, test_sweep) holds the repo's only concurrency:
 #      ThreadPool, run_sweep and run_sweep_guarded. The `solver` label
@@ -35,7 +38,8 @@ cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/6] asan build + robustness/hier/array/lifetime/sta/paper labels ===="
+echo "==== [2/6] asan build + sanitizer test labels" \
+     "(robustness/hier/array/lifetime/sta/paper/tcam/netlist) ===="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset robustness-asan -j
@@ -44,6 +48,8 @@ ctest --preset array-asan -j
 ctest --preset lifetime-asan -j
 ctest --preset sta-asan -j
 ctest --preset paper-asan -j
+ctest --preset tcam-asan -j
+ctest --preset netlist-asan -j
 
 echo "==== [3/6] tsan build + threads/solver labels ===="
 cmake --preset tsan
