@@ -57,13 +57,12 @@ inline core::TernaryWord one_bit_mismatch_key(const core::TernaryWord& w) {
 }
 
 // Consumes the step-control CLI flags shared by every bench binary —
-// --reltol=X / --abstol=X / --dt-scale=X (or the two-argument "--reltol X"
-// form), --fixed-step, and --no-erc — applying them to the process-wide
-// defaults and removing them from argv before benchmark::Initialize rejects
-// them as unknown. Lets any ablation bench be rerun at a different accuracy
-// target (or on the legacy fixed grid, optionally refined by --dt-scale)
-// without recompiling; --no-erc skips the pre-simulation ERC pass for
-// benches that time deliberately degenerate circuits.
+// --reltol=X / --abstol=X (or the two-argument "--reltol X" form) and
+// --no-erc — applying them to the process-wide defaults and removing them
+// from argv before benchmark::Initialize rejects them as unknown. Lets any
+// ablation bench be rerun at a different accuracy target without
+// recompiling; --no-erc skips the pre-simulation ERC pass for benches that
+// time deliberately degenerate circuits.
 inline void consume_step_control_flags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -82,16 +81,12 @@ inline void consume_step_control_flags(int* argc, char** argv) {
       }
       return false;
     };
-    if (std::strcmp(a, "--fixed-step") == 0) {
-      spice::set_default_step_control(spice::StepControl::FixedGrowth);
-    } else if (std::strcmp(a, "--no-erc") == 0) {
+    if (std::strcmp(a, "--no-erc") == 0) {
       erc::set_default_enforce(false);
     } else if (flag_value("--reltol") && val > 0.0) {
       spice::set_default_lte_tolerances(val, spice::default_lte_abstol_v());
     } else if (flag_value("--abstol") && val > 0.0) {
       spice::set_default_lte_tolerances(spice::default_lte_reltol(), val);
-    } else if (flag_value("--dt-scale") && val > 0.0) {
-      spice::set_default_fixed_dt_scale(val);
     } else {
       argv[out++] = argv[i];
     }

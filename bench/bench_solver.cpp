@@ -1,25 +1,18 @@
 // Solver bench (no paper figure — engineering validation).
 //
-// Three measurements, written to bench_solver.json / BENCH_pr2.json /
-// BENCH_pr5.json for machine checks:
+// Two measurements, written to bench_solver.json / BENCH_pr5.json for
+// machine checks:
 //  1. A SparseLu micro: full factorization vs numeric refactorization of
 //     the same MNA-shaped pattern with perturbed values.
-//  2. A 64-wide 3T2N search transient (worst-case one-bit-mismatch key)
-//     under LTE-controlled adaptive stepping vs the fixed grid at two
-//     resolutions: the legacy production grid (dt_max = 20 ps), and that
-//     grid refined 80x (dt_max = 0.25 ps) — the dt_max-refined reference
-//     whose .measures have themselves converged. Accepted steps, Newton
-//     iterations, wall-clock, and the .measure deltas (ML delay, search
-//     energy) are judged against the refined reference: the legacy grid's
-//     own energy is >2% off it, so matching the reference at a fraction
-//     of its steps is the win being recorded.
-//  3. Template replay: repeated searches on one row after its template
+//  2. Template replay: repeated searches on one row after its template
 //     is elaborated (each replay rebinds sources and device state). Per-
 //     search wall-clock, heap allocation counts (via the replacement
 //     operator new below), and the elaboration/stamp-pattern counters
 //     proving zero reconstruction during replay go to BENCH_pr5.json.
-// Coupled-array search time is measured by bench_sta (64x64, with its
-// STA speedup gate) and bench_ablation_array_size.
+// The adaptive-vs-refined-fixed step-control oracle is a test
+// (StepControl.AdaptiveSearchMatchesRefinedFixedReference). Coupled-array
+// search time is measured by bench_sta (64x64, with its STA speedup gate)
+// and bench_ablation_array_size.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -30,9 +23,7 @@
 #include "BenchCommon.h"
 #include "hier/Elaborate.h"
 #include "linalg/SparseLu.h"
-#include "spice/Transient.h"
 #include "tcam/Nem3T2NRow.h"
-#include "tcam/RowSpecs.h"
 
 // Process-wide heap-allocation counter for the template-replay leg. The
 // replaceable allocation functions must live at global scope with external
@@ -142,68 +133,6 @@ void BM_SparseLuRefactor(benchmark::State& state) {
 BENCHMARK(BM_SparseLuFullFactor)->Arg(256)->Iterations(40)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseLuRefactor)->Arg(256)->Iterations(40)->Unit(benchmark::kMicrosecond);
 
-// --- Fixed vs adaptive step control on the 64-wide search transient ---
-
-struct AbRun {
-  double wall_s = 0.0;
-  SearchMetrics m;
-};
-
-// Refinement applied to the legacy 20 ps grid for the reference leg; 80x
-// (0.25 ps) is where its ML-delay and energy measures stop moving.
-constexpr double kRefinedDtScale = 1.0 / 80.0;
-
-AbRun g_ab_fixed, g_ab_refined, g_ab_adaptive;
-
-AbRun run_search_ab(spice::StepControl mode, double fixed_dt_scale = 1.0) {
-  const spice::StepControl saved = spice::default_step_control();
-  const double saved_scale = spice::default_fixed_dt_scale();
-  spice::set_default_step_control(mode);
-  spice::set_default_fixed_dt_scale(fixed_dt_scale);
-  Nem3T2NRow row(kWidth, kRows, Calibration::standard());
-  const auto word = checker_word(kWidth);
-  row.store(word);
-  AbRun out;
-  const auto t0 = Clock::now();
-  out.m = row.search(one_bit_mismatch_key(word));
-  out.wall_s = seconds_since(t0);
-  spice::set_default_step_control(saved);
-  spice::set_default_fixed_dt_scale(saved_scale);
-  return out;
-}
-
-void BM_SearchStepFixed(benchmark::State& state) {
-  for (auto _ : state) {
-    g_ab_fixed = run_search_ab(spice::StepControl::FixedGrowth);
-    benchmark::DoNotOptimize(g_ab_fixed.m.ml_min);
-  }
-  state.counters["steps"] = static_cast<double>(g_ab_fixed.m.steps);
-  state.counters["search_ms"] = g_ab_fixed.wall_s * 1e3;
-}
-
-void BM_SearchStepFixedRefined(benchmark::State& state) {
-  for (auto _ : state) {
-    g_ab_refined =
-        run_search_ab(spice::StepControl::FixedGrowth, kRefinedDtScale);
-    benchmark::DoNotOptimize(g_ab_refined.m.ml_min);
-  }
-  state.counters["steps"] = static_cast<double>(g_ab_refined.m.steps);
-  state.counters["search_ms"] = g_ab_refined.wall_s * 1e3;
-}
-
-void BM_SearchStepAdaptive(benchmark::State& state) {
-  for (auto _ : state) {
-    g_ab_adaptive = run_search_ab(spice::StepControl::Lte);
-    benchmark::DoNotOptimize(g_ab_adaptive.m.ml_min);
-  }
-  state.counters["steps"] = static_cast<double>(g_ab_adaptive.m.steps);
-  state.counters["search_ms"] = g_ab_adaptive.wall_s * 1e3;
-}
-
-BENCHMARK(BM_SearchStepFixed)->Iterations(3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SearchStepFixedRefined)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SearchStepAdaptive)->Iterations(3)->Unit(benchmark::kMillisecond);
-
 // --- Template replay ---
 
 // Searches timed after the warm-up; keys alternate between all-match and
@@ -250,10 +179,6 @@ void BM_SearchTemplateReplay(benchmark::State& state) {
 
 BENCHMARK(BM_SearchTemplateReplay)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-double pct_delta(double test, double ref) {
-  return ref != 0.0 ? 100.0 * (test - ref) / ref : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -267,44 +192,6 @@ int main(int argc, char** argv) {
   std::printf("\nSparseLu n=256 MNA-shaped micro:\n"
               "  full factorize: %.1f us   refactorize: %.1f us   (%.2fx)\n",
               g_full_factor_s * 1e6, g_refactor_s * 1e6, refactor_speedup);
-
-  // Acceptance numbers are judged against the dt_max-refined fixed
-  // reference: both it and the adaptive run have converged measures, so
-  // the step ratio compares equal-accuracy configurations. The legacy
-  // 20 ps row is context — its energy has not converged.
-  const double step_ratio =
-      g_ab_adaptive.m.steps > 0
-          ? static_cast<double>(g_ab_refined.m.steps) /
-                static_cast<double>(g_ab_adaptive.m.steps)
-          : 0.0;
-  const double wall_speedup =
-      g_ab_adaptive.wall_s > 0.0 ? g_ab_refined.wall_s / g_ab_adaptive.wall_s
-                                 : 0.0;
-  const double latency_delta =
-      pct_delta(g_ab_adaptive.m.latency, g_ab_refined.m.latency);
-  const double energy_delta =
-      pct_delta(g_ab_adaptive.m.energy, g_ab_refined.m.energy);
-  std::printf(
-      "Step control — 64-wide 3T2N search, one-bit-mismatch key:\n"
-      "  %-22s %8s %8s %12s %9s %12s %12s\n"
-      "  %-22s %8zu %8zu %12zu %8.2fms %10.1fps %10.3fpJ\n"
-      "  %-22s %8zu %8zu %12zu %8.2fms %10.1fps %10.3fpJ\n"
-      "  %-22s %8zu %8zu %12zu %8.2fms %10.1fps %10.3fpJ\n"
-      "  adaptive vs refined reference — steps ratio: %.1fx   "
-      "wall speedup: %.2fx\n"
-      "  ML delay delta: %+.3f%%   energy delta: %+.3f%%\n",
-      "", "steps", "rejected", "newton_iters", "wall", "ml_delay", "energy",
-      "fixed 20ps (legacy)", g_ab_fixed.m.steps, g_ab_fixed.m.steps_rejected,
-      g_ab_fixed.m.newton_iters, g_ab_fixed.wall_s * 1e3,
-      g_ab_fixed.m.latency * 1e12, g_ab_fixed.m.energy * 1e12,
-      "fixed 0.25ps (ref)", g_ab_refined.m.steps,
-      g_ab_refined.m.steps_rejected, g_ab_refined.m.newton_iters,
-      g_ab_refined.wall_s * 1e3, g_ab_refined.m.latency * 1e12,
-      g_ab_refined.m.energy * 1e12,
-      "adaptive", g_ab_adaptive.m.steps, g_ab_adaptive.m.steps_rejected,
-      g_ab_adaptive.m.newton_iters, g_ab_adaptive.wall_s * 1e3,
-      g_ab_adaptive.m.latency * 1e12, g_ab_adaptive.m.energy * 1e12,
-      step_ratio, wall_speedup, latency_delta, energy_delta);
 
   std::printf(
       "Template replay — 64-wide 3T2N row, %d searches after elaboration:\n"
@@ -334,57 +221,6 @@ int main(int argc, char** argv) {
         g_replay.m.stamp_pattern_builds);
     std::fclose(f5);
     std::printf("wrote BENCH_pr5.json\n");
-  }
-
-  FILE* f2 = std::fopen("BENCH_pr2.json", "w");
-  if (f2 != nullptr) {
-    std::fprintf(
-        f2,
-        "{\n"
-        "  \"search_64wide_one_bit_mismatch\": {\n"
-        "    \"fixed_legacy\": {\n"
-        "      \"steps\": %zu,\n"
-        "      \"steps_rejected\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"wall_ms\": %.6f,\n"
-        "      \"ml_delay_s\": %.9e,\n"
-        "      \"energy_j\": %.9e\n"
-        "    },\n"
-        "    \"fixed_refined\": {\n"
-        "      \"dt_scale\": %.6f,\n"
-        "      \"steps\": %zu,\n"
-        "      \"steps_rejected\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"wall_ms\": %.6f,\n"
-        "      \"ml_delay_s\": %.9e,\n"
-        "      \"energy_j\": %.9e\n"
-        "    },\n"
-        "    \"adaptive\": {\n"
-        "      \"steps\": %zu,\n"
-        "      \"steps_rejected\": %zu,\n"
-        "      \"newton_iters\": %zu,\n"
-        "      \"wall_ms\": %.6f,\n"
-        "      \"ml_delay_s\": %.9e,\n"
-        "      \"energy_j\": %.9e\n"
-        "    },\n"
-        "    \"step_ratio_vs_refined\": %.4f,\n"
-        "    \"wall_speedup_vs_refined\": %.4f,\n"
-        "    \"ml_delay_delta_pct\": %.6f,\n"
-        "    \"energy_delta_pct\": %.6f\n"
-        "  }\n"
-        "}\n",
-        g_ab_fixed.m.steps, g_ab_fixed.m.steps_rejected,
-        g_ab_fixed.m.newton_iters, g_ab_fixed.wall_s * 1e3,
-        g_ab_fixed.m.latency, g_ab_fixed.m.energy, kRefinedDtScale,
-        g_ab_refined.m.steps, g_ab_refined.m.steps_rejected,
-        g_ab_refined.m.newton_iters, g_ab_refined.wall_s * 1e3,
-        g_ab_refined.m.latency, g_ab_refined.m.energy, g_ab_adaptive.m.steps,
-        g_ab_adaptive.m.steps_rejected, g_ab_adaptive.m.newton_iters,
-        g_ab_adaptive.wall_s * 1e3, g_ab_adaptive.m.latency,
-        g_ab_adaptive.m.energy, step_ratio, wall_speedup, latency_delta,
-        energy_delta);
-    std::fclose(f2);
-    std::printf("wrote BENCH_pr2.json\n");
   }
 
   FILE* f = std::fopen("bench_solver.json", "w");

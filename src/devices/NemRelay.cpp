@@ -177,6 +177,11 @@ void NemRelay::shift_pull_in(double dv) {
       std::clamp(params_.v_pi + dv, params_.v_po + kWindowMin, kVpiMax);
 }
 
+void NemRelay::set_thresholds(double v_pi, double v_po) {
+  params_.v_pi = v_pi;
+  params_.v_po = v_po;
+}
+
 void NemRelay::set_off_leakage(double g) {
   NEMTCAM_EXPECT(g >= 0.0);
   params_.g_off = g;

@@ -98,6 +98,9 @@ class NemRelay final : public Device {
   // defect, not a state aging may reach) and so the beam stays actuatable
   // in principle (V_PI ≤ kVpiMax).
   void shift_pull_in(double dv);
+  // Device-to-device variation: replaces V_PI and V_PO in place (the 3T2N
+  // refresh re-draws them before every replay of its circuit).
+  void set_thresholds(double v_pi, double v_po);
 
   // Physical saturation bounds for the degradation hooks.
   static constexpr double kROnMin = 1.0;      // Ω: ideal metal contact

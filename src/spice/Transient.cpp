@@ -20,12 +20,8 @@ double env_double(const char* name, double fallback) {
   return v > 0.0 ? v : fallback;
 }
 
-std::atomic<StepControl> g_step_control{std::getenv("NEMTCAM_FIXED_STEP")
-                                            ? StepControl::FixedGrowth
-                                            : StepControl::Lte};
 std::atomic<double> g_reltol{env_double("NEMTCAM_RELTOL", 3e-3)};
 std::atomic<double> g_abstol_v{env_double("NEMTCAM_ABSTOL", 1e-4)};
-std::atomic<double> g_fixed_dt_scale{env_double("NEMTCAM_DT_SCALE", 1.0)};
 
 // Rolling window of the last (up to) three accepted solutions, used for the
 // polynomial predictor that warm-starts Newton and anchors the Milne LTE
@@ -140,8 +136,6 @@ double pi_growth(double r, double r_prev, int order, double grow_max) {
 
 }  // namespace
 
-StepControl default_step_control() { return g_step_control.load(); }
-void set_default_step_control(StepControl mode) { g_step_control.store(mode); }
 double default_lte_reltol() { return g_reltol.load(); }
 double default_lte_abstol_v() { return g_abstol_v.load(); }
 void set_default_lte_tolerances(double reltol, double abstol_v) {
@@ -149,26 +143,16 @@ void set_default_lte_tolerances(double reltol, double abstol_v) {
   g_reltol.store(reltol);
   g_abstol_v.store(abstol_v);
 }
-double default_fixed_dt_scale() { return g_fixed_dt_scale.load(); }
-void set_default_fixed_dt_scale(double scale) {
-  NEMTCAM_EXPECT(scale > 0.0);
-  g_fixed_dt_scale.store(scale);
-}
 
-TransientOptions step_defaults(double t_end, double dt_max_fixed,
-                               double dt_max_adaptive) {
+TransientOptions step_defaults(double t_end, double dt_max) {
   TransientOptions opts;
   opts.t_end = t_end;
   opts.dt_init = 1e-13;
-  opts.step_control = default_step_control();
-  if (opts.step_control == StepControl::Lte) {
-    // Trapezoidal doubles the order the tolerance buys; the BE-restart rule
-    // at breakpoints/events keeps the stiff switching corners L-stable.
-    opts.integrator = Integrator::Trapezoidal;
-    opts.dt_max = dt_max_adaptive;
-  } else {
-    opts.dt_max = dt_max_fixed * default_fixed_dt_scale();
-  }
+  opts.dt_max = dt_max;
+  opts.step_control = StepControl::Lte;
+  // Trapezoidal doubles the order the tolerance buys; the BE-restart rule
+  // at breakpoints/events keeps the stiff switching corners L-stable.
+  opts.integrator = Integrator::Trapezoidal;
   return opts;
 }
 

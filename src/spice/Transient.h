@@ -21,35 +21,25 @@
 namespace nemtcam::spice {
 
 // How the engine sizes dt between breakpoints.
-//  - FixedGrowth: the legacy policy — grow by dt_grow after every accepted
-//    step up to dt_max, shrink only on Newton failure. Accuracy is whatever
-//    dt_max buys; every fixture had to pin dt_max at 20–50 ps.
+//  - FixedGrowth (the struct default): grow by dt_grow after every
+//    accepted step up to dt_max, shrink only on Newton failure; dt_max
+//    alone sets the accuracy. Runs that need a known grid select it: the
+//    integrator-order and device unit tests, the Table I / Fig. 3(b)
+//    benches, and the refined reference the adaptive search is judged
+//    against (tests/step_control_test.cpp).
 //  - Lte: estimate the local truncation error each step from a divided-
 //    difference predictor (Milne-style BE/trap estimate), accept/reject
 //    against reltol/abstol, and drive dt with a PI controller. dt_max can
-//    be ns-scale; the tolerances are the accuracy knob.
+//    be ns-scale; the tolerances are the accuracy knob. Every TCAM fixture
+//    runs this way (step_defaults below).
 enum class StepControl { FixedGrowth, Lte };
 
-// Process-wide defaults consumed by TransientOptions. The step-control
-// default starts at Lte (set NEMTCAM_FIXED_STEP in the environment to
-// start FixedGrowth); the setters exist for A/B comparisons (bench_solver)
-// and CLI overrides (nemtcam_sim --reltol/--abstol/--fixed-step). Note the
-// struct-level default of TransientOptions::step_control stays FixedGrowth
-// so bare TransientOptions{} users (unit tests exercising exact fixed
-// grids) are unaffected; the TCAM fixtures opt in via step_defaults()
-// below.
-StepControl default_step_control();
-void set_default_step_control(StepControl mode);
+// Process-wide LTE tolerances consumed by TransientOptions: reltol 3e-3 and
+// abstol 0.1 mV unless NEMTCAM_RELTOL / NEMTCAM_ABSTOL say otherwise; the
+// setter serves the CLI overrides (--reltol/--abstol).
 double default_lte_reltol();
 double default_lte_abstol_v();
 void set_default_lte_tolerances(double reltol, double abstol_v);
-// Multiplier applied to every fixture's historical dt_max on the fixed
-// path (step_defaults, FixedGrowth mode only). 1.0 reproduces the legacy
-// grids; smaller values refine them uniformly — how bench_solver builds
-// the dt_max-refined fixed reference the adaptive path is judged against.
-// Env override: NEMTCAM_DT_SCALE.
-double default_fixed_dt_scale();
-void set_default_fixed_dt_scale(double scale);
 
 struct TransientOptions {
   double t_end = 0.0;           // required
@@ -99,14 +89,10 @@ struct TransientOptions {
   std::vector<BranchId> probe_branches;
 };
 
-// Canonical options for the TCAM fixtures: under the process default the
-// engine runs adaptive — LTE step control with trapezoidal integration and
-// a coarse dt cap, where the tolerances set the accuracy; when the fixed
-// path is selected (set_default_step_control(StepControl::FixedGrowth) or
-// NEMTCAM_FIXED_STEP) it reproduces the legacy fixed-growth Backward Euler
-// configuration with the historical per-fixture dt_max.
-TransientOptions step_defaults(double t_end, double dt_max_fixed,
-                               double dt_max_adaptive = 1e-9);
+// Canonical options for the TCAM fixtures: LTE step control with
+// trapezoidal integration under a coarse dt cap, where the tolerances set
+// the accuracy. µs-scale retention runs raise the cap.
+TransientOptions step_defaults(double t_end, double dt_max = 1e-9);
 
 class TransientResult {
  public:

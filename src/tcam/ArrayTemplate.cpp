@@ -127,7 +127,7 @@ const erc::Report& ArrayFixture::check() {
   return *report_;
 }
 
-spice::TransientResult ArrayFixture::run(double dt_max) {
+spice::TransientResult ArrayFixture::run() {
   if (opt_.run_erc && erc::default_enforce()) {
     const erc::Report& rep = check();
     if (rep.has_errors()) {
@@ -136,7 +136,7 @@ spice::TransientResult ArrayFixture::run(double dt_max) {
       return r;
     }
   }
-  spice::TransientOptions opts = spice::step_defaults(t_end_, dt_max);
+  spice::TransientOptions opts = spice::step_defaults(t_end_);
   opts.probe_nodes = ml_;  // metrics only read the matchlines
   return spice::run_transient(circuit_, opts);
 }
@@ -298,7 +298,7 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
 }
 
 ArraySearchMetrics ArrayTemplate::search(const core::TernaryWord& key,
-                                         double strobe_delay, double dt_max) {
+                                         double strobe_delay) {
   NEMTCAM_EXPECT(static_cast<int>(key.size()) == width_);
   if (!fx_ || built_stored_ != stored_) {
     build(key);
@@ -316,7 +316,7 @@ ArraySearchMetrics ArrayTemplate::search(const core::TernaryWord& key,
                  word[static_cast<std::size_t>(c)]);
   }
 
-  const auto result = fx_->run(dt_max);
+  const auto result = fx_->run();
   return fx_->metrics(result,
                       strobe_delay >= 0.0 ? strobe_delay : default_strobe());
 }

@@ -115,7 +115,7 @@ class ArrayFixture {
 
   // ERC gate (when enabled) + transient over the search timeline, probing
   // every matchline.
-  spice::TransientResult run(double dt_max = 20e-12);
+  spice::TransientResult run();
 
   // Re-aims all 2M searchline drivers at a new key (waveform rebind; no
   // topology change, the stamp pattern and symbolic LU survive).
@@ -171,7 +171,7 @@ class ArrayTemplate {
   // Searches every row against `key` in one coupled transient.
   // strobe_delay < 0 → the spec's nominal strobe scaled for this width.
   ArraySearchMetrics search(const core::TernaryWord& key,
-                            double strobe_delay = -1.0, double dt_max = 20e-12);
+                            double strobe_delay = -1.0);
 
   // Nominal sense strobe for this width.
   double default_strobe() const {

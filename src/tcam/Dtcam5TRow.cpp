@@ -16,6 +16,17 @@ using spice::TransientOptions;
 namespace {
 // Between the 3T2N and the 16T SRAM cell: dynamic storage, 6 transistors.
 const CellGeometry kGeo{14.0, 10.0};  // 140 F²
+
+// Seeds one cell with a stored trit, a charged storage node at `v_high`:
+// both storage-node ICs, zeros included.
+auto seed_cell(double v_high) {
+  return [v_high](Circuit& ckt, const hier::InstanceHandles& cell,
+                  Ternary t) {
+    const Dtcam5TRow::StoredLevels lv = Dtcam5TRow::levels_for(t, v_high);
+    ckt.set_ic(cell.node_at("stg1"), lv.v1);
+    ckt.set_ic(cell.node_at("stg2"), lv.v2);
+  };
+}
 }  // namespace
 
 Dtcam5TRow::Dtcam5TRow(int width, int array_rows, const Calibration& cal)
@@ -54,13 +65,7 @@ SearchTemplateSpec dtcam5t_search_spec(const Calibration& c) {
   spec.cell.emit("Mc2", {"cmpa", "slb", "0"}, fet(cmp));
   spec.cell.emit("Mc3", {"ml", "stg2", "cmpb"}, fet(cmp));
   spec.cell.emit("Mc4", {"cmpb", "sl", "0"}, fet(cmp));
-  spec.bind = [high = c.v_store_one](Circuit& ckt,
-                                     const hier::InstanceHandles& cell,
-                                     Ternary t) {
-    const Dtcam5TRow::StoredLevels lv = Dtcam5TRow::levels_for(t, high);
-    ckt.set_ic(cell.node_at("stg1"), lv.v1);
-    ckt.set_ic(cell.node_at("stg2"), lv.v2);
-  };
+  spec.bind = seed_cell(c.v_store_one);
   spec.array_rules = [](const ArrayRowContext& rc, const TernaryWord&) {
     rc.checker.add_rule(erc::ml_fanin_rule(rc.ml, rc.vdd, 2 * rc.width));
   };
@@ -101,22 +106,22 @@ WriteTemplateSpec dtcam5t_write_spec(const Calibration& c) {
 }
 
 double Dtcam5TRow::simulate_retention(double v_start) const {
-  const Calibration& c = cal();
+  // One cell with every port grounded, a '1' stored at `v_start`: the
+  // write transistor leaks the storage node toward the grounded bitline.
+  const SearchTemplateSpec spec = dtcam5t_search_spec(cal());
   Circuit ckt;
-  const NodeId stg = ckt.node("stg");
-  ckt.add<Mosfet>("Tw", stg, ckt.ground(), ckt.ground(), c.nem_write_nmos());
-  // Compare-transistor gate load on the storage node.
-  auto p = MosfetParams::nmos_lp(c.w_sram_cmp);
-  ckt.add<Mosfet>("Mc", ckt.ground(), stg, ckt.ground(), p);
-  ckt.set_ic(stg, v_start);
+  const hier::InstanceHandles cell =
+      elaborate_cell(ckt, spec.cell, "Xcell0", {}, 0, spec.cell.params);
+  seed_cell(v_start)(ckt, cell, Ternary::One);
 
-  const TransientOptions opts = spice::step_defaults(500e-6, 100e-9, 1e-6);
+  const TransientOptions opts = spice::step_defaults(500e-6, 1e-6);
   const auto result = run_transient(ckt, opts);
   if (!result.finished) return 0.0;
   // Data is lost once the stored level can no longer switch the compare
   // transistor decisively: V_th plus ~100 mV of overdrive margin.
-  const double limit = p.vth + 0.1;
-  const auto cross = result.node_trace(stg).cross_time(limit, false);
+  const double limit = MosfetParams::nmos_lp(cal().w_sram_cmp).vth + 0.1;
+  const auto cross =
+      result.node_trace(cell.node_at("stg1")).cross_time(limit, false);
   return cross.value_or(opts.t_end);
 }
 

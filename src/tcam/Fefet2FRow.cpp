@@ -88,7 +88,6 @@ WriteTemplateSpec fefet2f_write_spec(const Calibration& c) {
   using States = Fefet2FRow::FefetStates;
   WriteTemplateSpec w;
   w.t_end = kWriteEdge + c.t_write_window_fefet;
-  w.dt_max = 50e-12;
   // ±4 V program pulses on the search/program lines, ML grounded. Devices
   // whose state is unchanged still see the drive (the write is
   // row-parallel), which is fine: the pulse pushes them further into the

@@ -95,7 +95,6 @@ WriteTemplateSpec fefet4t2f_write_spec(const Calibration& c) {
   using States = Fefet2FRow::FefetStates;
   WriteTemplateSpec w;
   w.t_end = kWriteEdge + c.t_write_window_fefet;
-  w.dt_max = 50e-12;
   // Program path: WL boosted high enough to pass ±4 V from the bitlines
   // onto the FeFET gates. ML and the searchlines are grounded, so the
   // search transistors stay off.

@@ -124,7 +124,7 @@ const erc::Report& SearchFixture::check() {
   return *report_;
 }
 
-spice::TransientResult SearchFixture::run(double dt_max) {
+spice::TransientResult SearchFixture::run() {
   if (erc::default_enforce()) {
     const erc::Report& rep = check();
     if (rep.has_errors()) {
@@ -133,7 +133,7 @@ spice::TransientResult SearchFixture::run(double dt_max) {
       return r;
     }
   }
-  spice::TransientOptions opts = spice::step_defaults(t_end_, dt_max);
+  spice::TransientOptions opts = spice::step_defaults(t_end_);
   // metrics() only reads the match line, so record just that node instead
   // of the full unknown vector (O(width) memory per step otherwise).
   opts.probe_nodes = {ml_};

@@ -85,10 +85,10 @@ class SearchFixture {
   // it directly to assert fixtures are clean.
   const erc::Report& check();
 
-  // Runs the transient with step control suited to the search timescale.
-  // When ERC enforcement is on and check() reports errors, no transient is
-  // run: the result carries the structured report as its failure text.
-  spice::TransientResult run(double dt_max = 20e-12);
+  // Runs the transient under spice::step_defaults. When ERC enforcement is
+  // on and check() reports errors, no transient is run: the result carries
+  // the structured report as its failure text.
+  spice::TransientResult run();
 
   // The nets a cell's ports bind to: ml and vdd, and each column's sl/slb.
   PortNets port_nets() const;

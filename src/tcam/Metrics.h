@@ -11,6 +11,7 @@ struct WriteMetrics {
   double latency = 0.0;     // time from write assertion to last cell settled (s)
   double energy = 0.0;      // net energy delivered by all sources (J)
   std::string note;         // failure diagnostics
+  std::size_t stamp_pattern_builds = 0;  // of the write circuit; replay ⇒ unchanged
 };
 
 // Closed-form bounds from the sta:: engine, attached to transaction
@@ -38,7 +39,7 @@ struct SearchMetrics {
   double energy = 0.0;        // net energy delivered by all sources (J)
   double ml_final = 0.0;      // ML voltage at the end of the window (V)
   double ml_min = 0.0;        // minimum ML voltage in the window (V)
-  // Solver-effort telemetry (for fixed-vs-adaptive step-control A/B).
+  // Solver-effort telemetry.
   std::size_t steps = 0;           // accepted transient steps
   std::size_t steps_rejected = 0;  // LTE rejections
   std::size_t newton_iters = 0;    // total Newton iterations
@@ -66,6 +67,7 @@ struct RefreshMetrics {
   double retention_time = 0.0;  // worst-case data retention from refresh level (s)
   double refresh_power = 0.0;   // energy_per_op / retention_time (W)
   std::string note;
+  std::size_t stamp_pattern_builds = 0;  // of both OSR legs; replay ⇒ unchanged
 };
 
 }  // namespace nemtcam::tcam

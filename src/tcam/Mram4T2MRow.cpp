@@ -97,7 +97,6 @@ WriteTemplateSpec mram4t2m_write_spec(const Calibration& c) {
   using States = Mram4T2MRow::MtjStates;
   WriteTemplateSpec w;
   w.t_end = kWriteEdge + 14e-9;
-  w.dt_max = 50e-12;
   // Strong write-access device (current compliance is not wanted here —
   // the junction currents must stay super-critical).
   w.params = {{"tacc_w", 4.0}, {"tacc_vth", MosfetParams::nmos_lp(4.0).vth}};

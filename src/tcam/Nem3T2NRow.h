@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "tcam/TcamRow.h"
 
@@ -21,6 +22,7 @@ namespace nemtcam::tcam {
 class Nem3T2NRow final : public TcamRow {
  public:
   Nem3T2NRow(int width, int array_rows, const Calibration& cal);
+  ~Nem3T2NRow() override;  // out-of-line: WriteTemplate is incomplete here
 
   TcamKind kind() const override { return TcamKind::Nem3T2N; }
 
@@ -28,7 +30,7 @@ class Nem3T2NRow final : public TcamRow {
   // every bitline driven to V_R simultaneously; closed relays stay closed
   // (V_R > V_PO), open relays stay open (V_R < V_PI). Reports whole-array
   // energy, op latency, worst-case retention, and average refresh power.
-  RefreshMetrics one_shot_refresh() const;
+  RefreshMetrics one_shot_refresh();
 
   // Time from a stored-'1' gate at `v_start` until the relay releases
   // (data loss) under write-transistor subthreshold leakage.
@@ -36,18 +38,28 @@ class Nem3T2NRow final : public TcamRow {
 
   // One-shot refresh with a caller-chosen refresh level (V_R ablations).
   // `v_pre_one` is the decayed level a stored '1' holds just before the
-  // refresh. ok=false if any relay ends in the wrong state.
-  RefreshMetrics refresh_at(double v_refresh, double v_pre_one) const;
+  // refresh. ok=false if any relay ends in the wrong state. The refresh
+  // is a write of the stored word over itself on two WriteTemplates of the
+  // cell (nem3t2n_refresh_spec in tcam/RowSpecs.h), elaborated on the first
+  // refresh and again only when (v_refresh, v_pre_one) changes.
+  RefreshMetrics refresh_at(double v_refresh, double v_pre_one);
 
-  // Device-to-device variation of the relay thresholds: every relay in
-  // subsequently built netlists draws its own V_PI/V_PO as Gaussian around
-  // the nominals (V_PO clamped below V_PI). Used by the variation
-  // ablation: OSR correctness requires max(V_PO) < V_R < min(V_PI) across
-  // the whole array, so threshold spread eats the refresh window.
+  // Device-to-device variation of the relay thresholds: before every
+  // refresh, every relay draws its own V_PI/V_PO as Gaussian around the
+  // nominals (V_PO clamped below V_PI) from the variation seed, so a
+  // refresh repeats its draws. Used by the variation ablation: OSR
+  // correctness requires max(V_PO) < V_R < min(V_PI) across the whole
+  // array, so threshold spread eats the refresh window.
   void set_threshold_sigma(double sigma_volts) { sigma_vth_ = sigma_volts; }
   void set_variation_seed(std::uint64_t seed) { seed_ = seed; }
 
  private:
+  // The refresh's two legs: bitlines loaded by the whole column
+  // (array_rows() cells), and the cells alone (0 rows).
+  std::unique_ptr<WriteTemplate> osr_loaded_;
+  std::unique_ptr<WriteTemplate> osr_cells_;
+  double osr_v_refresh_ = 0.0;
+  double osr_v_pre_one_ = 0.0;
   double sigma_vth_ = 0.0;
   std::uint64_t seed_ = 1;
 };

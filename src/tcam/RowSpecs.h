@@ -4,7 +4,8 @@
 //     parasitics standing in for the rest of the array),
 //   - ArrayTemplate tiles N rows of real cells on shared column lines
 //     (the column-coupled full-array path), and
-//   - WriteTemplate drives one row's cells from its write lines.
+//   - WriteTemplate drives one row's cells from its write lines (the 3T2N
+//     one-shot refresh is a write of the stored word over itself).
 // Each search factory captures everything design-specific — the cell
 // SubcktDef, the state binder, shared rails, ML loading, strobe timing, ERC
 // rules — in one SearchTemplateSpec; each write factory adds the write's
@@ -36,6 +37,14 @@ WriteTemplateSpec fefet2f_write_spec(const Calibration& cal);
 WriteTemplateSpec dtcam5t_write_spec(const Calibration& cal);
 WriteTemplateSpec fefet4t2f_write_spec(const Calibration& cal);
 WriteTemplateSpec mram4t2m_write_spec(const Calibration& cal);
+
+// The 3T2N one-shot refresh (Fig. 4) as a write of the stored word over
+// itself: every bitline steps to `v_refresh` at kWriteEdge, the wordline
+// to v_wl_write 0.5 ns later, and stored '1's start from `v_pre_one`. A
+// cell passes when both relays kept their state; the latency is when
+// every storage node has settled to within 5% of V_DD of `v_refresh`.
+WriteTemplateSpec nem3t2n_refresh_spec(const Calibration& cal,
+                                       double v_refresh, double v_pre_one);
 
 // Dispatch by kind (the per-kind factories, nothing else).
 SearchTemplateSpec search_spec_for(TcamKind kind, const Calibration& cal);

@@ -103,7 +103,6 @@ WriteTemplateSpec rram2t2r_write_spec(const Calibration& c) {
 
   WriteTemplateSpec w;
   w.t_end = t_end;
-  w.dt_max = 50e-12;
   // Write line = ML reused as a bipolar-driven row line, loaded by the MIM
   // electrode plates.
   const WriteNet wline{

@@ -63,7 +63,7 @@ void SearchTemplate::ensure_built(const core::TernaryWord& key,
 
 SearchMetrics SearchTemplate::search(const core::TernaryWord& key,
                                      const core::TernaryWord& stored,
-                                     double strobe_delay, double dt_max) {
+                                     double strobe_delay) {
   ensure_built(key, stored);
 
   spice::Circuit& ckt = fx_->circuit();
@@ -72,7 +72,7 @@ SearchMetrics SearchTemplate::search(const core::TernaryWord& key,
     spec_.bind(ckt, cells_[static_cast<std::size_t>(i)],
                stored[static_cast<std::size_t>(i)]);
 
-  const auto result = fx_->run(dt_max);
+  const auto result = fx_->run();
   return fx_->metrics(result, strobe_delay);
 }
 

@@ -102,8 +102,7 @@ class SearchTemplate {
   SearchTemplate(SearchTemplateSpec spec, int width, int array_rows);
 
   SearchMetrics search(const core::TernaryWord& key,
-                       const core::TernaryWord& stored, double strobe_delay,
-                       double dt_max = 20e-12);
+                       const core::TernaryWord& stored, double strobe_delay);
 
   // Guarantees the circuit exists and is aimed at (key, stored) — building
   // or rebinding exactly as search() would — without running a transient.

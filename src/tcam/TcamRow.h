@@ -9,11 +9,12 @@
 // Every transaction (write / search / refresh) runs a transient analysis
 // on a transistor-level netlist seeded from the currently stored word;
 // metrics come from the waveforms and device state telemetry, exactly like
-// .measure on a SPICE deck. Searches and writes elaborate the kind's cell
-// (tcam/RowSpecs.h) into a template once and replay it. A search's
-// SearchTemplate rebinds the searchline drivers for a new key and rebuilds
-// for a new stored word; a write's WriteTemplate rebinds the write drivers
-// to each (old, new) word pair. Refreshes build their own netlists.
+// .measure on a SPICE deck. Searches, writes and refreshes elaborate the
+// kind's cell (tcam/RowSpecs.h) into a template once and replay it. A
+// search's SearchTemplate rebinds the searchline drivers for a new key and
+// rebuilds for a new stored word; a write's WriteTemplate rebinds the
+// write drivers to each (old, new) word pair; the 3T2N one-shot refresh
+// replays two WriteTemplates of its cell (Nem3T2NRow::refresh_at).
 #pragma once
 
 #include <memory>

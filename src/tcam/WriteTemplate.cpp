@@ -20,10 +20,11 @@ WriteNet column_line(std::string port, const Calibration& cal,
 }
 
 WriteNet row_line(std::string port, const Calibration& cal,
-                  const CellGeometry& geo, double level) {
+                  const CellGeometry& geo, double level, double t_edge) {
   return {std::move(port), false, cal.c_hline_per_cell(geo),
-          cal.c_driver_load, cal.r_line_driver, [level](Ternary, Ternary) {
-            return step_wave(0.0, level, kWriteEdge);
+          cal.c_driver_load, cal.r_line_driver,
+          [level, t_edge](Ternary, Ternary) {
+            return step_wave(0.0, level, t_edge);
           }};
 }
 
@@ -114,8 +115,9 @@ WriteMetrics WriteTemplate::write(const core::TernaryWord& old_word,
     bind_(ckt_, cells_[i], old_word[i]);
 
   const spice::TransientResult result = spice::run_transient(
-      ckt_, spice::step_defaults(spec_.t_end, spec_.dt_max));
+      ckt_, spice::step_defaults(spec_.t_end));
   WriteMetrics m;
+  m.stamp_pattern_builds = ckt_.solver_cache().stats().pattern_builds;
   if (!result.finished) {
     m.note = "transient failed: " + result.failure;
     return m;

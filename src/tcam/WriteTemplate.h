@@ -8,7 +8,8 @@
 // Ports the write does not name bind to ground — the matchline and
 // searchlines of most designs. The design-specific parts (nets, timeline,
 // drive waveforms, the per-cell verdict) come from the kind's
-// WriteTemplateSpec (write_spec_for in tcam/RowSpecs.h).
+// WriteTemplateSpec (write_spec_for in tcam/RowSpecs.h; the 3T2N one-shot
+// refresh is a write too, nem3t2n_refresh_spec).
 //
 // The constructor elaborates the circuit. Every write then rebinds each
 // column driver to its (old, new) trit pair, resets device state, seeds
@@ -54,12 +55,14 @@ struct WriteNet {
 
 // The usual line nets: the line driver's impedance and load on the
 // column's (or row's) wire capacitance, stepping from 0 V at kWriteEdge
-// to `level` of the new trit (a column line) or to `level` (a row line).
+// to `level` of the new trit (a column line) or at `t_edge` to `level` (a
+// row line).
 WriteNet column_line(std::string port, const Calibration& cal,
                      const CellGeometry& geo,
                      std::function<double(core::Ternary)> level);
 WriteNet row_line(std::string port, const Calibration& cal,
-                  const CellGeometry& geo, double level);
+                  const CellGeometry& geo, double level,
+                  double t_edge = kWriteEdge);
 // An ideal source held at `level`, with no line load (the SRAM cells'
 // supply, the MRAM's 0 V write bitlines).
 WriteNet held_net(std::string port, bool per_column, double level);
@@ -72,8 +75,7 @@ using WriteCheck = std::function<void(
 
 struct WriteTemplateSpec {
   std::vector<WriteNet> nets;
-  double t_end = 0.0;      // transient length (s)
-  double dt_max = 20e-12;  // step ceiling (s)
+  double t_end = 0.0;  // transient length (s), run under spice::step_defaults
 
   // Overrides of the cell's parameter defaults, as an X card would give
   // them: a device the write sizes differently from the search.
@@ -104,6 +106,12 @@ class WriteTemplate {
   // Writes `new_word` over `old_word` (the cells start in the old state).
   WriteMetrics write(const core::TernaryWord& old_word,
                      const core::TernaryWord& new_word);
+
+  // The elaborated cells, column by column, for in-place device edits
+  // between writes (the 3T2N refresh draws its relay thresholds here).
+  const std::vector<hier::InstanceHandles>& cells() const noexcept {
+    return cells_;
+  }
 
  private:
   // One column net (an index into spec_.nets) and its source per column.

@@ -288,8 +288,7 @@ TEST(HierDeck, SubcktDeckParsesErcCleanAndSimulates) {
   const erc::Report report = checker.run(*deck.circuit);
   EXPECT_FALSE(report.has_errors()) << report.to_string();
 
-  const auto opts =
-      spice::step_defaults(deck.analysis.tran_t_end, deck.analysis.tran_dt_max);
+  const auto opts = spice::step_defaults(deck.analysis.tran_t_end);
   const auto result = spice::run_transient(*deck.circuit, opts);
   ASSERT_TRUE(result.finished) << result.failure;
 }

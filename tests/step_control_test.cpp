@@ -1,11 +1,12 @@
-// LTE step-control tests: adaptive vs refined fixed-step accuracy, the
-// rejection path, relay event bisection, end-of-run sliver handling, and
-// probe-recording column lookup.
+// LTE step-control tests: adaptive vs refined fixed-step accuracy (on an
+// RC and on a 3T2N row search), the rejection path, relay event bisection,
+// end-of-run sliver handling, and probe-recording column lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "devices/NemRelay.h"
@@ -14,6 +15,8 @@
 #include "spice/Circuit.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
+#include "tcam/Harness.h"
+#include "tcam/RowSpecs.h"
 
 namespace {
 
@@ -85,6 +88,57 @@ TEST(StepControl, AdaptiveMatchesRefinedFixedReferenceOnRc) {
 
   // ...at better than 5x fewer accepted steps.
   EXPECT_LT(ad.steps_taken * 5, ref.steps_taken);
+}
+
+// A 16-bit 3T2N row search — checkerboard word, key mismatching bit 0 —
+// on the cell search_spec_for elaborates, run under `opts` (its t_end is
+// replaced by the fixture's).
+tcam::SearchMetrics nem_search(TransientOptions opts) {
+  using core::Ternary;
+  constexpr int kWidth = 16;
+  const tcam::SearchTemplateSpec spec = tcam::search_spec_for(
+      tcam::TcamKind::Nem3T2N, tcam::Calibration::standard());
+  core::TernaryWord word(kWidth);
+  for (std::size_t i = 0; i < word.size(); ++i)
+    word[i] = (i % 2) ? Ternary::Zero : Ternary::One;
+  core::TernaryWord key = word;
+  key[0] = Ternary::Zero;
+
+  tcam::SearchFixture fx(spec.cal, spec.geo, kWidth, /*array_rows=*/64, key,
+                         spec.c_sl_gate_per_row);
+  const tcam::PortNets nets = fx.port_nets();
+  for (int i = 0; i < kWidth; ++i)
+    spec.bind(fx.circuit(),
+              tcam::elaborate_cell(fx.circuit(), spec.cell,
+                                   "Xcell" + std::to_string(i), nets, i,
+                                   spec.cell.params),
+              word[static_cast<std::size_t>(i)]);
+  opts.t_end = fx.t_end();
+  opts.probe_nodes = {fx.ml()};
+  return fx.metrics(run_transient(fx.circuit(), opts),
+                    tcam::width_scaled_strobe(spec.t_strobe, kWidth));
+}
+
+TEST(StepControl, AdaptiveSearchMatchesRefinedFixedReference) {
+  // Reference: fixed-growth Backward Euler at a 0.25 ps ceiling, where the
+  // ML delay and search energy have stopped moving with dt_max.
+  TransientOptions fixed;
+  fixed.dt_init = 1e-13;
+  fixed.dt_max = 0.25e-12;
+  ASSERT_EQ(fixed.step_control, StepControl::FixedGrowth);
+  const tcam::SearchMetrics ref = nem_search(fixed);
+  const tcam::SearchMetrics ad = nem_search(step_defaults(0.0));
+  ASSERT_TRUE(ref.ok) << ref.note;
+  ASSERT_TRUE(ad.ok) << ad.note;
+  EXPECT_FALSE(ref.matched);
+  EXPECT_FALSE(ad.matched);
+
+  ASSERT_GT(ref.latency, 0.0);
+  ASSERT_GT(ref.energy, 0.0);
+  EXPECT_LT(std::fabs(ad.latency - ref.latency) / ref.latency, 0.01);
+  EXPECT_LT(std::fabs(ad.energy - ref.energy) / ref.energy, 0.01);
+  EXPECT_GE(ref.steps, 50 * ad.steps)
+      << "reference " << ref.steps << " steps, adaptive " << ad.steps;
 }
 
 TEST(StepControl, RejectionPathShrinksOversizedSteps) {

@@ -180,8 +180,8 @@ TEST(SolverFastPath, MatchesLegacyNewtonPathOnTcamSearch) {
       dynamic_cast<devices::Rram&>(*ckt.find(cell + "Rb"))
           .set_state(st.b_lrs ? 1.0 : 0.0);
     }
-    spice::TransientOptions opts = spice::step_defaults(
-        cal.t_precharge + cal.t_search_window, 20e-12);
+    spice::TransientOptions opts =
+        spice::step_defaults(cal.t_precharge + cal.t_search_window);
     opts.newton.use_assembly_cache = use_cache;
     const spice::TransientResult r = spice::run_transient(ckt, opts);
     if (!r.finished) return Run{false, 0.0, 0.0, 0.0};

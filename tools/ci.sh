@@ -25,8 +25,11 @@
 #   6. bench smokes: the CI-sized datacenter-lifetime sweep
 #      (bench_lifetime --smoke) and the STA bracketing/speedup gate
 #      (bench_sta --smoke) must complete with their internal gates green,
-#      and the RRAM-variation Monte-Carlo (bench_ablation_variation) must
-#      print the same A1 table at NEMTCAM_THREADS=1 and =4
+#      and the two Monte-Carlo sweeps must print the same table at
+#      NEMTCAM_THREADS=1 and =4: the RRAM-variation A1 table
+#      (bench_ablation_variation) and the relay-threshold A5 refresh-yield
+#      table (bench_ablation_relay_variation), whose trials each draw their
+#      thresholds in a per-replay hook of their own row
 #
 # Fails fast on the first broken stage.
 set -eu
@@ -64,22 +67,30 @@ cmake --build --preset lint -j
 echo "==== [5/6] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/6] bench smokes (lifetime sweep, STA gate, A1 determinism) ===="
+echo "==== [6/6] bench smokes (lifetime sweep, STA gate, A1/A5 determinism) ===="
 (cd build/bench && ./bench_lifetime --smoke)
 (cd build/bench && ./bench_sta --smoke)
-# The A1 table printed by the variation sweep at a given thread count.
-a1_table() {
-  (cd build/bench && NEMTCAM_THREADS="$1" ./bench_ablation_variation) |
-    sed -n '/^Ablation A1/,/^3T2N matched-ML margin/p'
+# The table a sweep bench prints at a given thread count, from the line
+# matching the first pattern through the line matching the second.
+# Usage: sweep_table <bench> <threads> <first> <last>
+sweep_table() {
+  (cd build/bench && NEMTCAM_THREADS="$2" "./$1") | sed -n "/$3/,/$4/p"
 }
-a1_serial=$(a1_table 1)
-a1_pooled=$(a1_table 4)
-if [ -z "$a1_serial" ] || [ "$a1_serial" != "$a1_pooled" ]; then
-  echo "bench_ablation_variation: A1 table differs between" \
-       "NEMTCAM_THREADS=1 and =4" >&2
-  printf '%s\n--- NEMTCAM_THREADS=4 ---\n%s\n' "$a1_serial" "$a1_pooled" >&2
-  exit 1
-fi
-printf '%s\n(identical at NEMTCAM_THREADS=1 and =4)\n' "$a1_serial"
+# Fails the chain unless the table is the same at 1 and 4 threads.
+# Usage: same_at_1_and_4_threads <bench> <table> <first> <last>
+same_at_1_and_4_threads() {
+  serial=$(sweep_table "$1" 1 "$3" "$4")
+  pooled=$(sweep_table "$1" 4 "$3" "$4")
+  if [ -z "$serial" ] || [ "$serial" != "$pooled" ]; then
+    echo "$1: $2 table differs between NEMTCAM_THREADS=1 and =4" >&2
+    printf '%s\n--- NEMTCAM_THREADS=4 ---\n%s\n' "$serial" "$pooled" >&2
+    exit 1
+  fi
+  printf '%s\n(identical at NEMTCAM_THREADS=1 and =4)\n' "$serial"
+}
+same_at_1_and_4_threads bench_ablation_variation A1 \
+  '^Ablation A1' '^3T2N matched-ML margin'
+same_at_1_and_4_threads bench_ablation_relay_variation A5 \
+  '^Ablation A5' '^The 30 mV gap'
 
 echo "==== ci.sh: all stages passed ===="

@@ -1,7 +1,7 @@
 // nemtcam_sim — command-line circuit simulator over the nemtcam engine.
 //
 //   nemtcam_sim deck.sp [deck2.sp ...] [--points N] [--threads N]
-//               [--reltol X] [--abstol X] [--fixed-step]
+//               [--reltol X] [--abstol X] [--no-erc]
 //
 // Parses SPICE-style netlists (see spice/Netlist.h for the supported
 // subset), runs the requested analysis (.op or .tran), and prints the
@@ -10,10 +10,9 @@
 // simulated concurrently (--threads, default NEMTCAM_THREADS or the core
 // count); reports still print in argument order.
 //
-// Transients run under LTE-controlled adaptive stepping by default; the
-// deck's .tran dt_max caps the step. --reltol/--abstol set the accuracy
-// target, --fixed-step reverts to the legacy fixed-growth Backward Euler
-// grid (where dt_max alone sets the accuracy).
+// Transients run under LTE-controlled adaptive stepping, the step capped
+// at the larger of the deck's .tran dt_max and t_end/50. --reltol/--abstol
+// set the accuracy target.
 //
 // Every deck is ERC-checked before any solve (see src/erc/): errors abort
 // the deck with the structured findings report, warnings print and the
@@ -42,7 +41,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: nemtcam_sim <deck.sp> [more decks...]"
                " [--points N] [--threads N]"
-               " [--reltol X] [--abstol X] [--fixed-step] [--no-erc]\n");
+               " [--reltol X] [--abstol X] [--no-erc]\n");
   return 2;
 }
 
@@ -120,13 +119,13 @@ DeckReport simulate_deck(const std::string& path, int points) {
     return rep;
   }
 
-  // Transient. The deck's dt_max sets the fixed grid; the adaptive cap may
-  // exceed it (tolerances control accuracy there) but stays fine enough
-  // that the printed sample table still resolves the waveform.
+  // Transient. The step cap may exceed the deck's dt_max (tolerances
+  // control accuracy) but stays fine enough that the printed sample table
+  // still resolves the waveform.
   const double t_end = deck.analysis.tran_t_end;
   const double dt_max = deck.analysis.tran_dt_max;
   TransientOptions opts =
-      step_defaults(t_end, dt_max, std::max(dt_max, t_end / 50.0));
+      step_defaults(t_end, std::max(dt_max, t_end / 50.0));
   opts.dt_init = dt_max / 100.0;
   const auto res = run_transient(ckt, opts);
   if (!res.finished) {
@@ -183,8 +182,6 @@ int main(int argc, char** argv) {
       const double x = std::atof(argv[++i]);
       if (x <= 0.0) return usage();
       set_default_lte_tolerances(default_lte_reltol(), x);
-    } else if (std::strcmp(argv[i], "--fixed-step") == 0) {
-      set_default_step_control(StepControl::FixedGrowth);
     } else if (std::strcmp(argv[i], "--no-erc") == 0) {
       erc::set_default_enforce(false);
     } else if (argv[i][0] != '-') {
