@@ -23,7 +23,6 @@ class Inductor final : public Device {
 
   double inductance() const noexcept { return henries_; }
   double current() const noexcept { return i_prev_; }
-  void set_initial_current(double amps) { i_prev_ = amps; }
 
   void reset_state() override { i_prev_ = 0.0; }
 

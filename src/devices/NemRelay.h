@@ -111,15 +111,10 @@ class NemRelay final : public Device {
 
   bool contact() const noexcept { return position_ >= 1.0; }
   double position() const noexcept { return position_; }
-  // Direction the beam is currently headed given the last committed
-  // voltage and position (true = toward contact).
-  bool heading_closed() const noexcept { return target_closed_; }
   // Simulation time at which the beam last reached full contact / full
   // release (write-latency telemetry); negative if it never happened.
   double t_contact_closed() const noexcept { return t_closed_; }
   double t_contact_opened() const noexcept { return t_opened_; }
-  bool actuated_target() const noexcept { return target_closed_; }
-  double gate_charge() const noexcept { return q_gb_; }
   double gate_capacitance() const noexcept;
 
   const NemRelayParams& params() const noexcept { return params_; }

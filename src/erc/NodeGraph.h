@@ -46,10 +46,6 @@ class NodeGraph {
   std::vector<char> dc_reachable(spice::NodeId from) const;
   std::vector<char> reachable(spice::NodeId from) const;
 
-  bool has_dc_path(spice::NodeId a, spice::NodeId b) const {
-    return dc_reachable(a)[static_cast<std::size_t>(b)] != 0;
-  }
-
   // Connected components over any coupling; component_of[0] is ground's.
   // A component "has a source" when some independent source device
   // (topology().is_source) touches one of its nodes.

@@ -20,20 +20,11 @@ constexpr double kRefactorRelTol = 1e-12;
 }  // namespace
 
 SparseLu::SparseLu(SparseMatrix& a, double pivot_tol) : pivot_tol_(pivot_tol) {
-  factorize(a);
-}
-
-SparseLu::SparseLu(const CsrView& a, double pivot_tol) : pivot_tol_(pivot_tol) {
-  factorize(a);
-}
-
-CsrView SparseLu::view_of(SparseMatrix& a, std::vector<std::size_t>& row_ptr,
-                          std::vector<std::size_t>& cols,
-                          std::vector<double>& vals) {
+  NEMTCAM_EXPECT(a.rows() == a.cols());
   const auto& rows = a.rows_view();
-  row_ptr.assign(rows.size() + 1, 0);
-  cols.clear();
-  vals.clear();
+  std::vector<std::size_t> row_ptr(rows.size() + 1, 0);
+  std::vector<std::size_t> cols;
+  std::vector<double> vals;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     for (const auto& [c, v] : rows[r]) {
       cols.push_back(c);
@@ -41,21 +32,11 @@ CsrView SparseLu::view_of(SparseMatrix& a, std::vector<std::size_t>& row_ptr,
     }
     row_ptr[r + 1] = cols.size();
   }
-  return CsrView{rows.size(), row_ptr.data(), cols.data(), vals.data()};
+  factorize(CsrView{rows.size(), row_ptr.data(), cols.data(), vals.data()});
 }
 
-void SparseLu::factorize(SparseMatrix& a) {
-  NEMTCAM_EXPECT(a.rows() == a.cols());
-  std::vector<std::size_t> row_ptr, cols;
-  std::vector<double> vals;
-  factorize(view_of(a, row_ptr, cols, vals));
-}
-
-bool SparseLu::refactorize(SparseMatrix& a) {
-  NEMTCAM_EXPECT(a.rows() == a.cols());
-  std::vector<std::size_t> row_ptr, cols;
-  std::vector<double> vals;
-  return refactorize(view_of(a, row_ptr, cols, vals));
+SparseLu::SparseLu(const CsrView& a, double pivot_tol) : pivot_tol_(pivot_tol) {
+  factorize(a);
 }
 
 void SparseLu::factorize(const CsrView& a) {

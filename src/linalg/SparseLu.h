@@ -44,13 +44,13 @@ class SparseLu {
  public:
   SparseLu() = default;
   // Factorizes; throws linalg::SingularMatrixError (see DenseLu.h) when a
-  // pivot column has no usable entry.
+  // pivot column has no usable entry. The SparseMatrix form serves
+  // one-shot solves (sta::RcGraph); the circuit solver hands in CSR views.
   explicit SparseLu(SparseMatrix& a, double pivot_tol = 1e-30);
   explicit SparseLu(const CsrView& a, double pivot_tol = 1e-30);
 
   // Full symbolic + numeric factorization. Replaces any prior analysis.
   void factorize(const CsrView& a);
-  void factorize(SparseMatrix& a);
 
   // Numeric-only refactorization over the previously analyzed pattern.
   // `a` must have exactly the sparsity pattern of the matrix last passed
@@ -59,9 +59,6 @@ class SparseLu {
   // pivot degenerates (|pivot| below the absolute tolerance or vanishing
   // relative to its row).
   bool refactorize(const CsrView& a);
-  bool refactorize(SparseMatrix& a);
-
-  bool factored() const noexcept { return factored_; }
 
   std::vector<double> solve(const std::vector<double>& b) const;
   // In-place: b is consumed and overwritten with the solution.
@@ -76,10 +73,6 @@ class SparseLu {
   std::size_t fill_nnz() const noexcept { return u_cols_.size() + op_target_.size(); }
 
  private:
-  static CsrView view_of(SparseMatrix& a, std::vector<std::size_t>& row_ptr,
-                         std::vector<std::size_t>& cols,
-                         std::vector<double>& vals);
-
   std::size_t n_ = 0;
   double pivot_tol_ = 1e-30;
   bool factored_ = false;

@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "linalg/DenseLu.h"  // SingularMatrixError
-#include "linalg/SparseLu.h"
-#include "linalg/SparseMatrix.h"
 #include "linalg/StructuralRank.h"
 #include "spice/AssemblyCache.h"
 #include "spice/Recovery.h"
@@ -16,6 +14,10 @@
 namespace nemtcam::spice {
 
 namespace {
+
+// Convergence tolerance on the node-voltage update: abstol + reltol·max|v|.
+constexpr double kAbstol = 1e-6;  // volts
+constexpr double kReltol = 1e-6;
 
 // Applies the damped update and checks node-voltage convergence. Returns
 // true when converged.
@@ -44,7 +46,7 @@ bool apply_update(const std::vector<double>& v_new, std::vector<double>& v,
   double tol_scale = 0.0;
   for (int i = 0; i < n_node; ++i)
     tol_scale = std::max(tol_scale, std::fabs(v[static_cast<std::size_t>(i)]));
-  return max_delta <= opts.abstol + opts.reltol * tol_scale;
+  return max_delta <= kAbstol + kReltol * tol_scale;
 }
 
 }  // namespace
@@ -58,72 +60,31 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
   const int n_node = circuit.node_unknowns();
 
   NewtonResult result;
-
-  if (opts.use_assembly_cache) {
-    // Fast path: fixed-pattern stamping + symbolic-LU reuse.
-    AssemblyCache& cache = circuit.solver_cache();
-    std::vector<double> rhs(n);
-    for (int iter = 0; iter < opts.max_iterations; ++iter) {
-      result.iterations = iter + 1;
-      // A pass that deviates from the recorded stamp pattern (topology-
-      // visible mode change, e.g. DC vs transient) is redone once in
-      // build mode; the second pass always succeeds.
-      for (int pass = 0; pass < 2; ++pass) {
-        cache.begin(n);
-        std::fill(rhs.begin(), rhs.end(), 0.0);
-        Stamper stamper(cache, rhs, n_node);
-        StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
-        ctx.set_source_scale(opts.source_scale);
-        for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-        if (opts.gmin > 0.0)
-          for (int i = 1; i <= n_node; ++i)
-            stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
-        if (cache.finish()) break;
-        NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
-      }
-
-      try {
-        cache.factorize().solve_inplace(rhs);  // rhs becomes v_new
-        if (iter == 0)
-          log::debug("newton: n=", n, " nnz=", cache.view().nnz());
-      } catch (const linalg::SingularMatrixError&) {
-        log::debug("Newton: singular system at t=", t, " iter=", iter);
-        result.converged = false;
-        result.singular = true;
-        return result;
-      }
-
-      if (apply_update(rhs, v, n_node, opts, result)) {
-        result.converged = true;
-        return result;
-      }
-    }
-    return result;
-  }
-
-  // Rebuild path: a fresh SparseMatrix and a full factorization (fresh
-  // pivot choice) every iteration. Recovery's full-refactor stage runs it,
-  // and tests use it as the reference for the cached path.
-  linalg::SparseMatrix a(n, n);
+  AssemblyCache& cache = circuit.solver_cache();
   std::vector<double> rhs(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    a.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    Stamper stamper(a, rhs, n_node);
-    StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
-    ctx.set_source_scale(opts.source_scale);
-    for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-    if (opts.gmin > 0.0)
-      for (int i = 1; i <= n_node; ++i)
-        stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
+    // A pass that deviates from the recorded stamp pattern (topology-
+    // visible mode change, e.g. DC vs transient) is redone once in build
+    // mode; the second pass always succeeds.
+    for (int pass = 0; pass < 2; ++pass) {
+      cache.begin(n);
+      std::fill(rhs.begin(), rhs.end(), 0.0);
+      Stamper stamper(cache, rhs, n_node);
+      StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
+      ctx.set_source_scale(opts.source_scale);
+      for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
+      if (opts.gmin > 0.0)
+        for (int i = 1; i <= n_node; ++i)
+          stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
+      if (cache.finish()) break;
+      NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
+    }
 
-    std::vector<double> v_new;
     try {
-      linalg::SparseLu lu(a);
+      cache.factorize().solve_inplace(rhs);  // rhs becomes v_new
       if (iter == 0)
-        log::debug("newton: n=", n, " nnz=", a.nnz(), " fill=", lu.fill_nnz());
-      v_new = lu.solve(rhs);
+        log::debug("newton: n=", n, " nnz=", cache.view().nnz());
     } catch (const linalg::SingularMatrixError&) {
       log::debug("Newton: singular system at t=", t, " iter=", iter);
       result.converged = false;
@@ -131,7 +92,7 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
       return result;
     }
 
-    if (apply_update(v_new, v, n_node, opts, result)) {
+    if (apply_update(rhs, v, n_node, opts, result)) {
       result.converged = true;
       return result;
     }
@@ -210,7 +171,7 @@ DcResult dc_operating_point(Circuit& circuit, const DcOptions& opts) {
     if (opts.recover) {
       // Escalate through the recovery ladder at this rung (it re-ramps
       // gmin down to `gmin` itself and can fall back to source stepping
-      // or a full refactorization).
+      // or a re-pivoted refactor).
       SolverDiagnostics diag;
       dc.v = any_rung ? best : v_prev;
       const NewtonResult rr = solve_newton_recovering(

@@ -9,21 +9,16 @@
 
 namespace nemtcam::spice {
 
+// Every solve assembles into the circuit's fixed-pattern AssemblyCache and
+// reuses its symbolic LU across iterations and steps. Convergence: max |Δv|
+// over node unknowns below 1 µV + 1e-6·max|v|.
 struct NewtonOptions {
   int max_iterations = 60;
-  // Convergence: max |Δv| over node unknowns below abstol + reltol·|v|.
-  double abstol = 1e-6;   // volts
-  double reltol = 1e-6;
   // Per-iteration update clamp (volts) to keep exponential device models
   // inside their sane range. 0 disables damping.
   double damp_limit = 0.5;
   // Conductance to ground added on every node unknown (DC convergence aid).
   double gmin = 0.0;
-  // Assemble into the circuit's fixed-pattern AssemblyCache and reuse the
-  // symbolic LU across iterations/steps. When false, the MNA matrix is
-  // rebuilt and fully factorized every iteration with fresh pivots — the
-  // recovery ladder's last stage and the fast path's test reference.
-  bool use_assembly_cache = true;
   // Multiplier on every independent source's drive value (source-stepping
   // continuation, see spice/Recovery.h). 1.0 = full drive.
   double source_scale = 1.0;
@@ -56,7 +51,7 @@ struct DcOptions {
   std::vector<double> gmin_ladder = {1e-3, 1e-6, 1e-9, 1e-12};
   // On gmin-ladder failure, escalate through the recovery ladder
   // (spice/Recovery.h): tighter damping, gmin re-ramp, source stepping,
-  // full-refactorize fallback.
+  // re-pivoted refactor.
   bool recover = true;
 };
 

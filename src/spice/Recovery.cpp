@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <vector>
 
 #include "util/Log.h"
 
@@ -49,11 +51,19 @@ std::string SolverDiagnostics::summary() const {
 
 namespace {
 
+// Damping limit used by the recovery stages (volts).
+constexpr double kDampTight = 0.05;
+// gmin relaxation schedule, descending; the caller's own gmin is appended
+// as the final rung. If only an intermediate rung converges, the smallest
+// converging rung is accepted as a residual gmin floor.
+constexpr double kGminRamp[] = {1e-3, 1e-5, 1e-7, 1e-9, 1e-12};
+// Number of source-continuation rungs between 10% and full drive.
+constexpr int kSourceSteps = 6;
+
 // Shared bookkeeping for one ladder run: counts the budget, records every
 // attempt, and keeps the failure attribution current.
 struct LadderRun {
   Circuit& circuit;
-  const RecoveryOptions& recovery;
   SolverDiagnostics* diag;
   int budget;
   int total_iterations = 0;
@@ -107,15 +117,14 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
                                      const RecoveryOptions& recovery,
                                      SolverDiagnostics* diag,
                                      Integrator integrator) {
-  LadderRun run{circuit, recovery, diag,
-                std::max(recovery.retry_budget, 1) + 1};
+  LadderRun run{circuit, diag, kRetryBudget + 1};
 
   // Stage 1: the caller's solve, unchanged.
   NewtonResult r =
       run.attempt(LadderStage::Newton, t, dt, is_dc, v, v_prev, opts,
                   integrator);
-  if (r.converged || !recovery.enabled) {
-    if (r.converged) run.mark_converged(LadderStage::Newton, 0.0);
+  if (r.converged) {
+    run.mark_converged(LadderStage::Newton, 0.0);
     r.iterations = run.total_iterations;
     return r;
   }
@@ -123,8 +132,8 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
   // Recovery stages share the tightened options.
   NewtonOptions tight = opts;
   tight.damp_limit = opts.damp_limit > 0.0
-                         ? std::min(opts.damp_limit, recovery.damp_tight)
-                         : recovery.damp_tight;
+                         ? std::min(opts.damp_limit, kDampTight)
+                         : kDampTight;
   tight.max_iterations =
       opts.max_iterations * std::max(recovery.max_iterations_scale, 1);
 
@@ -151,7 +160,7 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
     std::vector<double> best_v;
     double best_gmin = -1.0;
     v = v_prev;
-    std::vector<double> ramp = recovery.gmin_ramp;
+    std::vector<double> ramp(std::begin(kGminRamp), std::end(kGminRamp));
     ramp.push_back(opts.gmin);
     double prev_rung = -1.0;
     for (double g : ramp) {
@@ -188,18 +197,17 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
 
   // Stage 4 (DC only): source stepping — ramp every independent source
   // from 10% to full drive, warm-starting each rung.
-  if (is_dc && recovery.source_steps > 0 && !run.exhausted()) {
+  if (is_dc && !run.exhausted()) {
     v = v_prev;
     bool alive = true;
-    const int steps = std::max(recovery.source_steps, 1);
-    for (int k = 1; k <= steps && alive && !run.exhausted(); ++k) {
+    for (int k = 1; k <= kSourceSteps && alive && !run.exhausted(); ++k) {
       NewtonOptions nopts = tight;
-      nopts.source_scale =
-          0.1 + 0.9 * static_cast<double>(k) / static_cast<double>(steps);
+      nopts.source_scale = 0.1 + 0.9 * static_cast<double>(k) /
+                                     static_cast<double>(kSourceSteps);
       r = run.attempt(LadderStage::SourceStepping, t, dt, is_dc, v, v_prev,
                       nopts, integrator);
       alive = r.converged;
-      if (alive && k == steps) {
+      if (alive && k == kSourceSteps) {
         run.mark_converged(LadderStage::SourceStepping, 0.0);
         r.iterations = run.total_iterations;
         return r;
@@ -207,15 +215,14 @@ NewtonResult solve_newton_recovering(Circuit& circuit, double t, double dt,
     }
   }
 
-  // Stage 5: legacy full-refactorize path — a fresh pivot order every
-  // iteration, no recorded pattern. Also drops the cached pattern so the
-  // next fast-path solve rebuilds from scratch.
+  // Stage 5: drop the cached pattern and symbolic LU, then solve from the
+  // committed state. The first iteration re-records the pattern and picks
+  // a fresh pivot order from that iterate; later ones refactor and
+  // re-pivot when a reused pivot degenerates (AssemblyCache::factorize).
   if (!run.exhausted()) {
     circuit.solver_cache().invalidate();
-    NewtonOptions nopts = tight;
-    nopts.use_assembly_cache = false;
     v = v_prev;
-    r = run.attempt(LadderStage::FullRefactor, t, dt, is_dc, v, v_prev, nopts,
+    r = run.attempt(LadderStage::FullRefactor, t, dt, is_dc, v, v_prev, tight,
                     integrator);
     if (r.converged) {
       run.mark_converged(LadderStage::FullRefactor, 0.0);

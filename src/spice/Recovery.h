@@ -9,7 +9,7 @@
 // progressively stronger convergence aids, in a fixed order chosen so the
 // cheap, least-intrusive aids run first:
 //
-//   1. Newton          — the caller's options, unchanged (the fast path).
+//   1. Newton          — the caller's options, unchanged.
 //   2. damped-newton   — much tighter per-iteration damping and a larger
 //                        iteration budget; rescues oscillating iterations
 //                        (latch metastability, exponential-model overshoot).
@@ -25,10 +25,16 @@
 //                        last. Rescues bistable/positive-feedback circuits
 //                        where full drive from a cold guess has no Newton
 //                        path.
-//   5. full-refactor   — the legacy no-assembly-cache path: rebuild the
-//                        matrix and run a fresh full factorization (fresh
-//                        pivot order) every iteration. Rescues pivot-order
-//                        degeneration that the cached symbolic LU cannot.
+//   5. full-refactor   — drop the circuit's assembly cache and solve
+//                        again from the committed state through it. The
+//                        first iteration re-records the stamp pattern and
+//                        picks a fresh pivot order from that iterate;
+//                        later iterations refactor on it. Pivots are thus
+//                        re-picked at the stage's first iteration and
+//                        when a reused pivot degenerates, not at every
+//                        iteration, and explicit zeros stay in the
+//                        pattern. Rescues a pivot order gone stale on an
+//                        earlier solve.
 //
 // Every attempt is recorded in a SolverDiagnostics so a failure is
 // attributable: which stage, which gmin, which node refused to settle.
@@ -47,7 +53,7 @@ enum class LadderStage {
   DampedNewton,    // tighter damping + larger iteration budget
   GminRamp,        // gmin relaxation toward the caller's gmin
   SourceStepping,  // DC only: source continuation from 10% drive
-  FullRefactor,    // legacy path: full factorization every iteration
+  FullRefactor,    // fresh pattern and pivot order from the committed state
 };
 
 const char* stage_name(LadderStage s);
@@ -87,23 +93,15 @@ struct SolverDiagnostics {
   std::string summary() const;
 };
 
+// Upper bound on ladder solve attempts per recovery (all stages
+// combined); also bounds the per-step Newton dt backoffs in run_transient
+// before the ladder is engaged.
+inline constexpr int kRetryBudget = 12;
+
 struct RecoveryOptions {
-  bool enabled = true;
-  // Upper bound on ladder solve attempts per recovery (all stages
-  // combined); also bounds the per-step Newton dt backoffs in
-  // run_transient before the ladder is engaged.
-  int retry_budget = 12;
-  // Damping limit used by the recovery stages (volts).
-  double damp_tight = 0.05;
   // Iteration-budget multiplier applied to the caller's max_iterations in
   // recovery stages.
   int max_iterations_scale = 4;
-  // gmin relaxation schedule, descending; the caller's own gmin is
-  // appended as the final rung. If only an intermediate rung converges,
-  // the smallest converging rung is accepted as a residual gmin floor.
-  std::vector<double> gmin_ramp = {1e-3, 1e-5, 1e-7, 1e-9, 1e-12};
-  // Number of source-continuation rungs between 10% and full drive.
-  int source_steps = 6;
 };
 
 // Solves like solve_newton but escalates through the recovery ladder on

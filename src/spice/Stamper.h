@@ -15,7 +15,6 @@
 //    (i.e. into the + terminal).
 #pragma once
 
-#include "linalg/SparseMatrix.h"
 #include "spice/AssemblyCache.h"
 #include "spice/Types.h"
 #include "util/Expect.h"
@@ -26,13 +25,10 @@ namespace nemtcam::spice {
 
 class Stamper {
  public:
-  // Legacy backend: triplet accumulation into a SparseMatrix.
-  Stamper(linalg::SparseMatrix& a, std::vector<double>& rhs, int n_node_unknowns)
-      : a_(&a), rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
-
-  // Fast-path backend: fixed-pattern assembly (see AssemblyCache).
+  // Matrix contributions go to the fixed-pattern assembly (see
+  // AssemblyCache), right-hand-side contributions to `rhs`.
   Stamper(AssemblyCache& cache, std::vector<double>& rhs, int n_node_unknowns)
-      : cache_(&cache), rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
+      : cache_(cache), rhs_(rhs), n_node_unknowns_(n_node_unknowns) {}
 
   void conductance(NodeId a, NodeId b, double g) {
     const int ia = idx(a);
@@ -130,16 +126,9 @@ class Stamper {
   static int idx(NodeId n) { return n - 1; }  // -1 for ground
   static std::size_t u(int i) { return static_cast<std::size_t>(i); }
 
-  void madd(std::size_t r, std::size_t c, double v) {
-    if (cache_ != nullptr) {
-      cache_->add(r, c, v);
-    } else {
-      a_->add(r, c, v);
-    }
-  }
+  void madd(std::size_t r, std::size_t c, double v) { cache_.add(r, c, v); }
 
-  linalg::SparseMatrix* a_ = nullptr;
-  AssemblyCache* cache_ = nullptr;
+  AssemblyCache& cache_;
   std::vector<double>& rhs_;
   int n_node_unknowns_;
 };

@@ -23,6 +23,18 @@ double env_double(const char* name, double fallback) {
 std::atomic<double> g_reltol{env_double("NEMTCAM_RELTOL", 3e-3)};
 std::atomic<double> g_abstol_v{env_double("NEMTCAM_ABSTOL", 1e-4)};
 
+// LTE tolerance on branch-current unknowns (amps).
+constexpr double kAbstolI = 1e-9;
+// SPICE's TRTOL: the Milne estimate is conservative for smooth solutions,
+// so the raw per-unknown bound is relaxed by this factor.
+constexpr double kLteFactor = 3.5;
+// Largest per-step growth the PI controller may apply (the predictor has
+// no information beyond 3 points; regrowth after a breakpoint restart is
+// geometric at this rate).
+constexpr double kDtGrowMax = 10.0;
+// Event bisection stops once the bracket is tighter than this (s).
+constexpr double kEventTimeTol = 1e-12;
+
 // Rolling window of the last (up to) three accepted solutions, used for the
 // polynomial predictor that warm-starts Newton and anchors the Milne LTE
 // estimate. Reset at every discontinuity (breakpoints, located events): the
@@ -114,9 +126,9 @@ double error_ratio(const std::vector<double>& v_new,
   double worst = 0.0;
   for (std::size_t k = 0; k < v_new.size(); ++k) {
     const double abstol =
-        k < static_cast<std::size_t>(n_node) ? o.abstol_v : o.abstol_i;
+        k < static_cast<std::size_t>(n_node) ? o.abstol_v : kAbstolI;
     const double tol =
-        o.lte_factor *
+        kLteFactor *
         (abstol + o.reltol * std::max(std::fabs(v_new[k]), std::fabs(v_old[k])));
     const double err = milne * std::fabs(v_new[k] - pred[k]);
     worst = std::max(worst, err / tol);
@@ -126,12 +138,12 @@ double error_ratio(const std::vector<double>& v_new,
 
 // Gustafsson/Söderlind-style PI growth factor from the current and previous
 // error ratios; clamped so one bad estimate cannot collapse or explode dt.
-double pi_growth(double r, double r_prev, int order, double grow_max) {
+double pi_growth(double r, double r_prev, int order) {
   r = std::max(r, 1e-10);
   r_prev = std::max(r_prev, 1e-10);
   const double e = 1.0 / (order + 1.0);
   const double fac = 0.9 * std::pow(r, -0.7 * e) * std::pow(r_prev, 0.3 * e);
-  return std::clamp(fac, 0.2, grow_max);
+  return std::clamp(fac, 0.2, kDtGrowMax);
 }
 
 }  // namespace
@@ -273,17 +285,10 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     }
   }
 
-  // Probe recording: store only the requested unknowns per step.
-  if (!opts.probe_nodes.empty() || !opts.probe_branches.empty()) {
-    for (NodeId n : opts.probe_nodes) {
-      NEMTCAM_EXPECT(n != kGround && n - 1 < circuit.node_unknowns());
-      result.recorded_unknowns.push_back(static_cast<std::size_t>(n - 1));
-    }
-    for (BranchId b : opts.probe_branches) {
-      NEMTCAM_EXPECT(b >= 0 && b < circuit.branch_unknowns());
-      result.recorded_unknowns.push_back(
-          static_cast<std::size_t>(circuit.node_unknowns() + b));
-    }
+  // Probe recording: store only the requested node voltages per step.
+  for (NodeId n : opts.probe_nodes) {
+    NEMTCAM_EXPECT(n != kGround && n - 1 < circuit.node_unknowns());
+    result.recorded_unknowns.push_back(static_cast<std::size_t>(n - 1));
   }
   const auto record_sample = [&result](double time,
                                        const std::vector<double>& full) {
@@ -300,13 +305,14 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
 
   if (opts.record) record_sample(0.0, v_prev);
 
+  // LTE control also warm-starts Newton from the predictor and locates
+  // device events.
   const bool lte = opts.step_control == StepControl::Lte;
-  const bool use_events = lte && opts.locate_events;
   StepHistory hist;
   hist.reset(0.0, v_prev);
   std::vector<double> v_pred;           // predictor evaluation for this step
   std::vector<double> f_start, f_end;   // event function values
-  if (use_events) {
+  if (lte) {
     f_start.resize(devs.size());
     f_end.resize(devs.size());
   }
@@ -331,7 +337,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     // previous current, which a discontinuity invalidates — the classic
     // SPICE BE-restart rule. Under LTE control the predictor history is
     // reset too (divided differences across a corner are meaningless) and
-    // dt restarts from dt_init, regrowing at dt_grow_max per step.
+    // dt restarts from dt_init, regrowing at kDtGrowMax per step.
     const bool at_discontinuity =
         result.steps_taken == 0 || pending_restart ||
         (next_bp > 0 && next_bp <= breakpoints.size() &&
@@ -373,7 +379,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       dt = opts.t_end - t;
 
     // Event functions at the step start: committed state, dt → 0.
-    if (use_events) {
+    if (lte) {
       const StampContext ctx0(t, 0.0, /*is_dc=*/false, n_node, &v_prev,
                               &v_prev, step_integrator);
       for (std::size_t i = 0; i < devs.size(); ++i)
@@ -393,7 +399,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     int backoffs = 0;  // dt backoffs spent on this step
     while (!accepted) {
       const bool use_pred =
-          lte && opts.warm_start && hist.points() >= 2 && !predictor_guess_failed;
+          lte && hist.points() >= 2 && !predictor_guess_failed;
       if (lte && hist.points() >= 2) {
         hist.predict(t + dt, corr_order, v_pred);
       }
@@ -413,10 +419,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
         // at any dt (no step size un-floats a node), and a stall that
         // survives the backoff budget needs a stronger aid. Engage the
         // recovery ladder at the current dt instead of dying at dt_min.
-        const bool engage =
-            opts.recovery.enabled &&
-            (nr.singular || ++backoffs >= opts.recovery.retry_budget ||
-             dt * 0.25 < opts.dt_min);
+        const bool engage = nr.singular || ++backoffs >= kRetryBudget ||
+                            dt * 0.25 < opts.dt_min;
         if (engage) {
           v = v_prev;
           SolverDiagnostics diag;
@@ -477,10 +481,10 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
 
     // Event location: a device whose event function went positive →
     // non-positive across the step has a state change inside it. Bisect dt
-    // until the bracket is tighter than event_time_tol and land on the
+    // until the bracket is tighter than kEventTimeTol and land on the
     // upper end — just past the crossing, so the commit below latches the
     // new state — then restart like a breakpoint.
-    if (use_events) {
+    if (lte) {
       const auto eval_events = [&](double step, const std::vector<double>& sol) {
         const StampContext ec(t + step, step, /*is_dc=*/false, n_node, &sol,
                               &v_prev, step_integrator);
@@ -499,10 +503,10 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
         double lo = 0.0;
         double hi = dt;
         std::vector<double> v_hi = v;  // converged solution at t + hi
-        while (hi - lo > opts.event_time_tol) {
+        while (hi - lo > kEventTimeTol) {
           const double mid = 0.5 * (lo + hi);
           if (mid <= opts.dt_min) break;
-          if (lte && opts.warm_start && hist.points() >= 2)
+          if (hist.points() >= 2)
             hist.predict(t + mid, corr_order, v);
           else
             v = v_prev;
@@ -558,8 +562,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
 
     if (lte) {
       const double fac = have_estimate
-                             ? pi_growth(r, r_prev, corr_order, opts.dt_grow_max)
-                             : opts.dt_grow_max;
+                             ? pi_growth(r, r_prev, corr_order)
+                             : kDtGrowMax;
       dt = std::min(dt * fac, opts.dt_max);
       if (have_estimate) r_prev = r;
     } else {

@@ -52,41 +52,32 @@ struct TransientOptions {
   // Convergence-recovery ladder engaged when a step's Newton solve cannot
   // be rescued by dt backoff alone: immediately on a singular system (dt
   // cannot un-float a node), otherwise once the per-step backoff budget
-  // (recovery.retry_budget) or dt_min is hit. A residual gmin accepted by
-  // the ladder is sticky for the rest of the run so later steps don't
-  // re-pay the ladder for the same floating node.
+  // (kRetryBudget) or dt_min is hit. A residual gmin accepted by the
+  // ladder is sticky for the rest of the run so later steps don't re-pay
+  // the ladder for the same floating node.
   RecoveryOptions recovery;
 
   // --- LTE step control (used when step_control == StepControl::Lte) ---
+  // Each step warm-starts Newton from a divided-difference predictor,
+  // and relay pull-in/pull-out, contact arrival and memory write-threshold
+  // crossings (Device::event_function sign changes) are located by
+  // bisecting dt to within 1 ps and landed just past. Growth per accepted
+  // step is capped at 10× (the predictor has no information beyond 3
+  // points).
   StepControl step_control = StepControl::FixedGrowth;
-  // Per-unknown error tolerance: |lte_k| ≤ lte_factor·(abstol + reltol·|v_k|)
-  // with abstol_v for node voltages and abstol_i for branch currents.
-  // lte_factor is SPICE's TRTOL: the Milne estimate is conservative for
-  // smooth solutions, so the raw bound is relaxed by this factor.
+  // Per-unknown error tolerance: |lte_k| ≤ 3.5·(abstol + reltol·|v_k|),
+  // with abstol_v for node voltages and 1 nA for branch currents. The 3.5
+  // is SPICE's TRTOL: the Milne estimate is conservative for smooth
+  // solutions, so the raw bound is relaxed by that factor.
   double reltol = default_lte_reltol();
   double abstol_v = default_lte_abstol_v();   // volts
-  double abstol_i = 1e-9;                     // amps
-  double lte_factor = 3.5;
-  // Largest per-step growth the PI controller may apply (the predictor has
-  // no information beyond 3 points; regrowth after a breakpoint restart is
-  // geometric at this rate).
-  double dt_grow_max = 10.0;
-  // Use the divided-difference predictor as Newton's initial guess.
-  bool warm_start = true;
-  // Watch Device::event_function for sign changes and bisect dt to land
-  // steps just past relay pull-in/pull-out, contact arrival, and memory
-  // write-threshold crossings.
-  bool locate_events = true;
-  double event_time_tol = 1e-12;
 
   bool record = true;           // keep full waveforms (needed for measures)
-  // Selective recording: when either probe list is non-empty (and record
-  // is true), only the listed node voltages / branch currents are stored
-  // per step instead of the whole unknown vector. Energy accounting is
-  // unaffected — energy-only runs can probe a single node instead of
-  // paying O(unknowns) memory per step.
+  // Selective recording: when non-empty (and record is true), only the
+  // listed node voltages are stored per step instead of the whole unknown
+  // vector. Energy accounting is unaffected — energy-only runs can probe a
+  // single node instead of paying O(unknowns) memory per step.
   std::vector<NodeId> probe_nodes;
-  std::vector<BranchId> probe_branches;
 };
 
 // Canonical options for the TCAM fixtures: LTE step control with

@@ -96,17 +96,10 @@ class RcGraph {
   const std::vector<RcEdge>& edges() const noexcept { return edges_; }
   const std::vector<RcPin>& pins() const noexcept { return pins_; }
   const std::vector<RcHold>& holds() const noexcept { return holds_; }
-  // Edge indices incident on a node.
-  const std::vector<int>& edges_at(spice::NodeId n) const {
-    return adj_[static_cast<std::size_t>(n)];
-  }
   // Lumped capacitance to ground at a node (terminal c_ground plus the
   // quiet-neighbor share of every pair coupling).
   double cap(spice::NodeId n) const {
     return cap_[static_cast<std::size_t>(n)];
-  }
-  bool is_pin(spice::NodeId n) const {
-    return pin_of_[static_cast<std::size_t>(n)] >= 0;
   }
   // Pair-capacitance indices incident on a node.
   const std::vector<int>& xcaps_at(spice::NodeId n) const {

@@ -126,6 +126,9 @@ class SearchTemplate {
   double default_strobe() const {
     return width_scaled_strobe(spec_.t_strobe, width_);
   }
+  // Time of the SL edge every strobe delay is measured from. Valid once
+  // the circuit is built (circuit() non-null).
+  double t_edge() const { return fx_->t_edge(); }
 
  private:
   void build(const core::TernaryWord& key, const core::TernaryWord& stored);

@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "devices/Passive.h"
 #include "devices/Sources.h"
 #include "spice/Circuit.h"
 #include "spice/Newton.h"
+#include "spice/Recovery.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
 #include "util/Random.h"
@@ -162,6 +164,13 @@ TEST(Transient, FailsGracefullyOnImpossibleCircuit) {
   const auto res = run_transient(c, opts);
   EXPECT_FALSE(res.finished);
   EXPECT_FALSE(res.failure.empty());
+  // No aid rescues it: the ladder runs to its last stage, which re-records
+  // the pattern and re-pivots through the assembly cache, and still sees
+  // a singular system.
+  EXPECT_EQ(res.diagnostics.failure_stage, LadderStage::FullRefactor);
+  EXPECT_TRUE(res.diagnostics.saw_singular);
+  EXPECT_NE(res.failure.find("full-refactor"), std::string::npos)
+      << res.failure;
 }
 
 TEST(Transient, RecordOffStillAccumulatesEnergy) {

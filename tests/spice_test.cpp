@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "devices/Mosfet.h"
 #include "devices/Passive.h"
 #include "devices/Sources.h"
+#include "linalg/SparseLu.h"
+#include "spice/AssemblyCache.h"
 #include "spice/Circuit.h"
 #include "spice/Newton.h"
+#include "spice/Stamper.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
 #include "util/Units.h"
@@ -215,6 +221,85 @@ TEST(Newton, ReportsNonConvergenceAsFailure) {
   // gmin ties the floating node to ground.
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.v[static_cast<std::size_t>(c.node("floating") - 1)], 0.0, 1e-9);
+}
+
+// One assembly pass of every device of `ckt` into `cache` at iterate `v`:
+// a 1 ps backward-Euler step from rest, or a DC pass (capacitors open).
+// Returns finish().
+bool stamp_pass(Circuit& ckt, AssemblyCache& cache,
+                const std::vector<double>& v, bool is_dc,
+                std::vector<double>& rhs) {
+  const std::vector<double> v_prev(v.size(), 0.0);
+  cache.begin(v.size());
+  rhs.assign(v.size(), 0.0);
+  Stamper stamper(cache, rhs, ckt.node_unknowns());
+  const StampContext ctx(1e-12, is_dc ? 0.0 : 1e-12, is_dc,
+                         ckt.node_unknowns(), &v, &v_prev);
+  for (const auto& dev : ckt.devices()) dev->stamp(stamper, ctx);
+  return cache.finish();
+}
+
+// The cache's replay against a fresh build at the same iterate: a
+// cross-coupled NMOS latch with resistor pullups and a load capacitor,
+// stamped at four iterates into one persistent cache.
+TEST(AssemblyCache, ReplayMatchesFreshBuildAndRefactorMatchesFreshLu) {
+  Circuit ckt;
+  const NodeId vdd = ckt.node("vdd");
+  const NodeId a = ckt.node("a");
+  const NodeId b = ckt.node("b");
+  ckt.add<VSource>("Vdd", vdd, ckt.ground(), 1.0);
+  ckt.add<Resistor>("Ra", vdd, a, 10e3);
+  ckt.add<Resistor>("Rb", vdd, b, 10e3);
+  ckt.add<Mosfet>("M1", a, b, ckt.ground(), MosfetParams::nmos_lp());
+  ckt.add<Mosfet>("M2", b, a, ckt.ground(), MosfetParams::nmos_lp());
+  ckt.add<Capacitor>("Ca", a, ckt.ground(), 2e-15);
+  const std::size_t n = static_cast<std::size_t>(ckt.unknown_count());
+  const auto at = [](NodeId node) { return static_cast<std::size_t>(node - 1); };
+
+  AssemblyCache cache;
+  std::vector<double> rhs;
+  for (int k = 0; k < 4; ++k) {
+    std::vector<double> v(n, 0.0);
+    v[at(vdd)] = 1.0;
+    v[at(a)] = 0.2 + 0.2 * k;
+    v[at(b)] = 0.9 - 0.25 * k;
+    v[n - 1] = -1e-5 * (k + 1);  // the supply's branch current
+    ASSERT_TRUE(stamp_pass(ckt, cache, v, /*is_dc=*/false, rhs));
+    std::vector<double> x = rhs;
+    cache.factorize().solve_inplace(x);
+    // Only the first pass records a pattern and runs a full factorization;
+    // every later one replays the pattern and refactors on its pivots.
+    EXPECT_EQ(cache.stats().pattern_builds, 1u);
+    EXPECT_EQ(cache.stats().full_factorizations, 1u);
+    EXPECT_EQ(cache.stats().refactorizations, static_cast<std::uint64_t>(k));
+
+    AssemblyCache fresh;
+    std::vector<double> fresh_rhs;
+    ASSERT_TRUE(stamp_pass(ckt, fresh, v, /*is_dc=*/false, fresh_rhs));
+    const linalg::CsrView got = cache.view();
+    const linalg::CsrView want = fresh.view();
+    ASSERT_EQ(got.n, want.n);
+    ASSERT_EQ(got.nnz(), want.nnz());
+    for (std::size_t r = 0; r <= n; ++r)
+      EXPECT_EQ(got.row_ptr[r], want.row_ptr[r]);
+    for (std::size_t j = 0; j < want.nnz(); ++j) {
+      EXPECT_EQ(got.cols[j], want.cols[j]);
+      EXPECT_NEAR(got.vals[j], want.vals[j], 1e-15 * std::fabs(want.vals[j]));
+    }
+    EXPECT_EQ(rhs, fresh_rhs);
+
+    const std::vector<double> x_fresh = linalg::SparseLu(want).solve(fresh_rhs);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_fresh[i], 1e-12);
+  }
+
+  // A DC pass skips every capacitor stamp: the replay deviates from the
+  // recorded sequence, finish() reports it and drops the pattern, and the
+  // retry records a new one.
+  const std::vector<double> v0(n, 0.0);
+  EXPECT_FALSE(stamp_pass(ckt, cache, v0, /*is_dc=*/true, rhs));
+  EXPECT_FALSE(cache.has_pattern());
+  EXPECT_TRUE(stamp_pass(ckt, cache, v0, /*is_dc=*/true, rhs));
+  EXPECT_EQ(cache.stats().pattern_builds, 2u);
 }
 
 }  // namespace

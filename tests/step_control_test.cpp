@@ -1,6 +1,8 @@
 // LTE step-control tests: adaptive vs refined fixed-step accuracy (on an
 // RC and on a 3T2N row search), the rejection path, relay event bisection,
-// end-of-run sliver handling, and probe-recording column lookup.
+// end-of-run sliver handling, and probe-recording column lookup; plus the
+// Newton solve on a 2T2R row search held to the figures of the
+// rebuild-everything Newton path it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,12 +13,14 @@
 
 #include "devices/NemRelay.h"
 #include "devices/Passive.h"
+#include "devices/Rram.h"
 #include "devices/Sources.h"
 #include "spice/Circuit.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
 #include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
+#include "tcam/Rram2T2RRow.h"
 
 namespace {
 
@@ -232,6 +236,72 @@ TEST(StepControl, ProbeRecordingResolvesOnlyProbedColumns) {
   const Trace v = res.node_trace(n);
   EXPECT_NEAR(v.at(5e-9), 1.0, 0.01);          // fully charged
   EXPECT_THROW(res.node_trace(vin), std::logic_error);  // not probed
+}
+
+// An 8-bit 2T2R row (16-row column load, checkerboard word) run with
+// step_defaults over precharge plus the search window, for the matching
+// key and for a key with bit 0 flipped to '0'. The goldens are the figures
+// of the Newton path that rebuilt the matrix and re-picked every pivot
+// each iteration, measured on this circuit (gcc 12.2 Release) before that
+// path was deleted. The assembly-cache path reuses one pivot order across
+// iterations, so it agrees to solver tolerance (within 2e-9 relative
+// here), not bitwise.
+TEST(SolverFastPath, MatchesRebuildPathGoldensOnTcamSearch) {
+  struct Golden {
+    bool flip_bit0;
+    bool matched;     // verdict at the strobe
+    double ml_final;  // V
+    double energy;    // J
+  };
+  const Golden goldens[] = {
+      {false, true, 0.2556633168076079, 1.8918769629084592e-14},
+      {true, false, 2.9069869146477404e-4, 1.9386094381567652e-14},
+  };
+
+  const tcam::Calibration cal = tcam::Calibration::standard();
+  tcam::SearchTemplate tpl(
+      tcam::search_spec_for(tcam::TcamKind::Rram2T2R, cal), 8, 16);
+  core::TernaryWord word(8);
+  for (std::size_t i = 0; i < 8; ++i)
+    word[i] = (i % 2) ? core::Ternary::Zero : core::Ternary::One;
+
+  for (const Golden& g : goldens) {
+    core::TernaryWord key = word;
+    if (g.flip_bit0) key[0] = core::Ternary::Zero;
+    // Elaborates the circuit for the first key; rebinds the SL drivers for
+    // the second.
+    tpl.ensure_built(key, word);
+    Circuit& ckt = *tpl.circuit();
+    // Seed the stored word from a clean state, as every search does.
+    ckt.reset_device_states();
+    for (std::size_t i = 0; i < 8; ++i) {
+      const tcam::Rram2T2RRow::RramStates st =
+          tcam::Rram2T2RRow::states_for(word[i]);
+      const std::string cell = "Xcell" + std::to_string(i) + ".";
+      dynamic_cast<Rram&>(*ckt.find(cell + "Ra"))
+          .set_state(st.a_lrs ? 1.0 : 0.0);
+      dynamic_cast<Rram&>(*ckt.find(cell + "Rb"))
+          .set_state(st.b_lrs ? 1.0 : 0.0);
+    }
+    const TransientResult r =
+        run_transient(ckt, step_defaults(cal.t_precharge + cal.t_search_window));
+    ASSERT_TRUE(r.finished) << r.failure;
+
+    const Trace ml = r.node_trace(ckt.node("ml"));
+    double ml_min = ml.back();
+    for (std::size_t i = 0; i < ml.size(); ++i)
+      if (ml.times()[i] >= tpl.t_edge())
+        ml_min = std::min(ml_min, ml.values()[i]);
+    const bool matched =
+        ml.at(tpl.t_edge() + tpl.default_strobe()) > cal.ml_sense_level;
+
+    EXPECT_EQ(matched, g.matched);
+    EXPECT_NEAR(ml.back(), g.ml_final, 1e-6);
+    // The ML only discharges after the SL edge, so its minimum from the
+    // edge on is its final value.
+    EXPECT_NEAR(ml_min, g.ml_final, 1e-6);
+    EXPECT_NEAR(r.total_source_energy(), g.energy, 1e-6 * g.energy);
+  }
 }
 
 }  // namespace

@@ -1,21 +1,13 @@
-// ThreadPool / run_sweep determinism, plus solver fast-path equivalence:
-// the parallel sweep must produce bit-identical results at any thread
-// count, and the assembly-cache Newton path must agree with the
-// rebuild-everything path on a real TCAM transaction.
+// ThreadPool / run_sweep determinism: the parallel sweep must produce
+// bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "devices/Rram.h"
-#include "spice/Transient.h"
 #include "tcam/Calibration.h"
-#include "tcam/RowSpecs.h"
 #include "tcam/Rram2T2RRow.h"
 #include "util/Sweep.h"
 #include "util/ThreadPool.h"
@@ -144,61 +136,6 @@ TEST(RunSweep, RramVariationSweepIsThreadCountInvariant) {
   const auto rn = util::run_sweep<Outcome>(4, trial_body, pooled);
   ASSERT_EQ(r1.size(), rn.size());
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_TRUE(r1[i] == rn[i]);
-}
-
-// Assembly-cache Newton path vs the rebuild-and-refactorize path
-// (NewtonOptions::use_assembly_cache = false) on the same elaborated
-// search circuit. The two paths may pick different (equally valid) pivot
-// sequences, so agreement is to solver tolerance, not bitwise.
-TEST(SolverFastPath, MatchesLegacyNewtonPathOnTcamSearch) {
-  const Calibration cal = Calibration::standard();
-  tcam::SearchTemplate tpl(
-      tcam::search_spec_for(tcam::TcamKind::Rram2T2R, cal), 8, 16);
-  core::TernaryWord word(8);
-  for (std::size_t i = 0; i < 8; ++i)
-    word[i] = (i % 2) ? core::Ternary::Zero : core::Ternary::One;
-  // The first search elaborates the circuit and binds the stored word.
-  ASSERT_TRUE(tpl.search(word, word, tpl.default_strobe()).ok);
-  spice::Circuit& ckt = *tpl.circuit();
-  const spice::NodeId ml = ckt.node("ml");
-
-  struct Run {
-    bool finished;
-    double ml_min;
-    double ml_final;
-    double energy;
-  };
-  const auto run_one = [&](bool use_cache) {
-    // Re-seed the stored word: the precharged ML nudges every branch's
-    // filament during a search, so each run starts from the bound states.
-    ckt.reset_device_states();
-    for (std::size_t i = 0; i < 8; ++i) {
-      const Rram2T2RRow::RramStates st = Rram2T2RRow::states_for(word[i]);
-      const std::string cell = "Xcell" + std::to_string(i) + ".";
-      dynamic_cast<devices::Rram&>(*ckt.find(cell + "Ra"))
-          .set_state(st.a_lrs ? 1.0 : 0.0);
-      dynamic_cast<devices::Rram&>(*ckt.find(cell + "Rb"))
-          .set_state(st.b_lrs ? 1.0 : 0.0);
-    }
-    spice::TransientOptions opts =
-        spice::step_defaults(cal.t_precharge + cal.t_search_window);
-    opts.newton.use_assembly_cache = use_cache;
-    const spice::TransientResult r = spice::run_transient(ckt, opts);
-    if (!r.finished) return Run{false, 0.0, 0.0, 0.0};
-    const spice::Trace tr = r.node_trace(ml);
-    return Run{true, *std::min_element(tr.values().begin(), tr.values().end()),
-               tr.back(), r.total_source_energy()};
-  };
-  const Run fast = run_one(true);
-  const Run legacy = run_one(false);
-
-  ASSERT_TRUE(fast.finished);
-  ASSERT_TRUE(legacy.finished);
-  EXPECT_EQ(fast.ml_final > cal.ml_sense_level,
-            legacy.ml_final > cal.ml_sense_level);
-  EXPECT_NEAR(fast.ml_min, legacy.ml_min, 1e-6);
-  EXPECT_NEAR(fast.ml_final, legacy.ml_final, 1e-6);
-  EXPECT_NEAR(fast.energy, legacy.energy, 1e-6 * std::abs(legacy.energy) + 1e-18);
 }
 
 }  // namespace

@@ -6,17 +6,19 @@
 # Stages:
 #   1. release build (preset `release`) + full ctest
 #   2. ASan/UBSan build (preset `asan`) + the `robustness`, `hier`,
-#      `array`, `lifetime`, `sta`, `paper`, `tcam` and `netlist` test
-#      labels (recovery ladder, elaboration, coupled-array search,
+#      `array`, `lifetime`, `sta`, `paper`, `tcam`, `netlist` and `solver`
+#      test labels (recovery ladder, elaboration, coupled-array search,
 #      multi-rate engine, static analysis, the pinned paper figures, every
 #      design's row writes on the replayed write template, whose cells'
-#      device pointers live across writes, and the netlist parser's error
-#      paths under the sanitizers)
+#      device pointers live across writes, the netlist parser's error
+#      paths, and the solver's unit oracles — the LU refactorization and
+#      the assembly-cache replay are raw index arithmetic — under the
+#      sanitizers)
 #   3. TSan build (preset `tsan`) + the `threads` and `solver` labels.
 #      `threads` (test_util, test_sweep) holds the repo's only concurrency:
 #      ThreadPool, run_sweep and run_sweep_guarded. The `solver` label
-#      starts no thread; it checks that the integrator runs clean under
-#      the TSan instrumentation
+#      starts no thread; it checks that the solver runs clean under the
+#      TSan instrumentation
 #   4. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
 #      clang-tidy when installed (the CMake option degrades gracefully)
 #   5. static ERC + STA margin rules over the shipped example decks
@@ -42,7 +44,7 @@ cmake --build --preset release -j
 ctest --preset all -j
 
 echo "==== [2/6] asan build + sanitizer test labels" \
-     "(robustness/hier/array/lifetime/sta/paper/tcam/netlist) ===="
+     "(robustness/hier/array/lifetime/sta/paper/tcam/netlist/solver) ===="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset robustness-asan -j
@@ -53,6 +55,7 @@ ctest --preset sta-asan -j
 ctest --preset paper-asan -j
 ctest --preset tcam-asan -j
 ctest --preset netlist-asan -j
+ctest --preset solver-asan -j
 
 echo "==== [3/6] tsan build + threads/solver labels ===="
 cmake --preset tsan
