@@ -4,12 +4,14 @@
 // sweep.
 //
 // Second leg: lumped single-row extrapolation vs the true coupled array.
-// A single-row fixture models the other N−1 rows as a lumped capacitance
-// on each searchline, so "array energy" is N × the row's number and the
-// ML delay ignores the RC ladder between the driver and far rows. The
-// ArrayTemplate leg elaborates all N×N cells against segmented shared
-// lines and reports both from one coupled transient — the divergence
-// between the columns below is the modelling error the lumped path hides.
+// Both columns come from one class, ArrayTemplate, at two heights: the
+// row (TcamRow's search, a one-row template of an N-row column) models
+// the other N−1 rows as lumped capacitance on each searchline, so "array
+// energy" is N × the row's number and the ML delay ignores the RC ladder
+// between the driver and far rows; the N-row template elaborates all N×N
+// cells against segmented shared lines and reports both from one coupled
+// transient — the divergence between the columns below is the modelling
+// error the lumped path hides.
 #include <algorithm>
 #include <cmath>
 #include <map>

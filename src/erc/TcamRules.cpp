@@ -59,19 +59,6 @@ Checker::CustomRule ml_fanin_rule(spice::NodeId ml, spice::NodeId vdd,
   };
 }
 
-Checker::CustomRule nem_pair_rule(core::TernaryWord word,
-                                  std::string n1_prefix,
-                                  std::string n2_prefix) {
-  return nem_pair_rule(
-      std::move(word),
-      [n1_prefix = std::move(n1_prefix)](std::size_t col) {
-        return n1_prefix + std::to_string(col);
-      },
-      [n2_prefix = std::move(n2_prefix)](std::size_t col) {
-        return n2_prefix + std::to_string(col);
-      });
-}
-
 Checker::CustomRule nem_pair_rule(core::TernaryWord word, RelayNamer n1_namer,
                                   RelayNamer n2_namer) {
   return [word = std::move(word), n1_namer = std::move(n1_namer),

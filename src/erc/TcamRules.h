@@ -22,15 +22,16 @@
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "core/Ternary.h"
 #include "erc/Checker.h"
 
 namespace nemtcam::erc {
 
-// Maps a column index to a relay's device name. Lets the pair rule follow
-// either naming scheme: the legacy flat "<prefix><col>" or the
-// hierarchical instance path "Xcell<col>.N1" the template path produces.
+// Maps a column index to a relay's device name — the cell's instance path,
+// "Xcell<col>.N1" in a one-row template, "Xrow<r>.Xcell<col>.N1" in an
+// array.
 using RelayNamer = std::function<std::string(std::size_t col)>;
 
 // ML must reach `vdd` over DC-conductive edges (the precharge device).
@@ -43,16 +44,11 @@ Checker::CustomRule ml_fanin_rule(spice::NodeId ml, spice::NodeId vdd,
                                   int expected);
 
 // Complementary-pair and don't-care encoding consistency for 3T2N rows:
-// relays named "<n1_prefix><col>" / "<n2_prefix><col>" must hold the
-// (S, S̄) encoding of word[col] — One → (closed, open), Zero → (open,
-// closed), X → (open, open). Relays pinned by fault injection
-// (NemRelay::stuck()) are skipped: an injected defect is not a netlist
-// bug. Missing devices are reported (the row is mis-tiled).
-Checker::CustomRule nem_pair_rule(core::TernaryWord word,
-                                  std::string n1_prefix = "N1_",
-                                  std::string n2_prefix = "N2_");
-
-// Same rule with caller-supplied name construction (hierarchical paths).
+// the relays n1_name(col) / n2_name(col) must hold the (S, S̄) encoding of
+// word[col] — One → (closed, open), Zero → (open, closed), X → (open,
+// open). Relays pinned by fault injection (NemRelay::stuck()) are skipped:
+// an injected defect is not a netlist bug. Missing devices are reported
+// (the row is mis-tiled).
 Checker::CustomRule nem_pair_rule(core::TernaryWord word, RelayNamer n1_name,
                                   RelayNamer n2_name);
 

@@ -33,7 +33,7 @@ struct DeviceLoc {
 
 // Three naming conventions: flat "<base>_<col>" ("N1_3"), single-row
 // hierarchical "Xcell<col>.<base>" ("Xcell3.N1"), and the two-level array
-// scope "Xrow<row>.Xcell<col>.<base>" ("Xrow2.Xcell3.N1") produced by
+// scope "Xrow<row>.Xcell<col>.<base>" ("Xrow2.Xcell3.N1") of an N-row
 // ArrayTemplate.
 DeviceLoc locate(const std::string& name) {
   DeviceLoc loc;

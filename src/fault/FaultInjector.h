@@ -1,11 +1,13 @@
 // Applies drawn FaultSpecs to a built circuit by device-name convention.
 //
-// Three naming conventions are understood. The legacy flat fixtures name
-// per-column devices "<base>_<col>" ("N1_3", "Tw1_0", "Ts_7", …); the
-// hierarchical cell templates scope them under their instance as
-// "Xcell<col>.<base>" ("Xcell3.N1"); ArrayTemplate adds the row level,
-// "Xrow<row>.Xcell<col>.<base>" ("Xrow2.Xcell3.N1") — there the fault's
-// row must match the scope too. The injector walks the circuit's
+// Three naming conventions are understood. Hand-built circuits (unit
+// tests, bench_fault_campaign's ladder demo) name per-column devices
+// "<base>_<col>" ("N1_3", "Tw1_0", "Ts_7", …); a one-row template
+// (SearchTemplate, WriteTemplate) scopes them under their cell instance
+// as "Xcell<col>.<base>" ("Xcell3.N1"); an N-row ArrayTemplate adds the
+// row level, "Xrow<row>.Xcell<col>.<base>" ("Xrow2.Xcell3.N1") — there
+// the fault's row must match the scope too. Names without a row scope
+// match any row. The injector walks the circuit's
 // device list, parses the column index from either form, and mutates the
 // matching devices in place through the fault hooks
 // (NemRelay::force_stuck / set_contact_resistance / set_gate_leakage,

@@ -19,102 +19,117 @@ namespace nemtcam::tcam {
 using namespace nemtcam::devices;
 using spice::NodeId;
 
-ArrayFixture::ArrayFixture(const Calibration& cal, const CellGeometry& geo,
-                           int rows, int width, const core::TernaryWord& key,
-                           const ArrayOptions& opt)
-    : cal_(cal), opt_(opt), rows_(rows), width_(width) {
+ArrayFixture::ArrayFixture(const SearchTemplateSpec& spec, int rows,
+                           int width, const core::TernaryWord& key,
+                           const ArrayOptions& opt, int column_rows)
+    : cal_(spec.cal), rows_(rows), width_(width) {
   NEMTCAM_EXPECT(rows >= 1 && width >= 1);
+  NEMTCAM_EXPECT(column_rows >= rows);
   NEMTCAM_EXPECT(static_cast<int>(key.size()) == width);
+  const Calibration& cal = spec.cal;
   t_edge_ = cal.t_precharge + 50e-12;
   t_end_ = t_edge_ + cal.t_search_window;
 
-  // Shared rails.
   vdd_ = circuit_.node("vdd");
   circuit_.add<VSource>("Vdd", vdd_, circuit_.ground(), cal.vdd);
   circuit_.set_ic(vdd_, cal.vdd);
+
+  // Matchlines: wire parasitics scale with the row width; the sense-amp
+  // input load is added on top. Junction loading comes from the attached
+  // cell devices themselves.
+  const double c_ml =
+      width * cal.c_hline_per_cell(spec.geo) + cal.c_ml_sense_load;
+  ml_.reserve(static_cast<std::size_t>(rows));
+  ml_names_.reserve(static_cast<std::size_t>(rows));
+  for (int r = 0; r < rows; ++r) {
+    ml_names_.push_back(row_name("ml", r));
+    ml_.push_back(circuit_.node(ml_names_.back()));
+    circuit_.add<Capacitor>(row_name("Cml", r), ml_.back(), circuit_.ground(),
+                            c_ml);
+  }
+
+  // Precharge PMOS: on (gate low) during [0, t_precharge], then off.
   const NodeId pchgb = circuit_.node("pchgb");
   circuit_.add<VSource>("Vpchgb", pchgb, circuit_.ground(),
                         step_wave(0.0, cal.vdd, cal.t_precharge));
+  for (int r = 0; r < rows; ++r) {
+    circuit_.add<Mosfet>(row_name("Mpchg", r), ml(r), pchgb, vdd_,
+                         MosfetParams::pmos_lp(cal.w_precharge));
+    checker_.add_rule(erc::ml_precharge_rule(ml(r), vdd_));
+  }
 
   // Row-to-segment map for the shared-line ladders.
   n_segments_ = std::clamp(opt.sl_segments, 1, rows);
   seg_of_row_.resize(static_cast<std::size_t>(rows));
-  rows_in_seg_.assign(static_cast<std::size_t>(n_segments_), 0);
+  std::vector<int> rows_in_seg(static_cast<std::size_t>(n_segments_), 0);
   for (int r = 0; r < rows; ++r) {
     const int s = static_cast<int>(
         (static_cast<long long>(r) * n_segments_) / rows);
     seg_of_row_[static_cast<std::size_t>(r)] = s;
-    ++rows_in_seg_[static_cast<std::size_t>(s)];
+    ++rows_in_seg[static_cast<std::size_t>(s)];
   }
 
-  // Searchline ladders: the column wire C that a single-row fixture lumps
-  // onto one node is spread over the segments here (each section carries
-  // its rows' worth of wire C and R); the cells' gate/electrode loading
-  // is not added — every row is a real attached cell.
-  c_vline_ = cal.c_vline_per_cell(geo);
-  r_vline_ = cal.r_vline_per_cell(geo);
-  sl_seg_.reserve(static_cast<std::size_t>(width));
-  slb_seg_.reserve(static_cast<std::size_t>(width));
+  // Searchline ladders, driven per the key at t_edge: each section
+  // carries its rows' worth of wire C and R, and the simulated rows' cells
+  // load the lines themselves. The stand-in rows lump onto the driven head
+  // section: their wire C plus their cells' SL loading.
+  const int stand_ins = column_rows - rows;
+  const double c_vline = cal.c_vline_per_cell(spec.geo);
+  const double r_vline = cal.r_vline_per_cell(spec.geo);
+  const double c_head = (rows_in_seg[0] + stand_ins) * c_vline +
+                        stand_ins * spec.c_sl_gate_per_row +
+                        cal.c_driver_load;
+  const auto add_ladder = [&](std::vector<NodeId>& ladder,
+                              const std::string& name, double v_drive) {
+    NodeId n = circuit_.node(name);
+    circuit_.add<VSource>("Vdrv_" + name, n, circuit_.ground(),
+                          step_wave(0.0, v_drive, t_edge_), cal.r_line_driver);
+    circuit_.add<Capacitor>("Cline_" + name, n, circuit_.ground(), c_head);
+    ladder.push_back(n);
+    for (int s = 1; s < n_segments_; ++s) {
+      const std::string seg = name + "_s" + std::to_string(s);
+      const NodeId next = circuit_.node(seg);
+      const int k = rows_in_seg[static_cast<std::size_t>(s)];
+      circuit_.add<Resistor>("Rline_" + seg, n, next, k * r_vline);
+      circuit_.add<Capacitor>("Cline_" + seg, next, circuit_.ground(),
+                              k * c_vline);
+      ladder.push_back(n = next);
+    }
+  };
+  sl_.reserve(static_cast<std::size_t>(width * n_segments_));
+  slb_.reserve(static_cast<std::size_t>(width * n_segments_));
   for (int i = 0; i < width; ++i) {
     const SearchlineLevels v =
         searchline_levels(key[static_cast<std::size_t>(i)], cal.vdd);
-    sl_seg_.push_back(build_ladder("sl" + std::to_string(i), v.sl));
-    slb_seg_.push_back(build_ladder("slb" + std::to_string(i), v.slb));
-  }
-
-  // Per-row matchline hardware.
-  const double c_ml = width * cal.c_hline_per_cell(geo) + cal.c_ml_sense_load;
-  ml_.reserve(static_cast<std::size_t>(rows));
-  for (int r = 0; r < rows; ++r) {
-    const std::string sfx = std::to_string(r);
-    const NodeId ml = circuit_.node("ml" + sfx);
-    circuit_.add<Capacitor>("Cml" + sfx, ml, circuit_.ground(), c_ml);
-    circuit_.add<Mosfet>("Mpchg" + sfx, ml, pchgb, vdd_,
-                         MosfetParams::pmos_lp(cal.w_precharge));
-    ml_.push_back(ml);
-    checker_.add_rule(erc::ml_precharge_rule(ml, vdd_));
+    add_ladder(sl_, "sl" + std::to_string(i), v.sl);
+    add_ladder(slb_, "slb" + std::to_string(i), v.slb);
   }
 }
 
-std::vector<NodeId> ArrayFixture::build_ladder(const std::string& name,
-                                               double v_drive) {
-  std::vector<NodeId> ladder;
-  ladder.reserve(static_cast<std::size_t>(n_segments_));
+std::string ArrayFixture::row_name(const std::string& base, int row) const {
+  return rows_ == 1 ? base : base + std::to_string(row);
+}
 
-  const NodeId head = circuit_.node(name);
-  circuit_.add<VSource>("Vdrv_" + name, head, circuit_.ground(),
-                        step_wave(0.0, v_drive, t_edge_), cal_.r_line_driver);
-  circuit_.add<Capacitor>(
-      "Cline_" + name, head, circuit_.ground(),
-      rows_in_seg_[0] * c_vline_ + cal_.c_driver_load);
-  ladder.push_back(head);
-  for (int s = 1; s < n_segments_; ++s) {
-    const std::string seg = name + "_s" + std::to_string(s);
-    const NodeId n = circuit_.node(seg);
-    circuit_.add<Resistor>("Rline_" + seg, ladder.back(), n,
-                           rows_in_seg_[static_cast<std::size_t>(s)] * r_vline_);
-    circuit_.add<Capacitor>(
-        "Cline_" + seg, n, circuit_.ground(),
-        rows_in_seg_[static_cast<std::size_t>(s)] * c_vline_);
-    ladder.push_back(n);
-  }
-  return ladder;
+std::string ArrayFixture::scope(int row) const {
+  return rows_ == 1 ? std::string() : "Xrow" + std::to_string(row) + ".";
 }
 
 NodeId ArrayFixture::sl(int row, int col) const {
-  return sl_seg_.at(static_cast<std::size_t>(col))
-      .at(static_cast<std::size_t>(seg_of_row_.at(static_cast<std::size_t>(row))));
+  const int seg = seg_of_row_.at(static_cast<std::size_t>(row));
+  return sl_.at(static_cast<std::size_t>(col * n_segments_ + seg));
 }
 
 NodeId ArrayFixture::slb(int row, int col) const {
-  return slb_seg_.at(static_cast<std::size_t>(col))
-      .at(static_cast<std::size_t>(seg_of_row_.at(static_cast<std::size_t>(row))));
+  const int seg = seg_of_row_.at(static_cast<std::size_t>(row));
+  return slb_.at(static_cast<std::size_t>(col * n_segments_ + seg));
 }
 
 PortNets ArrayFixture::port_nets(int row) const {
   PortNets nets{{{"ml", ml(row)}, {"vdd", vdd_}}, {}};
   std::vector<NodeId>& sl_taps = nets.columns["sl"];
   std::vector<NodeId>& slb_taps = nets.columns["slb"];
+  sl_taps.reserve(static_cast<std::size_t>(width_));
+  slb_taps.reserve(static_cast<std::size_t>(width_));
   for (int c = 0; c < width_; ++c) {
     sl_taps.push_back(sl(row, c));
     slb_taps.push_back(slb(row, c));
@@ -128,7 +143,7 @@ const erc::Report& ArrayFixture::check() {
 }
 
 spice::TransientResult ArrayFixture::run() {
-  if (opt_.run_erc && erc::default_enforce()) {
+  if (erc::default_enforce()) {
     const erc::Report& rep = check();
     if (rep.has_errors()) {
       spice::TransientResult r;
@@ -190,12 +205,8 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
   }
   if (sta::default_enabled()) {
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::string> probes;
-    probes.reserve(static_cast<std::size_t>(rows_));
-    for (int r = 0; r < rows_; ++r)
-      probes.push_back(circuit_.node_name(ml_[static_cast<std::size_t>(r)]));
-    const sta::StaReport rep =
-        sta::analyze(circuit_, probes, sta_options_for(cal_, strobe_delay));
+    const sta::StaReport rep = sta::analyze(
+        circuit_, ml_names_, sta_options_for(cal_, strobe_delay));
     // Aggregate: timing band spans the rows STA predicts to discharge
     // (margin < 0) — matched rows only leak, their multi-ms "times" would
     // swamp the band. Margin comes from the row closest to the threshold.
@@ -203,7 +214,7 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
     bool have_margin = false, have_band = false;
     for (int r = 0; r < rows_; ++r) {
       StaSummary& s = m.rows[static_cast<std::size_t>(r)].sta;
-      s = sta_summary_from(rep, probes[static_cast<std::size_t>(r)]);
+      s = sta_summary_from(rep, ml_names_[static_cast<std::size_t>(r)]);
       if (!s.valid) continue;
       if (!agg.valid) agg = s;  // energy band / SL settle / retention are global
       if (!have_margin || std::abs(s.margin) < std::abs(agg.margin)) {
@@ -234,15 +245,17 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
 }
 
 ArrayTemplate::ArrayTemplate(SearchTemplateSpec spec, int rows, int width,
-                             ArrayOptions opt)
+                             ArrayOptions opt, int column_rows)
     : spec_(std::move(spec)),
       rows_(rows),
       width_(width),
+      column_rows_(column_rows == 0 ? rows : column_rows),
       opt_(opt),
       stored_(static_cast<std::size_t>(rows),
               core::TernaryWord(static_cast<std::size_t>(width),
                                 core::Ternary::X)) {
   NEMTCAM_EXPECT(rows >= 1 && width >= 1);
+  NEMTCAM_EXPECT(column_rows_ >= rows);
   NEMTCAM_EXPECT(static_cast<bool>(spec_.bind));
   NEMTCAM_EXPECT(!spec_.cell.ports.empty());
 }
@@ -253,8 +266,8 @@ void ArrayTemplate::store(int row, const core::TernaryWord& word) {
 }
 
 void ArrayTemplate::build(const core::TernaryWord& key) {
-  fx_ = std::make_unique<ArrayFixture>(spec_.cal, spec_.geo, rows_, width_,
-                                       key, opt_);
+  fx_ = std::make_unique<ArrayFixture>(spec_, rows_, width_, key, opt_,
+                                       column_rows_);
   cells_.assign(static_cast<std::size_t>(rows_), {});
   spice::Circuit& ckt = fx_->circuit();
 
@@ -262,43 +275,37 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
   if (spec_.shared_rails) rails = spec_.shared_rails(ckt, fx_->vdd());
 
   for (int r = 0; r < rows_; ++r) {
-    const std::string row_scope = "Xrow" + std::to_string(r);
+    const std::string scope = fx_->scope(r);
     auto& row_cells = cells_[static_cast<std::size_t>(r)];
     row_cells.reserve(static_cast<std::size_t>(width_));
     if (spec_.c_ml_load_per_cell > 0.0) {
-      ckt.add<Capacitor>("Cel_ml" + std::to_string(r), fx_->ml(r),
-                         ckt.ground(), width_ * spec_.c_ml_load_per_cell);
+      ckt.add<Capacitor>(fx_->row_name("Cel_ml", r), fx_->ml(r), ckt.ground(),
+                         width_ * spec_.c_ml_load_per_cell);
     }
     // The fixture's nets take precedence over a shared rail of the same name.
     PortNets nets = fx_->port_nets(r);
     nets.row.insert(rails.begin(), rails.end());
     for (int c = 0; c < width_; ++c)
-      row_cells.push_back(elaborate_cell(
-          ckt, spec_.cell, row_scope + ".Xcell" + std::to_string(c), nets, c,
-          spec_.cell.params));
+      row_cells.push_back(elaborate_cell(ckt, spec_.cell,
+                                         scope + "Xcell" + std::to_string(c),
+                                         nets, c, spec_.cell.params));
     if (spec_.array_rules)
-      spec_.array_rules(
-          ArrayRowContext{fx_->checker(), fx_->ml(r), fx_->vdd(), r, width_,
-                          row_scope + "."},
-          stored_[static_cast<std::size_t>(r)]);
+      spec_.array_rules(ArrayRowContext{fx_->checker(), fx_->ml(r), fx_->vdd(),
+                                        r, width_, scope},
+                        stored_[static_cast<std::size_t>(r)]);
   }
   // One STA margin-rule pass covers every matchline: the rules run over
   // the array as bound for the first search after the (re)build, at the
   // width-scaled nominal strobe.
-  if (sta::default_enabled()) {
-    std::vector<std::string> probes;
-    probes.reserve(static_cast<std::size_t>(rows_));
-    for (int r = 0; r < rows_; ++r) probes.push_back("ml" + std::to_string(r));
+  if (sta::default_enabled())
     fx_->checker().add_rule(sta::margin_rules(
-        std::move(probes), sta_options_for(spec_.cal, default_strobe())));
-  }
+        fx_->ml_names(), sta_options_for(spec_.cal, default_strobe())));
   built_key_ = key;
   built_stored_ = stored_;
   ++builds_;
 }
 
-ArraySearchMetrics ArrayTemplate::search(const core::TernaryWord& key,
-                                         double strobe_delay) {
+void ArrayTemplate::ensure_built(const core::TernaryWord& key) {
   NEMTCAM_EXPECT(static_cast<int>(key.size()) == width_);
   if (!fx_ || built_stored_ != stored_) {
     build(key);
@@ -306,6 +313,11 @@ ArraySearchMetrics ArrayTemplate::search(const core::TernaryWord& key,
     fx_->rebind_key(key);
     built_key_ = key;
   }
+}
+
+ArraySearchMetrics ArrayTemplate::search(const core::TernaryWord& key,
+                                         double strobe_delay) {
+  ensure_built(key);
 
   spice::Circuit& ckt = fx_->circuit();
   ckt.reset_device_states();

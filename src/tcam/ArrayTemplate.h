@@ -1,24 +1,28 @@
-// Column-coupled full-array search transactions.
+// Search transactions on column-coupled TCAM arrays, from one row up.
 //
-// A SearchTemplate simulates one row against lumped stand-ins for the
-// rest of the array. ArrayTemplate drops the stand-ins: it elaborates a
-// true N×M array — N matchlines with their own precharge devices, N×M
-// cells, and shared searchline pairs modelled as segmented RC ladders
-// that every row taps — so all N rows load the SL drivers at once and
-// evaluate the key in parallel, coupling through the lines exactly as
-// the tiled silicon would.
+// ArrayTemplate elaborates `rows` rows of real cells — matchlines with
+// their own precharge devices, one cell per column, and shared
+// searchline pairs modelled as segmented RC ladders that every row taps —
+// so the simulated rows load the SL drivers at once and evaluate the key
+// in parallel, coupling through the lines exactly as the tiled silicon
+// would. The searchlines model a column `column_rows` cells tall: the
+// rows not simulated stand in as lumped load on each line's driven head
+// section. A full array simulates every row of its column; a row search
+// (SearchTemplate) is the one-row case, the paper's per-row methodology
+// with the other rows of its 64×64 array as line load.
 //
-// The whole array is one MNA system, solved like every row circuit: the
-// circuit's AssemblyCache replays the fixed stamp pattern and refactors
-// one monolithic SparseLu per Newton iteration, reusing its symbolic
-// analysis across iterations, time steps and replayed searches.
+// The whole circuit is one MNA system: the circuit's AssemblyCache
+// replays the fixed stamp pattern and refactors one monolithic SparseLu
+// per Newton iteration, reusing its symbolic analysis across iterations,
+// time steps and replayed searches.
 //
-// The elaborate-once / replay-many contract matches SearchTemplate:
-// key changes rebind the driver waveforms, stored-word changes to the
-// same words re-seed device state; only a different stored image
-// rebuilds. Cell instance paths are "Xrow<r>.Xcell<c>.<card>" — the ERC
-// rules and the fault injector address cells through the same two-level
-// scope.
+// Elaborate once, replay many: a key change rebinds the driver
+// waveforms, a store of the same words re-seeds device state; only a
+// different stored image rebuilds. An N-row template scopes row r's
+// hardware by row ("ml<r>", cells "Xrow<r>.Xcell<c>.<card>"); a one-row
+// template names it unscoped ("ml", "Xcell<c>.<card>"), the single-row
+// names the fault injector reads as any row. The ERC rules and the fault
+// injector address cells through the same scopes.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +49,6 @@ struct ArrayOptions {
   // tapping their nearest section node. More segments → finer line
   // model, 2·M more unknowns per extra segment. Clamped to [1, N].
   int sl_segments = 2;
-  // Run the ERC pass before the transient. Worth disabling for the very
-  // large bench arrays: the rules walk the full device list per row.
-  bool run_erc = true;
   // Read only by perfbench/driver.cpp; remove at the next benchmark change.
   util::ThreadPool* pool = nullptr;
 };
@@ -84,14 +85,17 @@ struct ArraySearchMetrics {
   std::string note;
 };
 
-// Design-independent array scaffolding: VDD/precharge rails, N matchlines
-// with precharge PMOS and wire parasitics, M segmented SL/SL̄ ladders
-// driven per the key. The template adds each row's cells on top.
+// Design-independent array scaffolding: VDD/precharge rails, `rows`
+// matchlines with precharge PMOS and wire parasitics, `width` segmented
+// SL/SL̄ ladders driven per the key. The template adds each row's cells on
+// top. The ladders model a column of `column_rows` ≥ rows cells; the
+// column_rows − rows stand-in rows load each line's driven head section
+// with their wire C plus spec.c_sl_gate_per_row each.
 class ArrayFixture {
  public:
-  ArrayFixture(const Calibration& cal, const CellGeometry& geo, int rows,
-               int width, const core::TernaryWord& key,
-               const ArrayOptions& opt);
+  ArrayFixture(const SearchTemplateSpec& spec, int rows, int width,
+               const core::TernaryWord& key, const ArrayOptions& opt,
+               int column_rows);
 
   spice::Circuit& circuit() noexcept { return circuit_; }
   int rows() const noexcept { return rows_; }
@@ -100,6 +104,16 @@ class ArrayFixture {
   spice::NodeId ml(int row) const {
     return ml_.at(static_cast<std::size_t>(row));
   }
+  // Matchline node names, by row (the STA probes).
+  const std::vector<std::string>& ml_names() const noexcept {
+    return ml_names_;
+  }
+  // Name of row `row`'s copy of a per-row part: `base` alone in a one-row
+  // fixture, `base` + row otherwise ("Cml" / "Cml3").
+  std::string row_name(const std::string& base, int row) const;
+  // Instance-path prefix of row `row`'s cells: "" in a one-row fixture,
+  // "Xrow<row>." otherwise.
+  std::string scope(int row) const;
   // The searchline tap row `row` connects to: the RC-ladder section node
   // nearest that row.
   spice::NodeId sl(int row, int col) const;
@@ -111,22 +125,28 @@ class ArrayFixture {
   double t_end() const noexcept { return t_end_; }
 
   erc::Checker& checker() noexcept { return checker_; }
+  // Runs the ERC pass over the assembled circuit once and caches it.
   const erc::Report& check();
 
-  // ERC gate (when enabled) + transient over the search timeline, probing
-  // every matchline.
+  // ERC gate (under erc::default_enforce(): errors → no transient, the
+  // report as the failure text) + transient over the search timeline,
+  // probing every matchline.
   spice::TransientResult run();
 
   // Re-aims all 2M searchline drivers at a new key (waveform rebind; no
   // topology change, the stamp pattern and symbolic LU survive).
   void rebind_key(const core::TernaryWord& key);
 
+  // Interprets the run. Row r matched when its ML is still above the
+  // sense level at the strobe (t_edge + strobe_delay); its latency is the
+  // SL-edge → ML-crossing time when the ML crossed. When
+  // sta::default_enabled(), also attaches the closed-form STA bounds from
+  // a fresh static pass over the bound circuit.
   ArraySearchMetrics metrics(const spice::TransientResult& result,
                              double strobe_delay);
 
  private:
-  Calibration cal_;
-  ArrayOptions opt_;
+  Calibration cal_;  // by value: rows may pass a locally adjusted copy
   int rows_ = 0;
   int width_ = 0;
   int n_segments_ = 1;
@@ -135,28 +155,25 @@ class ArrayFixture {
   spice::Circuit circuit_;
   spice::NodeId vdd_{};
   std::vector<spice::NodeId> ml_;
-  // [col][segment] ladder nodes; segment 0 carries the driver.
-  std::vector<std::vector<spice::NodeId>> sl_seg_;
-  std::vector<std::vector<spice::NodeId>> slb_seg_;
+  std::vector<std::string> ml_names_;
+  // Ladder nodes, [col * n_segments_ + segment]; segment 0 carries the
+  // driver.
+  std::vector<spice::NodeId> sl_;
+  std::vector<spice::NodeId> slb_;
   std::vector<int> seg_of_row_;
-  std::vector<int> rows_in_seg_;
-  double c_vline_ = 0.0;  // per-cell vertical-wire C (F)
-  double r_vline_ = 0.0;  // per-cell vertical-wire R (Ω)
   double t_edge_ = 0.0;
   double t_end_ = 0.0;
-
-  std::vector<spice::NodeId> build_ladder(const std::string& name,
-                                          double v_drive);
 };
 
-// Elaborate-once / replay-many N×M array built from the same per-kind
-// SearchTemplateSpec a single-row SearchTemplate uses (RowSpecs.h
-// factories): same cells, same binder, same ERC hooks — the spec's
-// array_rules run once per row with the row's scope and matchline.
+// Elaborate-once / replay-many array of `rows` rows, built from the
+// per-kind SearchTemplateSpec (RowSpecs.h factories): the spec's cells,
+// binder and ERC hooks — its array_rules run once per row with the row's
+// scope and matchline. `column_rows` ≥ rows is the height of the column
+// the searchlines model (0: rows); see ArrayFixture.
 class ArrayTemplate {
  public:
   ArrayTemplate(SearchTemplateSpec spec, int rows, int width,
-                ArrayOptions opt = {});
+                ArrayOptions opt = {}, int column_rows = 0);
 
   int rows() const noexcept { return rows_; }
   int width() const noexcept { return width_; }
@@ -168,6 +185,13 @@ class ArrayTemplate {
     return stored_.at(static_cast<std::size_t>(row));
   }
 
+  // Guarantees the circuit exists and is aimed at `key` over the stored
+  // image — building or rebinding exactly as search() would — without
+  // running a transient. Device mutations made after it (aging, fault
+  // injection) survive into search(), which never rebuilds for an
+  // unchanged image.
+  void ensure_built(const core::TernaryWord& key);
+
   // Searches every row against `key` in one coupled transient.
   // strobe_delay < 0 → the spec's nominal strobe scaled for this width.
   ArraySearchMetrics search(const core::TernaryWord& key,
@@ -177,6 +201,9 @@ class ArrayTemplate {
   double default_strobe() const {
     return width_scaled_strobe(spec_.t_strobe, width_);
   }
+  // Time of the SL edge every strobe delay is measured from; valid once
+  // built.
+  double t_edge() const { return fx_->t_edge(); }
 
   std::uint64_t builds() const noexcept { return builds_; }
   const SearchTemplateSpec& spec() const noexcept { return spec_; }
@@ -191,6 +218,7 @@ class ArrayTemplate {
   SearchTemplateSpec spec_;
   int rows_;
   int width_;
+  int column_rows_;
   ArrayOptions opt_;
   std::unique_ptr<ArrayFixture> fx_;
   std::vector<std::vector<hier::InstanceHandles>> cells_;  // [row][col]

@@ -1,9 +1,9 @@
 // Per-design transaction specs, factored out of the row classes so every
 // consumer elaborates the same cell against the same hooks:
-//   - SearchTemplate builds ONE row (TcamRow's per-row methodology, line
-//     parasitics standing in for the rest of the array),
-//   - ArrayTemplate tiles N rows of real cells on shared column lines
-//     (the column-coupled full-array path), and
+//   - ArrayTemplate tiles rows of real cells on shared column lines, the
+//     rows of the column it does not simulate standing in as line load:
+//     N rows for the column-coupled full-array path, one for a row search
+//     (SearchTemplate, TcamRow's per-row methodology), and
 //   - WriteTemplate drives one row's cells from its write lines (the 3T2N
 //     one-shot refresh is a write of the stored word over itself).
 // Each search factory captures everything design-specific — the cell

@@ -1,17 +1,22 @@
-// Elaborate-once / replay-many search transactions.
+// Row search transactions: the per-design search spec, and the row-level
+// template TcamRow, the lifetime engine and the benches search through.
 //
 // Each row design describes its per-column cell as a hier::SubcktDef plus
-// three hooks (prelude nets, a state binder, ERC rules). The first search
-// builds a SearchFixture, elaborates one cell instance per column under
-// the scope "Xcell<col>" and registers the rules. Every later search with
-// the same stored word reuses that circuit verbatim: the key change is a
-// waveform rebind on the SL drivers, the stored word a device-state
-// re-seed — neither bumps the topology revision, so the solver cache's
-// stamp pattern and symbolic LU carry over (zero reconstruction; the
-// stamp_pattern_builds metric stays flat).
+// hooks (shared rails, a state binder, ERC rules) in a SearchTemplateSpec
+// (RowSpecs.h factories). A SearchTemplate searches one row of an
+// `array_rows`-row array: it is a one-row ArrayTemplate whose searchlines
+// model the whole column, the other rows standing in as lumped line load
+// (ArrayTemplate.h). The first search builds the circuit, one cell
+// instance per column under the scope "Xcell<col>", and registers the
+// rules. Every later search with the same stored word reuses that circuit
+// verbatim: the key change is a waveform rebind on the SL drivers, the
+// stored word a device-state re-seed — neither bumps the topology
+// revision, so the solver cache's stamp pattern and symbolic LU carry
+// over (zero reconstruction; the stamp_pattern_builds metric stays flat).
 //
-// A store() of a different word rebuilds the template: the registered ERC
-// rules and the cached report are bound to the word they were built for.
+// A search with a different stored word rebuilds the template: the
+// registered ERC rules and the cached report are bound to the word they
+// were built for.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "core/Ternary.h"
+#include "erc/Checker.h"
 #include "hier/Elaborate.h"
 #include "tcam/Calibration.h"
 #include "tcam/Harness.h"
@@ -30,8 +36,7 @@
 namespace nemtcam::tcam {
 
 // Facts a design's array_rules hook needs to register its ERC rules for
-// one row: of an N-row array, or the single row of a SearchTemplate
-// (row 0, empty scope).
+// one row of an ArrayTemplate (a SearchTemplate's is row 0 of one).
 struct ArrayRowContext {
   erc::Checker& checker;
   spice::NodeId ml;
@@ -39,14 +44,17 @@ struct ArrayRowContext {
   int row = 0;
   int width = 0;
   // Instance-path prefix of this row's cells: cell c lives at
-  // "<scope>Xcell<c>" — scope is "" in a single-row template, "Xrow<r>."
-  // in an array.
+  // "<scope>Xcell<c>" — scope is "" in a one-row template, "Xrow<r>." in
+  // an N-row one.
   std::string scope;
 };
 
 struct SearchTemplateSpec {
   Calibration cal;  // possibly a locally adjusted copy (e.g. MRAM window)
   CellGeometry geo;
+  // SL loading each stand-in row's cell adds beyond the wire (e.g. the
+  // SRAM compare-stack gates hang directly on the searchlines; the NVM
+  // cells present only small electrode stubs).
   double c_sl_gate_per_row = 0.0;
 
   // Nominal sense-strobe delay at the reference 64-bit width; see
@@ -97,9 +105,12 @@ inline double width_scaled_strobe(double t_strobe, int width) {
   return t_strobe * (0.25 + 0.75 * static_cast<double>(width) / 64.0);
 }
 
+class ArrayTemplate;
+
 class SearchTemplate {
  public:
   SearchTemplate(SearchTemplateSpec spec, int width, int array_rows);
+  ~SearchTemplate();
 
   SearchMetrics search(const core::TernaryWord& key,
                        const core::TernaryWord& stored, double strobe_delay);
@@ -114,33 +125,22 @@ class SearchTemplate {
 
   // The elaborated circuit, for in-place device mutation between replays.
   // Null until the first build/ensure_built.
-  spice::Circuit* circuit() noexcept { return fx_ ? &fx_->circuit() : nullptr; }
+  spice::Circuit* circuit() noexcept;
 
   // How many times the underlying circuit was (re)built — for the
   // zero-reconstruction assertions.
-  std::uint64_t builds() const noexcept { return builds_; }
+  std::uint64_t builds() const noexcept;
 
-  const SearchTemplateSpec& spec() const noexcept { return spec_; }
+  const SearchTemplateSpec& spec() const noexcept;
 
   // Nominal sense strobe for this row's width.
-  double default_strobe() const {
-    return width_scaled_strobe(spec_.t_strobe, width_);
-  }
+  double default_strobe() const;
   // Time of the SL edge every strobe delay is measured from. Valid once
   // the circuit is built (circuit() non-null).
-  double t_edge() const { return fx_->t_edge(); }
+  double t_edge() const;
 
  private:
-  void build(const core::TernaryWord& key, const core::TernaryWord& stored);
-
-  SearchTemplateSpec spec_;
-  int width_;
-  int array_rows_;
-  std::unique_ptr<SearchFixture> fx_;
-  std::vector<hier::InstanceHandles> cells_;
-  core::TernaryWord built_key_;
-  core::TernaryWord built_stored_;
-  std::uint64_t builds_ = 0;
+  std::unique_ptr<ArrayTemplate> arr_;
 };
 
 }  // namespace nemtcam::tcam

@@ -148,20 +148,26 @@ TEST(ErcValues, NonPositiveResistanceIsCaught) {
 
 namespace tcam_rules {
 
-// Builds a minimal complementary pair, wired clean, with the checker
-// restricted to the registered rule so the assertion sees it in isolation.
+// Builds a minimal complementary pair, wired clean and named as a one-row
+// template names cell 0's relays, with the checker restricted to the
+// registered rule so the assertion sees it in isolation.
 struct PairFixture {
   Circuit c;
   NemRelay* n1;
   NemRelay* n2;
   PairFixture() {
     const NodeId stg = c.node("stg");
-    n1 = &c.add<NemRelay>("N1_0", c.ground(), stg, c.ground(), c.ground());
-    n2 = &c.add<NemRelay>("N2_0", c.ground(), stg, c.ground(), c.ground());
+    n1 = &c.add<NemRelay>("Xcell0.N1", c.ground(), stg, c.ground(),
+                          c.ground());
+    n2 = &c.add<NemRelay>("Xcell0.N2", c.ground(), stg, c.ground(),
+                          c.ground());
   }
   Report run(const TernaryWord& word) {
     Checker ck(CheckerOptions{false, false, false});
-    ck.add_rule(erc::nem_pair_rule(word));
+    ck.add_rule(erc::nem_pair_rule(
+        word,
+        [](std::size_t col) { return "Xcell" + std::to_string(col) + ".N1"; },
+        [](std::size_t col) { return "Xcell" + std::to_string(col) + ".N2"; }));
     return ck.run(c);
   }
 };
@@ -174,7 +180,7 @@ TEST(ErcTcamRules, StoredXMustBeOffOff) {
   const auto& f = rep.findings().front();
   EXPECT_EQ(f.rule, "tcam.x-encoding");
   EXPECT_EQ(f.severity, Severity::Error);
-  EXPECT_TRUE(names_contain(f.devices, "N1_0"));
+  EXPECT_TRUE(names_contain(f.devices, "Xcell0.N1"));
 }
 
 TEST(ErcTcamRules, PairInconsistentWithStoredBit) {

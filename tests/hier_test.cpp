@@ -7,7 +7,10 @@
 // .subckt deck must parse, elaborate, pass ERC and simulate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "devices/NemRelay.h"
 #include "erc/Checker.h"
@@ -118,6 +121,84 @@ TEST_P(AllKindsHier, TemplatePathMatchesFlatPath) {
   const KindGolden ref = golden_for(GetParam());
   expect_golden(row->search(match_key), ref.match);
   expect_golden(row->search(mismatch_key), ref.miss);
+}
+
+// The same searches held tighter than the flat-netlist goldens above: the
+// one-row search fixture's figures at full precision, so a change to its
+// construction order (node numbering, device stamping order) shows here,
+// not just a change of circuit.
+struct PinnedSearch {
+  bool matched;
+  double latency;   // s
+  double energy;    // J
+  double ml_final;  // V
+};
+
+// 10X10010 stored; searched with 10110010 (builds), 00110010 (a replay
+// with the bit-0 miss rebound) and 10110010 again (a replay rebound back).
+std::array<PinnedSearch, 3> pinned_searches_for(TcamKind kind) {
+  switch (kind) {
+    case TcamKind::Sram16T:
+      return {{{true, 0.0, 1.1080295337418334e-13, 1.1443457825848105},
+               {false, 2.629010952584073e-10, 1.14242981610492e-13,
+                4.7221414159866017e-08},
+               {true, 0.0, 1.1080431363800871e-13, 1.1443457790571148}}};
+    case TcamKind::Nem3T2N:
+      return {{{true, 0.0, 4.4425336808976126e-14, 0.80318870267805653},
+               {false, 6.3658689683174028e-11, 4.6427516924077587e-14,
+                9.3725770712852289e-09},
+               {true, 0.0, 4.4425336808976126e-14, 0.80318870267805653}}};
+    case TcamKind::Rram2T2R:
+      return {{{true, 1.3187228513711741e-09, 3.6692501993703379e-14,
+                0.23929580621422358},
+               {false, 1.3235706464906645e-10, 3.7141674108654339e-14,
+                0.00053433497028705092},
+               {true, 1.3187228513711741e-09, 3.6692501993703379e-14,
+                0.23929580621422358}}};
+    case TcamKind::Fefet2F:
+      return {{{true, 0.0, 2.5962670448079361e-14, 1.3514286886593931},
+               {false, 1.4210777915435452e-10, 3.2479018459884852e-14,
+                1.1632085427966631e-08},
+               {true, 0.0, 2.5962670448079361e-14, 1.3514286886593931}}};
+    case TcamKind::Dtcam5T:
+      return {{{true, 0.0, 3.9870586858809189e-14, 1.0464245200563849},
+               {false, 1.9396391149455021e-10, 4.1493295869062723e-14,
+                -7.3016301559495044e-08},
+               {true, 0.0, 3.9868302884622637e-14, 1.046425158446773}}};
+    case TcamKind::Fefet4T2F:
+      return {{{true, 0.0, 3.2448119093383222e-14, 1.1662633382653687},
+               {false, 1.6011516412732097e-10, 4.0440401113546758e-14,
+                5.0339732699578428e-08},
+               {true, 0.0, 3.2448119088636501e-14, 1.1662633381509202}}};
+    case TcamKind::Mram4T2M:
+      return {{{true, 9.7986723349097105e-09, 7.7666996960968859e-12,
+                0.47220940779127052},
+               {false, 8.9022705581756841e-10, 7.3114252661788827e-12,
+                0.00016734737833660468},
+               {true, 9.7986723349097105e-09, 7.7666996960968859e-12,
+                0.47220940779127052}}};
+  }
+  return {};
+}
+
+TEST_P(AllKindsHier, SearchesMatchPinnedFiguresAt1e6) {
+  const TernaryWord keys[] = {TernaryWord("10110010"), TernaryWord("00110010"),
+                              TernaryWord("10110010")};
+  const std::array<PinnedSearch, 3> ref = pinned_searches_for(GetParam());
+
+  auto row = make_row(GetParam(), kWidth, kRows);
+  row->store(TernaryWord("10X10010"));
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    SCOPED_TRACE("search " + std::to_string(i) + ", key " + keys[i].to_string());
+    const SearchMetrics m = row->search(keys[i]);
+    ASSERT_TRUE(m.ok) << m.note;
+    EXPECT_EQ(m.matched, ref[i].matched);
+    EXPECT_NEAR(m.latency, ref[i].latency, 1e-6 * ref[i].latency);
+    EXPECT_NEAR(m.energy, ref[i].energy, 1e-6 * ref[i].energy);
+    // A 1 nV floor under the discharged rows' ~10 nV residues.
+    EXPECT_NEAR(m.ml_final, ref[i].ml_final,
+                std::max(1e-6 * std::abs(ref[i].ml_final), 1e-9));
+  }
 }
 
 // Flat-netlist write metrics at kWidth x kRows: 10110010 is stored, then

@@ -18,6 +18,7 @@
 #include "spice/Circuit.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
+#include "tcam/ArrayTemplate.h"
 #include "tcam/Harness.h"
 #include "tcam/RowSpecs.h"
 #include "tcam/Rram2T2RRow.h"
@@ -95,9 +96,9 @@ TEST(StepControl, AdaptiveMatchesRefinedFixedReferenceOnRc) {
 }
 
 // A 16-bit 3T2N row search — checkerboard word, key mismatching bit 0 —
-// on the cell search_spec_for elaborates, run under `opts` (its t_end is
-// replaced by the fixture's).
-tcam::SearchMetrics nem_search(TransientOptions opts) {
+// on the one-row fixture of a 64-row column, with the cell search_spec_for
+// elaborates, run under `opts` (its t_end is replaced by the fixture's).
+tcam::ArraySearchMetrics nem_search(TransientOptions opts) {
   using core::Ternary;
   constexpr int kWidth = 16;
   const tcam::SearchTemplateSpec spec = tcam::search_spec_for(
@@ -108,9 +109,9 @@ tcam::SearchMetrics nem_search(TransientOptions opts) {
   core::TernaryWord key = word;
   key[0] = Ternary::Zero;
 
-  tcam::SearchFixture fx(spec.cal, spec.geo, kWidth, /*array_rows=*/64, key,
-                         spec.c_sl_gate_per_row);
-  const tcam::PortNets nets = fx.port_nets();
+  tcam::ArrayFixture fx(spec, /*rows=*/1, kWidth, key, {},
+                        /*column_rows=*/64);
+  const tcam::PortNets nets = fx.port_nets(0);
   for (int i = 0; i < kWidth; ++i)
     spec.bind(fx.circuit(),
               tcam::elaborate_cell(fx.circuit(), spec.cell,
@@ -118,7 +119,7 @@ tcam::SearchMetrics nem_search(TransientOptions opts) {
                                    spec.cell.params),
               word[static_cast<std::size_t>(i)]);
   opts.t_end = fx.t_end();
-  opts.probe_nodes = {fx.ml()};
+  opts.probe_nodes = {fx.ml(0)};
   return fx.metrics(run_transient(fx.circuit(), opts),
                     tcam::width_scaled_strobe(spec.t_strobe, kWidth));
 }
@@ -130,16 +131,19 @@ TEST(StepControl, AdaptiveSearchMatchesRefinedFixedReference) {
   fixed.dt_init = 1e-13;
   fixed.dt_max = 0.25e-12;
   ASSERT_EQ(fixed.step_control, StepControl::FixedGrowth);
-  const tcam::SearchMetrics ref = nem_search(fixed);
-  const tcam::SearchMetrics ad = nem_search(step_defaults(0.0));
+  const tcam::ArraySearchMetrics ref = nem_search(fixed);
+  const tcam::ArraySearchMetrics ad = nem_search(step_defaults(0.0));
   ASSERT_TRUE(ref.ok) << ref.note;
   ASSERT_TRUE(ad.ok) << ad.note;
-  EXPECT_FALSE(ref.matched);
-  EXPECT_FALSE(ad.matched);
+  const tcam::ArrayRowResult& ref_row = ref.rows.at(0);
+  const tcam::ArrayRowResult& ad_row = ad.rows.at(0);
+  EXPECT_FALSE(ref_row.matched);
+  EXPECT_FALSE(ad_row.matched);
 
-  ASSERT_GT(ref.latency, 0.0);
+  ASSERT_GT(ref_row.latency, 0.0);
   ASSERT_GT(ref.energy, 0.0);
-  EXPECT_LT(std::fabs(ad.latency - ref.latency) / ref.latency, 0.01);
+  EXPECT_LT(std::fabs(ad_row.latency - ref_row.latency) / ref_row.latency,
+            0.01);
   EXPECT_LT(std::fabs(ad.energy - ref.energy) / ref.energy, 0.01);
   EXPECT_GE(ref.steps, 50 * ad.steps)
       << "reference " << ref.steps << " steps, adaptive " << ad.steps;

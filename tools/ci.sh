@@ -32,18 +32,23 @@
 #      (bench_ablation_variation) and the relay-threshold A5 refresh-yield
 #      table (bench_ablation_relay_variation), whose trials each draw their
 #      thresholds in a per-replay hook of their own row
+#   7. perfbench smoke: perfbench/driver.cpp compiles against the
+#      row and array search templates and the solver's telemetry, yet no
+#      other stage builds it; perfbench/run.py builds it (Release, under
+#      .bench_build/) and runs each of its four workloads for 2 s at seed
+#      1, whose JSON result must read "correct": true with 0 failed ops
 #
 # Fails fast on the first broken stage.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==== [1/6] release build + tests ===="
+echo "==== [1/7] release build + tests ===="
 cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/6] asan build + sanitizer test labels" \
+echo "==== [2/7] asan build + sanitizer test labels" \
      "(robustness/hier/array/lifetime/sta/paper/tcam/netlist/solver) ===="
 cmake --preset asan
 cmake --build --preset asan -j
@@ -57,20 +62,20 @@ ctest --preset tcam-asan -j
 ctest --preset netlist-asan -j
 ctest --preset solver-asan -j
 
-echo "==== [3/6] tsan build + threads/solver labels ===="
+echo "==== [3/7] tsan build + threads/solver labels ===="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --preset threads-tsan -j
 ctest --preset solver-tsan -j
 
-echo "==== [4/6] lint build (-Werror, clang-tidy if installed) ===="
+echo "==== [4/7] lint build (-Werror, clang-tidy if installed) ===="
 cmake --preset lint
 cmake --build --preset lint -j
 
-echo "==== [5/6] ERC + STA margins over example decks (warnings are errors) ===="
+echo "==== [5/7] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/6] bench smokes (lifetime sweep, STA gate, A1/A5 determinism) ===="
+echo "==== [6/7] bench smokes (lifetime sweep, STA gate, A1/A5 determinism) ===="
 (cd build/bench && ./bench_lifetime --smoke)
 (cd build/bench && ./bench_sta --smoke)
 # The table a sweep bench prints at a given thread count, from the line
@@ -95,5 +100,23 @@ same_at_1_and_4_threads bench_ablation_variation A1 \
   '^Ablation A1' '^3T2N matched-ML margin'
 same_at_1_and_4_threads bench_ablation_relay_variation A5 \
   '^Ablation A5' '^The 30 mV gap'
+
+echo "==== [7/7] perfbench smoke (all four workloads) ===="
+# perfbench_driver times only the default program: it exits 3 when a
+# NEMTCAM_* switch is set, so this last stage clears them.
+for v in $(env | sed -n 's/^\(NEMTCAM_[A-Z0-9_]*\)=.*/\1/p'); do unset "$v"; done
+for w in row_search row_update array_search lifetime; do
+  result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 |
+           tail -n 1)
+  if ! printf '%s' "$result" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' 2>/dev/null; then
+    echo "perfbench $w: want \"correct\": true and 0 failed ops, got: $result" >&2
+    exit 1
+  fi
+  echo "perfbench $w: correct, 0 failed ops"
+done
 
 echo "==== ci.sh: all stages passed ===="
