@@ -8,14 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/Ternary.h"
-#include "erc/Checker.h"
-#include "spice/Transient.h"
 #include "tcam/TcamRow.h"
 #include "util/Table.h"
 
@@ -54,44 +50,6 @@ inline core::TernaryWord one_bit_mismatch_key(const core::TernaryWord& w) {
   key[0] = (key[0] == core::Ternary::One) ? core::Ternary::Zero
                                           : core::Ternary::One;
   return key;
-}
-
-// Consumes the step-control CLI flags shared by every bench binary —
-// --reltol=X / --abstol=X (or the two-argument "--reltol X" form) and
-// --no-erc — applying them to the process-wide defaults and removing them
-// from argv before benchmark::Initialize rejects them as unknown. Lets any
-// ablation bench be rerun at a different accuracy target without
-// recompiling; --no-erc skips the pre-simulation ERC pass for benches that
-// time deliberately degenerate circuits.
-inline void consume_step_control_flags(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* a = argv[i];
-    double val = 0.0;
-    const auto flag_value = [&](const char* name) -> bool {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(a, name, len) != 0) return false;
-      if (a[len] == '=') {
-        val = std::atof(a + len + 1);
-        return true;
-      }
-      if (a[len] == '\0' && i + 1 < *argc) {
-        val = std::atof(argv[++i]);
-        return true;
-      }
-      return false;
-    };
-    if (std::strcmp(a, "--no-erc") == 0) {
-      erc::set_default_enforce(false);
-    } else if (flag_value("--reltol") && val > 0.0) {
-      spice::set_default_lte_tolerances(val, spice::default_lte_abstol_v());
-    } else if (flag_value("--abstol") && val > 0.0) {
-      spice::set_default_lte_tolerances(spice::default_lte_reltol(), val);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
 }
 
 // google-benchmark can invoke a benchmark function more than once even at

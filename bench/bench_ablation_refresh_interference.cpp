@@ -48,7 +48,6 @@ BENCHMARK(BM_RefreshInterference)
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

@@ -72,7 +72,6 @@ BENCHMARK(BM_XDensity)
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

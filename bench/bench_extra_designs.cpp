@@ -76,7 +76,6 @@ BENCHMARK(BM_DynamicRefreshComparison)
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

@@ -48,7 +48,6 @@ const std::map<TcamKind, PaperRef> kPaper = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

@@ -43,7 +43,6 @@ const std::map<TcamKind, double> kPaperEnergyJ = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

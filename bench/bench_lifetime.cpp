@@ -330,7 +330,6 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

@@ -182,7 +182,6 @@ BENCHMARK(BM_SearchTemplateReplay)->Iterations(1)->Unit(benchmark::kMillisecond)
 }  // namespace
 
 int main(int argc, char** argv) {
-  nemtcam::bench::consume_step_control_flags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 

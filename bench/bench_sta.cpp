@@ -19,14 +19,19 @@
 //    many-stack mismatch has a different measured/nominal ratio);
 //  - speed: the static pass must be at least 100x faster than the
 //    transients it replaces — summed over the row cases, and separately
-//    for the array leg.
+//    for the array leg. Each case is one search, timed whole; its
+//    transient time is that wall time less the attached STA pass (a
+//    case's first search includes the template build, as a served search
+//    would). The row sweep and the array leg run three times, each on
+//    fresh templates, and the gate reads the median speedups.
 //
-// Any violated bracket, non-positive matched margin, failed calibrated
-// re-check, or missed speedup target makes the process exit 1 — this is
-// the machine gate tools/ci.sh runs. Results go to BENCH_sta.json in the
-// CWD (repo convention: benches write BENCH_*.json where they run).
-// --smoke shrinks to width 16 / an 8x8 array and relaxes the speedup
-// floor to 5x (tiny transients amortize badly), same output contract.
+// Any violated bracket (in any run), non-positive matched margin, failed
+// calibrated re-check, or median speedup below the floor makes the
+// process exit 1 — this is the machine gate tools/ci.sh runs. Results go
+// to BENCH_sta.json in the CWD (repo convention: benches write
+// BENCH_*.json where they run), every run's speedups included. --smoke
+// shrinks to width 16 / an 8x8 array and relaxes the speedup floor to 5x
+// (tiny transients amortize badly), same output contract.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -48,9 +53,15 @@ using namespace nemtcam::bench;
 using Clock = std::chrono::steady_clock;
 
 bool g_smoke = false;
+constexpr int kRuns = 3;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 std::string fmt(const char* f, double v) {
@@ -112,41 +123,30 @@ struct CaseResult {
   double measured = 0.0;  // transient ML crossing, s (0 when no crossing)
   double energy = 0.0;    // measured search energy, J
   tcam::StaSummary sta;
-  double t_transient = 0.0;  // wall seconds for the pure transient
+  double t_transient = 0.0;  // search wall seconds less the STA pass
   bool ok = true;
   std::string why;
 };
 
-// One search, timed twice: once with STA off (the pure transient cost the
-// static pass is replacing) and once with STA on (replay — same circuit,
-// key rebound at most) to collect the attached summary.
+// One search, timed whole; the STA pass it attaches is what the static
+// analysis costs, the rest is the transient (and build) it replaces.
 CaseResult run_case(tcam::SearchTemplate& tpl, const char* kind,
                     const char* label, const core::TernaryWord& key,
                     const core::TernaryWord& stored) {
   CaseResult r;
   r.kind = kind;
   r.label = label;
-  const double strobe = tpl.default_strobe();
 
-  sta::set_default_enabled(false);
   const auto t0 = Clock::now();
-  tcam::SearchMetrics warm = tpl.search(key, stored, strobe);
-  r.t_transient = seconds_since(t0);
-  sta::set_default_enabled(true);
-
-  const tcam::SearchMetrics m = tpl.search(key, stored, strobe);
+  const tcam::SearchMetrics m = tpl.search(key, stored, tpl.default_strobe());
+  r.t_transient = seconds_since(t0) - m.sta.analysis_seconds;
   r.matched = m.matched;
   r.measured = m.latency;
   r.energy = m.energy;
   r.sta = m.sta;
-  if (!warm.ok || !m.ok || !m.sta.valid) {
+  if (!m.ok || !m.sta.valid) {
     r.ok = false;
     r.why = "search or STA did not complete";
-    return r;
-  }
-  if (m.matched != warm.matched) {
-    r.ok = false;
-    r.why = "match decision changed between the timed runs";
     return r;
   }
 
@@ -189,15 +189,11 @@ ArrayLeg run_array(int rows, int width) {
   for (int r = 0; r < rows; ++r)
     arr.store(r, r % 2 == 0 ? stored : flip_bit(stored, 0));
 
-  sta::set_default_enabled(false);
   const auto t0 = Clock::now();
-  tcam::ArraySearchMetrics warm = arr.search(match);
-  leg.t_transient = seconds_since(t0);
-  sta::set_default_enabled(true);
-
   const tcam::ArraySearchMetrics m = arr.search(match);
   leg.t_sta = m.sta.analysis_seconds;
-  if (!warm.ok || !m.ok || !m.sta.valid) {
+  leg.t_transient = seconds_since(t0) - leg.t_sta;
+  if (!m.ok || !m.sta.valid) {
     leg.brackets_ok = leg.aggregate_ok = false;
     return leg;
   }
@@ -222,16 +218,96 @@ ArrayLeg run_array(int rows, int width) {
   return leg;
 }
 
+double case_speedup(const CaseResult& c) {
+  return c.sta.analysis_seconds > 0.0 ? c.t_transient / c.sta.analysis_seconds
+                                      : 0.0;
+}
+
+double leg_speedup(const ArrayLeg& leg) {
+  return leg.t_sta > 0.0 ? leg.t_transient / leg.t_sta : 0.0;
+}
+
+// One pass of the row cases over every kind, on fresh templates.
+struct RowSweep {
+  std::vector<CaseResult> cases;
+  int calibrated_checked = 0, calibrated_ok = 0;
+  double speedup = 0.0;  // summed transient over summed STA seconds
+};
+
+RowSweep run_rows(int width) {
+  const core::TernaryWord stored = stored_word(width);
+  const core::TernaryWord match = matching_key(stored);
+  const core::TernaryWord mm1 = flip_bit(match, 0);
+  const core::TernaryWord mmN = max_mismatch_key(stored, match);
+
+  const int half_width = width / 2;
+  const core::TernaryWord stored_h = stored_word(half_width);
+  const core::TernaryWord match_h = matching_key(stored_h);
+  const core::TernaryWord mm1_h = flip_bit(match_h, 0);
+
+  RowSweep sweep;
+  double sum_transient = 0.0, sum_sta = 0.0;
+  for (const tcam::TcamKind kind : seven_kinds()) {
+    const char* name = tcam::kind_name(kind);
+    tcam::SearchTemplate tpl(tcam::search_spec_for(kind, tcam::Calibration{}),
+                             width, kRows);
+    const CaseResult rm = run_case(tpl, name, "match", match, stored);
+    const CaseResult r1 = run_case(tpl, name, "mismatch-1", mm1, stored);
+    const CaseResult rn = run_case(tpl, name, "mismatch-max", mmN, stored);
+
+    // Calibrated band: re-center [k_lo, k_hi] from the width-W one-bit
+    // spot check, then require a width-W/2 one-bit search (same discharge
+    // topology — one conducting stack — different C, wire load, strobe) to
+    // bracket inside a band strictly narrower than the uncalibrated one.
+    tcam::SearchTemplate tpl_h(tcam::search_spec_for(kind, tcam::Calibration{}),
+                               half_width, kRows);
+    CaseResult rcal =
+        run_case(tpl_h, name, "mismatch-1(calibrated)", mm1_h, stored_h);
+    if (r1.ok && rcal.ok && !r1.matched && !rcal.matched &&
+        r1.measured > 0.0 && rcal.measured > 0.0 && r1.sta.t_nom > 0.0) {
+      ++sweep.calibrated_checked;
+      const sta::StaOptions cal_opt =
+          sta::calibrated(sta::StaOptions{}, r1.sta.t_nom, r1.measured);
+      const double def_width = rcal.sta.t_hi - rcal.sta.t_lo;
+      rcal.sta.t_lo = cal_opt.k_lo * rcal.sta.t_nom;
+      rcal.sta.t_hi = rcal.sta.t_sl_settle + cal_opt.k_hi * rcal.sta.t_nom;
+      rcal.ok = rcal.sta.t_lo <= rcal.measured &&
+                rcal.measured <= rcal.sta.t_hi &&
+                rcal.sta.t_hi - rcal.sta.t_lo < def_width;
+      if (!rcal.ok) rcal.why = "calibrated band failed the cross-check";
+      sweep.calibrated_ok += rcal.ok ? 1 : 0;
+    }
+
+    for (const CaseResult& c : {rm, r1, rn, rcal}) {
+      sum_transient += c.t_transient;
+      sum_sta += c.sta.analysis_seconds;
+      sweep.cases.push_back(c);
+    }
+  }
+  sweep.speedup = sum_sta > 0.0 ? sum_transient / sum_sta : 0.0;
+  return sweep;
+}
+
 void write_json(const std::vector<CaseResult>& cases, const ArrayLeg& leg,
-                int calibrated_checked, int calibrated_ok, double row_speedup,
+                int calibrated_checked, int calibrated_ok,
+                const std::vector<double>& row_speedups,
+                const std::vector<double>& array_speedups, double row_speedup,
                 double array_speedup, double speedup_floor, bool ok) {
   FILE* f = std::fopen("BENCH_sta.json", "w");
   if (f == nullptr) return;
+  const auto list = [f](const char* key, const std::vector<double>& v) {
+    std::fprintf(f, "  \"%s\": [", key);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      std::fprintf(f, "%s%.3g", i ? ", " : "", v[i]);
+    std::fprintf(f, "],\n");
+  };
   std::fprintf(f, "{\n  \"bench\": \"sta\",\n  \"smoke\": %s,\n  \"ok\": %s,\n",
                g_smoke ? "true" : "false", ok ? "true" : "false");
   std::fprintf(f, "  \"speedup_floor\": %g,\n", speedup_floor);
   std::fprintf(f, "  \"row_speedup\": %.3g,\n", row_speedup);
   std::fprintf(f, "  \"array_speedup\": %.3g,\n", array_speedup);
+  list("row_speedups", row_speedups);
+  list("array_speedups", array_speedups);
   std::fprintf(f, "  \"calibrated_checked\": %d,\n", calibrated_checked);
   std::fprintf(f, "  \"calibrated_ok\": %d,\n", calibrated_ok);
   std::fprintf(f, "  \"cases\": [\n");
@@ -268,7 +344,6 @@ void write_json(const std::vector<CaseResult>& cases, const ArrayLeg& leg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  consume_step_control_flags(&argc, argv);
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
 
@@ -277,90 +352,71 @@ int main(int argc, char** argv) {
   const int array_width = g_smoke ? 8 : kWidth;
   const double speedup_floor = g_smoke ? 5.0 : 100.0;
 
-  const core::TernaryWord stored = stored_word(width);
-  const core::TernaryWord match = matching_key(stored);
-  const core::TernaryWord mm1 = flip_bit(match, 0);
-  const core::TernaryWord mmN = max_mismatch_key(stored, match);
+  std::vector<RowSweep> sweeps;
+  std::vector<ArrayLeg> legs;
+  for (int run = 0; run < kRuns; ++run) {
+    sweeps.push_back(run_rows(width));
+    legs.push_back(run_array(array_rows, array_width));
+  }
 
-  const int half_width = width / 2;
-  const core::TernaryWord stored_h = stored_word(half_width);
-  const core::TernaryWord match_h = matching_key(stored_h);
-  const core::TernaryWord mm1_h = flip_bit(match_h, 0);
-
-  std::vector<CaseResult> cases;
-  int calibrated_checked = 0, calibrated_ok = 0;
-  double sum_transient = 0.0, sum_sta = 0.0;
+  // The transients are deterministic, so every run reads the same
+  // brackets: the table shows the first run's, a case fails when it fails
+  // in any run, and its speedup is the median over the runs.
+  bool ok = true;
+  std::vector<CaseResult> cases = sweeps.front().cases;
   util::Table table({"kind", "case", "t_meas(ps)", "t_lo(ps)", "t_hi(ps)",
                      "margin(V)", "speedup", "verdict"});
-  for (const tcam::TcamKind kind : seven_kinds()) {
-    const char* name = tcam::kind_name(kind);
-    tcam::SearchTemplate tpl(tcam::search_spec_for(kind, tcam::Calibration{}),
-                             width, kRows);
-    const CaseResult rm = run_case(tpl, name, "match", match, stored);
-    const CaseResult r1 = run_case(tpl, name, "mismatch-1", mm1, stored);
-    const CaseResult rn = run_case(tpl, name, "mismatch-max", mmN, stored);
-
-    // Calibrated band: re-center [k_lo, k_hi] from the width-W one-bit
-    // spot check, then require a width-W/2 one-bit search (same discharge
-    // topology — one conducting stack — different C, wire load, strobe) to
-    // bracket inside a band strictly narrower than the uncalibrated one.
-    tcam::SearchTemplate tpl_h(tcam::search_spec_for(kind, tcam::Calibration{}),
-                               half_width, kRows);
-    CaseResult rcal =
-        run_case(tpl_h, name, "mismatch-1(calibrated)", mm1_h, stored_h);
-    if (r1.ok && rcal.ok && !r1.matched && !rcal.matched &&
-        r1.measured > 0.0 && rcal.measured > 0.0 && r1.sta.t_nom > 0.0) {
-      ++calibrated_checked;
-      const sta::StaOptions cal_opt =
-          sta::calibrated(sta::StaOptions{}, r1.sta.t_nom, r1.measured);
-      const double def_width = rcal.sta.t_hi - rcal.sta.t_lo;
-      rcal.sta.t_lo = cal_opt.k_lo * rcal.sta.t_nom;
-      rcal.sta.t_hi = rcal.sta.t_sl_settle + cal_opt.k_hi * rcal.sta.t_nom;
-      rcal.ok = rcal.sta.t_lo <= rcal.measured &&
-                rcal.measured <= rcal.sta.t_hi &&
-                rcal.sta.t_hi - rcal.sta.t_lo < def_width;
-      if (!rcal.ok) rcal.why = "calibrated band failed the cross-check";
-      calibrated_ok += rcal.ok ? 1 : 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    CaseResult& c = cases[i];
+    std::vector<double> speedups;
+    for (const RowSweep& sweep : sweeps) {
+      const CaseResult& rerun = sweep.cases[i];
+      speedups.push_back(case_speedup(rerun));
+      if (c.ok && !rerun.ok) {
+        c.ok = false;
+        c.why = rerun.why;
+      }
     }
-
-    for (const CaseResult& c : {rm, r1, rn, rcal}) {
-      const double speedup = c.sta.analysis_seconds > 0.0
-                                 ? c.t_transient / c.sta.analysis_seconds
-                                 : 0.0;
-      sum_transient += c.t_transient;
-      sum_sta += c.sta.analysis_seconds;
-      table.add_row({c.kind, c.label, fmt("%.1f", c.measured * 1e12),
-                     fmt("%.1f", c.sta.t_lo * 1e12),
-                     fmt("%.1f", c.sta.t_hi * 1e12), fmt("%+.3f", c.sta.margin),
-                     fmt("%.0fx", speedup),
-                     c.ok ? "ok" : "FAIL " + c.why});
-      cases.push_back(c);
-    }
+    ok = ok && c.ok;
+    table.add_row({c.kind, c.label, fmt("%.1f", c.measured * 1e12),
+                   fmt("%.1f", c.sta.t_lo * 1e12),
+                   fmt("%.1f", c.sta.t_hi * 1e12), fmt("%+.3f", c.sta.margin),
+                   fmt("%.0fx", median(speedups)),
+                   c.ok ? "ok" : "FAIL " + c.why});
   }
   std::printf("%s\n", table.to_string().c_str());
-  const double row_speedup = sum_sta > 0.0 ? sum_transient / sum_sta : 0.0;
 
-  const ArrayLeg leg = run_array(array_rows, array_width);
-  const double array_speedup =
-      leg.t_sta > 0.0 ? leg.t_transient / leg.t_sta : 0.0;
+  std::vector<double> row_speedups, array_speedups;
+  for (int run = 0; run < kRuns; ++run) {
+    const RowSweep& sweep = sweeps[static_cast<std::size_t>(run)];
+    const ArrayLeg& leg = legs[static_cast<std::size_t>(run)];
+    ok = ok && sweep.calibrated_checked > 0 &&
+         sweep.calibrated_ok == sweep.calibrated_checked;
+    ok = ok && leg.brackets_ok && leg.aggregate_ok;
+    row_speedups.push_back(sweep.speedup);
+    array_speedups.push_back(leg_speedup(leg));
+    std::printf(
+        "run %d: rows %.0fx (summed); array %dx%d: %d discharging rows, "
+        "per-row brackets %s, aggregate [%.1f, %.1f] ps spans measured "
+        "[%.1f, %.1f] ps: %s, speedup %.0fx\n",
+        run + 1, sweep.speedup, leg.rows, leg.width, leg.discharging,
+        leg.brackets_ok ? "ok" : "FAIL", leg.agg_t_lo * 1e12,
+        leg.agg_t_hi * 1e12, leg.meas_min * 1e12, leg.meas_max * 1e12,
+        leg.aggregate_ok ? "ok" : "FAIL", array_speedups.back());
+  }
+  const double row_speedup = median(row_speedups);
+  const double array_speedup = median(array_speedups);
   std::printf(
-      "array %dx%d: %d discharging rows, per-row brackets %s, aggregate "
-      "[%.1f, %.1f] ps spans measured [%.1f, %.1f] ps: %s, speedup %.0fx\n",
-      leg.rows, leg.width, leg.discharging, leg.brackets_ok ? "ok" : "FAIL",
-      leg.agg_t_lo * 1e12, leg.agg_t_hi * 1e12, leg.meas_min * 1e12,
-      leg.meas_max * 1e12, leg.aggregate_ok ? "ok" : "FAIL", array_speedup);
-
-  bool ok = leg.brackets_ok && leg.aggregate_ok;
-  for (const CaseResult& c : cases) ok = ok && c.ok;
-  ok = ok && calibrated_checked > 0 && calibrated_ok == calibrated_checked;
-  std::printf("speedup: rows %.0fx (summed), array %.0fx, floor %.0fx\n",
-              row_speedup, array_speedup, speedup_floor);
+      "speedup (median of %d runs): rows %.0fx (summed), array %.0fx, floor "
+      "%.0fx\n",
+      kRuns, row_speedup, array_speedup, speedup_floor);
   if (row_speedup < speedup_floor || array_speedup < speedup_floor) {
     ok = false;
     std::printf("FAIL: speedup below the floor\n");
   }
-  write_json(cases, leg, calibrated_checked, calibrated_ok, row_speedup,
-             array_speedup, speedup_floor, ok);
+  write_json(cases, legs.front(), sweeps.front().calibrated_checked,
+             sweeps.front().calibrated_ok, row_speedups, array_speedups,
+             row_speedup, array_speedup, speedup_floor, ok);
   std::printf("bench_sta: %s\n", ok ? "all gates passed" : "GATE FAILED");
   return ok ? 0 : 1;
 }

@@ -1,21 +1,8 @@
 #include "erc/Checker.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "erc/Rules.h"
 
 namespace nemtcam::erc {
-
-namespace {
-std::atomic<bool> g_enforce{std::getenv("NEMTCAM_NO_ERC") == nullptr};
-}  // namespace
-
-bool default_enforce() { return g_enforce.load(std::memory_order_relaxed); }
-
-void set_default_enforce(bool on) {
-  g_enforce.store(on, std::memory_order_relaxed);
-}
 
 Report Checker::run(spice::Circuit& circuit) const {
   Report report;

@@ -5,7 +5,8 @@
 // meant to run once after netlist/fixture construction and before the
 // first solve, so defects surface as named findings ("node 'stg1' has no
 // DC-conductive path to ground") instead of a singular-matrix throw deep
-// inside the solver.
+// inside the solver. Every template search (tcam/ArrayTemplate.h) and
+// every nemtcam_sim deck is gated on it; there is no opt-out.
 #pragma once
 
 #include <functional>
@@ -16,13 +17,6 @@
 #include "spice/Circuit.h"
 
 namespace nemtcam::erc {
-
-// Process-wide default for "run ERC before simulating" in the harnesses
-// and CLI tools. Starts true; set NEMTCAM_NO_ERC in the environment to
-// start false. The setter exists for benches that construct deliberately
-// degenerate circuits (e.g. fault sweeps probing solver recovery).
-bool default_enforce();
-void set_default_enforce(bool on);
 
 struct CheckerOptions {
   bool connectivity = true;  // connect.* rules

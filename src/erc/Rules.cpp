@@ -13,9 +13,7 @@
 #include "devices/Rram.h"
 #include "devices/Sources.h"
 #include "devices/Switch.h"
-#include "linalg/StructuralRank.h"
-#include "spice/AssemblyCache.h"
-#include "spice/Stamper.h"
+#include "spice/Newton.h"
 
 namespace nemtcam::erc {
 
@@ -123,38 +121,12 @@ std::vector<char> check_connectivity(const NodeGraph& graph, Report& report) {
 void check_dc_structure(Circuit& circuit, const NodeGraph& graph,
                         const std::vector<char>& already_attributed,
                         Report& report) {
-  const std::size_t n = static_cast<std::size_t>(circuit.unknown_count());
-  if (n == 0) return;
-
-  // Assemble the gmin-free DC stamp pattern into a private cache — the
-  // same entries Newton's first DC iteration would record, without
-  // touching the circuit's own solver cache. stamp() never mutates device
-  // state (only commit() does), so this is a pure read of the topology.
-  spice::AssemblyCache cache;
-  std::vector<double> v(n, 0.0);
-  std::vector<double> rhs(n, 0.0);
-  cache.begin(n);
-  spice::Stamper stamper(cache, rhs, circuit.node_unknowns());
-  const spice::StampContext ctx(0.0, 0.0, /*is_dc=*/true,
-                                circuit.node_unknowns(), &v, &v);
-  for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-  cache.finish();
-
-  const auto rank = linalg::structural_rank(cache.view());
-  if (rank.full_rank(n)) return;
-
-  // Attribute every structurally undetermined unknown (unmatched columns
-  // and uncoverable equations name the same defects; merge them).
-  std::vector<char> flagged(n, 0);
-  for (const std::size_t c : rank.unmatched_cols) flagged[c] = 1;
-  for (const std::size_t r : rank.unmatched_rows) flagged[r] = 1;
   const int n_node = circuit.node_unknowns();
-  for (std::size_t u = 0; u < n; ++u) {
-    if (!flagged[u]) continue;
+  for (const int u : spice::dc_undetermined_unknowns(circuit)) {
     Finding f;
     f.rule = "dc.structural-singular";
     f.severity = Severity::Error;
-    if (u < static_cast<std::size_t>(n_node)) {
+    if (u < n_node) {
       const NodeId node = static_cast<NodeId>(u + 1);
       if (static_cast<std::size_t>(node) < already_attributed.size() &&
           already_attributed[static_cast<std::size_t>(node)])
@@ -165,18 +137,9 @@ void check_dc_structure(Circuit& circuit, const NodeGraph& graph,
                   attached_names(graph, node, &f.devices) +
                   "): the MNA matrix is singular for every value assignment";
     } else {
-      const int b = static_cast<int>(u) - n_node;
-      const Device* owner = nullptr;
-      for (const auto& dev : circuit.devices()) {
-        if (dev->branch_count() > 0 && dev->first_branch() <= b &&
-            b < dev->first_branch() + dev->branch_count()) {
-          owner = dev.get();
-          break;
-        }
-      }
+      const Device* owner = spice::branch_owner(circuit, u - n_node);
       f.devices.push_back(owner ? owner->name() : "?");
-      f.message = "branch current of device '" +
-                  (owner ? owner->name() : std::string("?")) +
+      f.message = "branch current of device '" + f.devices.back() +
                   "' is structurally undetermined at DC";
     }
     f.hint =

@@ -30,13 +30,12 @@ namespace nemtcam::erc {
 // covered by a finding.
 std::vector<char> check_connectivity(const NodeGraph& graph, Report& report);
 
-// Structural-rank pass over the DC stamp pattern (gmin-free): assembles
-// the pattern the way Newton's first DC iteration would and runs the
-// Dulmage–Mendelsohn-style matching from linalg::structural_rank. Nodes
-// flagged in `already_attributed` are skipped — the connectivity pass
-// already named them. Needs a mutable circuit because devices stamp
-// through their non-const hook (state is not modified: only commit()
-// advances state).
+// Structural-rank pass over the DC stamp pattern (gmin-free): one finding
+// per unknown spice::dc_undetermined_unknowns flags (the Dulmage–
+// Mendelsohn-style matching from linalg::structural_rank). Nodes flagged
+// in `already_attributed` are skipped — the connectivity pass already
+// named them. Needs a mutable circuit because devices stamp through their
+// non-const hook (state is not modified: only commit() advances state).
 void check_dc_structure(spice::Circuit& circuit, const NodeGraph& graph,
                         const std::vector<char>& already_attributed,
                         Report& report);

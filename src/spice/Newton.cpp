@@ -100,7 +100,7 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
   return result;
 }
 
-std::string structural_singularity_report(Circuit& circuit) {
+std::vector<int> dc_undetermined_unknowns(Circuit& circuit) {
   const std::size_t n = static_cast<std::size_t>(circuit.unknown_count());
   if (n == 0) return {};
   // Assemble the gmin-free DC pattern into a private cache (the circuit's
@@ -116,32 +116,36 @@ std::string structural_singularity_report(Circuit& circuit) {
   for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
   cache.finish();
 
+  // Unmatched columns and uncoverable equations name the same defects;
+  // merge them.
   const auto rank = linalg::structural_rank(cache.view());
-  if (rank.full_rank(n)) return {};
-
   std::vector<char> flagged(n, 0);
   for (const std::size_t c : rank.unmatched_cols) flagged[c] = 1;
   for (const std::size_t r : rank.unmatched_rows) flagged[r] = 1;
+  std::vector<int> unknowns;
+  for (std::size_t u = 0; u < n; ++u)
+    if (flagged[u]) unknowns.push_back(static_cast<int>(u));
+  return unknowns;
+}
+
+const Device* branch_owner(const Circuit& circuit, int branch) {
+  for (const auto& dev : circuit.devices())
+    if (dev->branch_count() > 0 && dev->first_branch() <= branch &&
+        branch < dev->first_branch() + dev->branch_count())
+      return dev.get();
+  return nullptr;
+}
+
+std::string structural_singularity_report(Circuit& circuit) {
   const int n_node = circuit.node_unknowns();
   std::ostringstream out;
-  bool first = true;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (!flagged[u]) continue;
-    if (!first) out << "; ";
-    first = false;
-    if (u < static_cast<std::size_t>(n_node)) {
+  for (const int u : dc_undetermined_unknowns(circuit)) {
+    if (out.tellp() > 0) out << "; ";
+    if (u < n_node) {
       out << "node '" << circuit.node_name(static_cast<NodeId>(u + 1))
           << "' is structurally undetermined at DC";
     } else {
-      const int b = static_cast<int>(u) - n_node;
-      const Device* owner = nullptr;
-      for (const auto& dev : circuit.devices()) {
-        if (dev->branch_count() > 0 && dev->first_branch() <= b &&
-            b < dev->first_branch() + dev->branch_count()) {
-          owner = dev.get();
-          break;
-        }
-      }
+      const Device* owner = branch_owner(circuit, u - n_node);
       out << "branch current of device '" << (owner ? owner->name() : "?")
           << "' is structurally undetermined at DC";
     }

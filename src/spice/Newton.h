@@ -78,12 +78,22 @@ struct DcResult {
   std::string singular_detail;
 };
 
-// Names the structurally undetermined unknowns of the circuit's gmin-free
-// DC stamp pattern via the bipartite matching in linalg/StructuralRank.
-// Returns "" when the pattern has full structural rank. dc_operating_point
-// attaches this to failures so a floating sense node reads as
-// "node 'sense' is structurally undetermined" instead of a bare
-// singular-matrix throw; the full rule-level diagnosis lives in erc/.
+// The structurally undetermined unknowns of the circuit's gmin-free DC
+// stamp pattern, ascending: the unmatched rows and columns of the
+// bipartite matching in linalg/StructuralRank. Empty when the pattern has
+// full structural rank. The pattern is assembled into a private cache, so
+// the circuit's solver cache and device state are untouched.
+std::vector<int> dc_undetermined_unknowns(Circuit& circuit);
+
+// The device owning branch unknown `branch` (counted from the first
+// branch), or nullptr.
+const Device* branch_owner(const Circuit& circuit, int branch);
+
+// Names dc_undetermined_unknowns(circuit), "; "-joined; "" at full
+// structural rank. dc_operating_point attaches this to failures so a
+// floating sense node reads as "node 'sense' is structurally undetermined"
+// instead of a bare singular-matrix throw; the ERC's dc.structural-singular
+// rule (erc/Rules.h) reports the same unknowns as findings.
 std::string structural_singularity_report(Circuit& circuit);
 
 // DC operating point from a zero (or IC-seeded) initial guess.

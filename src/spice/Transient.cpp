@@ -1,9 +1,7 @@
 #include "spice/Transient.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 
 #include "util/Expect.h"
@@ -13,17 +11,10 @@ namespace nemtcam::spice {
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  const double v = std::atof(s);
-  return v > 0.0 ? v : fallback;
-}
-
-std::atomic<double> g_reltol{env_double("NEMTCAM_RELTOL", 3e-3)};
-std::atomic<double> g_abstol_v{env_double("NEMTCAM_ABSTOL", 1e-4)};
-
-// LTE tolerance on branch-current unknowns (amps).
+// LTE tolerances: relative, on node voltages (volts), and on branch-
+// current unknowns (amps).
+constexpr double kReltol = 3e-3;
+constexpr double kAbstolV = 1e-4;
 constexpr double kAbstolI = 1e-9;
 // SPICE's TRTOL: the Milne estimate is conservative for smooth solutions,
 // so the raw per-unknown bound is relaxed by this factor.
@@ -121,15 +112,14 @@ double milne_factor(Integrator integ, int pred_order, double h, double h1,
 // Worst per-unknown ratio of estimated LTE to its tolerance; ≤ 1 accepts.
 double error_ratio(const std::vector<double>& v_new,
                    const std::vector<double>& v_old,
-                   const std::vector<double>& pred, double milne, int n_node,
-                   const TransientOptions& o) {
+                   const std::vector<double>& pred, double milne, int n_node) {
   double worst = 0.0;
   for (std::size_t k = 0; k < v_new.size(); ++k) {
     const double abstol =
-        k < static_cast<std::size_t>(n_node) ? o.abstol_v : kAbstolI;
+        k < static_cast<std::size_t>(n_node) ? kAbstolV : kAbstolI;
     const double tol =
         kLteFactor *
-        (abstol + o.reltol * std::max(std::fabs(v_new[k]), std::fabs(v_old[k])));
+        (abstol + kReltol * std::max(std::fabs(v_new[k]), std::fabs(v_old[k])));
     const double err = milne * std::fabs(v_new[k] - pred[k]);
     worst = std::max(worst, err / tol);
   }
@@ -147,14 +137,6 @@ double pi_growth(double r, double r_prev, int order) {
 }
 
 }  // namespace
-
-double default_lte_reltol() { return g_reltol.load(); }
-double default_lte_abstol_v() { return g_abstol_v.load(); }
-void set_default_lte_tolerances(double reltol, double abstol_v) {
-  NEMTCAM_EXPECT(reltol > 0.0 && abstol_v > 0.0);
-  g_reltol.store(reltol);
-  g_abstol_v.store(abstol_v);
-}
 
 TransientOptions step_defaults(double t_end, double dt_max) {
   TransientOptions opts;
@@ -266,7 +248,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   // Mutable Newton options: a residual gmin accepted by the recovery
   // ladder (a genuinely floating node) is folded in here so every later
   // step holds the node without re-running the ladder.
-  NewtonOptions newton = opts.newton;
+  NewtonOptions newton;
   double sticky_gmin = 0.0;
 
   // Per-device previous power sample for trapezoidal energy integration.
@@ -426,14 +408,14 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
           SolverDiagnostics diag;
           const NewtonResult rr = solve_newton_recovering(
               circuit, t + dt, dt, /*is_dc=*/false, v, v_prev, newton,
-              opts.recovery, &diag, step_integrator);
+              RecoveryOptions{}, &diag, step_integrator);
           result.newton_iterations += static_cast<std::size_t>(rr.iterations);
           result.diagnostics = std::move(diag);
           if (rr.converged) {
             if (result.diagnostics.residual_gmin > 0.0) {
               sticky_gmin =
                   std::max(sticky_gmin, result.diagnostics.residual_gmin);
-              newton.gmin = std::max(opts.newton.gmin, sticky_gmin);
+              newton.gmin = sticky_gmin;
               result.residual_gmin = sticky_gmin;
             }
             ++result.steps_recovered;
@@ -464,7 +446,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
         const double milne = milne_factor(step_integrator,
                                           std::min(corr_order, hist.points() - 1),
                                           dt, hist.h1(), hist.h2());
-        r = error_ratio(v, v_prev, v_pred, milne, n_node, opts);
+        r = error_ratio(v, v_prev, v_pred, milne, n_node);
         have_estimate = true;
         if (r > 1.0 && dt > opts.dt_min * (1.0 + 1e-12)) {
           ++result.steps_rejected;

@@ -6,6 +6,13 @@
 // The engine starts from the circuit's initial conditions (SPICE "UIC"
 // style) — the TCAM experiments always begin from a known stored state —
 // or from a caller-provided state vector (e.g. a DC operating point).
+//
+// Every step solves with default NewtonOptions. When dt backoff cannot
+// rescue a step — immediately on a singular system (dt cannot un-float a
+// node), otherwise once the per-step backoff budget or dt_min is hit — the
+// recovery ladder (spice/Recovery.h) engages at default RecoveryOptions. A
+// residual gmin the ladder accepts is sticky for the rest of the run, so
+// later steps don't re-pay the ladder for the same floating node.
 #pragma once
 
 #include <map>
@@ -29,17 +36,11 @@ namespace nemtcam::spice {
 //    against (tests/step_control_test.cpp).
 //  - Lte: estimate the local truncation error each step from a divided-
 //    difference predictor (Milne-style BE/trap estimate), accept/reject
-//    against reltol/abstol, and drive dt with a PI controller. dt_max can
-//    be ns-scale; the tolerances are the accuracy knob. Every TCAM fixture
-//    runs this way (step_defaults below).
+//    against fixed tolerances (reltol 3e-3, abstol 0.1 mV on node
+//    voltages, 1 nA on branch currents), and drive dt with a PI
+//    controller. dt_max can be ns-scale; the tolerances set the accuracy.
+//    Every TCAM fixture runs this way (step_defaults below).
 enum class StepControl { FixedGrowth, Lte };
-
-// Process-wide LTE tolerances consumed by TransientOptions: reltol 3e-3 and
-// abstol 0.1 mV unless NEMTCAM_RELTOL / NEMTCAM_ABSTOL say otherwise; the
-// setter serves the CLI overrides (--reltol/--abstol).
-double default_lte_reltol();
-double default_lte_abstol_v();
-void set_default_lte_tolerances(double reltol, double abstol_v);
 
 struct TransientOptions {
   double t_end = 0.0;           // required
@@ -47,15 +48,7 @@ struct TransientOptions {
   double dt_min = 1e-16;
   double dt_max = 1e-10;
   double dt_grow = 1.4;         // FixedGrowth: growth factor after an easy step
-  NewtonOptions newton;
   Integrator integrator = Integrator::BackwardEuler;
-  // Convergence-recovery ladder engaged when a step's Newton solve cannot
-  // be rescued by dt backoff alone: immediately on a singular system (dt
-  // cannot un-float a node), otherwise once the per-step backoff budget
-  // (kRetryBudget) or dt_min is hit. A residual gmin accepted by the
-  // ladder is sticky for the rest of the run so later steps don't re-pay
-  // the ladder for the same floating node.
-  RecoveryOptions recovery;
 
   // --- LTE step control (used when step_control == StepControl::Lte) ---
   // Each step warm-starts Newton from a divided-difference predictor,
@@ -63,14 +56,10 @@ struct TransientOptions {
   // crossings (Device::event_function sign changes) are located by
   // bisecting dt to within 1 ps and landed just past. Growth per accepted
   // step is capped at 10× (the predictor has no information beyond 3
-  // points).
+  // points). Per-unknown error tolerance: |lte_k| ≤ 3.5·(abstol +
+  // reltol·|v_k|) at the fixed tolerances above; the 3.5 is SPICE's TRTOL
+  // (the Milne estimate is conservative for smooth solutions).
   StepControl step_control = StepControl::FixedGrowth;
-  // Per-unknown error tolerance: |lte_k| ≤ 3.5·(abstol + reltol·|v_k|),
-  // with abstol_v for node voltages and 1 nA for branch currents. The 3.5
-  // is SPICE's TRTOL: the Milne estimate is conservative for smooth
-  // solutions, so the raw bound is relaxed by that factor.
-  double reltol = default_lte_reltol();
-  double abstol_v = default_lte_abstol_v();   // volts
 
   bool record = true;           // keep full waveforms (needed for measures)
   // Selective recording: when non-empty (and record is true), only the

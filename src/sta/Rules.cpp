@@ -8,6 +8,12 @@ namespace nemtcam::sta {
 
 namespace {
 
+// Guard band the nominal ML level must clear around the sense threshold
+// at the strobe.
+constexpr double kSenseMarginMin = 0.05;  // V
+// Required ratio of retention bound to refresh period.
+constexpr double kRefreshSafety = 2.0;
+
 std::string volts(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3g V", v);
@@ -37,13 +43,13 @@ erc::Checker::CustomRule margin_rules(std::vector<std::string> ml_probes,
       // The nominal strobe level must clear the comparator threshold by
       // the guard band on whichever side it lands — a level inside the
       // band means the sense amp is deciding a coin flip.
-      if (std::abs(ml.sense_margin) < opt.sense_margin_min) {
+      if (std::abs(ml.sense_margin) < kSenseMarginMin) {
         erc::Finding f;
         f.rule = "sta.sense-margin";
         f.severity = erc::Severity::Warning;
         f.message = "matchline '" + ml.node + "' sits at " +
                     volts(ml.v_strobe_nom) + " at the sense strobe, within " +
-                    volts(opt.sense_margin_min) + " of the " +
+                    volts(kSenseMarginMin) + " of the " +
                     volts(opt.v_sense) + " threshold (precharge reaches " +
                     volts(ml.v0) + ")";
         f.nodes = {ml.node};
@@ -74,7 +80,7 @@ erc::Checker::CustomRule margin_rules(std::vector<std::string> ml_probes,
 
     if (opt.refresh_period > 0.0) {
       for (const auto& r : sta.retention) {
-        if (r.t_retention >= opt.refresh_safety * opt.refresh_period) continue;
+        if (r.t_retention >= kRefreshSafety * opt.refresh_period) continue;
         erc::Finding f;
         f.rule = "sta.refresh-window";
         f.severity = erc::Severity::Error;
@@ -82,7 +88,7 @@ erc::Checker::CustomRule margin_rules(std::vector<std::string> ml_probes,
                     ") retains for " + seconds(r.t_retention) +
                     " but the refresh period is " +
                     seconds(opt.refresh_period) + " (x" +
-                    std::to_string(opt.refresh_safety).substr(0, 4) +
+                    std::to_string(kRefreshSafety).substr(0, 4) +
                     " safety): stored state decays below its hold level "
                     "before the next one-shot refresh";
         f.nodes = {r.node};

@@ -3,16 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace nemtcam::sta {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool env_default_enabled() { return std::getenv("NEMTCAM_NO_STA") == nullptr; }
-bool g_enabled = env_default_enabled();
+// Driver edge ramp (the PWL sources step over a finite rise); the
+// discharge clock starts at the edge *onset*, so the ramp rides into the
+// upper bound only.
+constexpr double kEdgeRise = 20e-12;  // s
+// Energy-band half-width factor around the CV² estimate.
+constexpr double kEnergyBand = 3.0;
+// Settle criterion for driven lines: ln(1/ε) with ε = 10 % residue.
+constexpr double kSettleLn = 2.302585092994046;
 
 // Engineering-notation formatter for the human-readable report.
 std::string eng(double v, const char* unit) {
@@ -49,9 +53,6 @@ double cross_time(double v0, double v_inf, double v_x, double tau) {
   return tau * std::log(num / den);
 }
 }  // namespace
-
-bool default_enabled() { return g_enabled; }
-void set_default_enabled(bool on) { g_enabled = on; }
 
 StaOptions calibrated(const StaOptions& base, double t_nom, double t_measured,
                       double band) {
@@ -95,12 +96,12 @@ StaReport analyze(spice::Circuit& circuit,
     lr.c_total = el.c_total;
     lr.m1 = el.m1;
     lr.m2 = el.m2;
-    lr.t_settle_hi = opt.settle_ln * el.m1;
+    lr.t_settle_hi = kSettleLn * el.m1;
     lr.n_nodes = el.n_nodes;
     rep.lines.push_back(std::move(lr));
     if (pin.v_final != pin.v_init)
       rep.t_sl_settle_max =
-          std::max(rep.t_sl_settle_max, opt.settle_ln * el.m1);
+          std::max(rep.t_sl_settle_max, kSettleLn * el.m1);
   }
 
   // --- Per-matchline timing. ---
@@ -178,7 +179,7 @@ StaReport analyze(spice::Circuit& circuit,
       // leak-droop upper bound.
       ml.t_cross_lo = 0.0;
       ml.t_cross_hi = std::isfinite(t_droop)
-                          ? opt.t_edge_rise + rep.t_sl_settle_max +
+                          ? kEdgeRise + rep.t_sl_settle_max +
                                 opt.k_hi * t_droop
                           : kInf;
     } else {
@@ -192,7 +193,7 @@ StaReport analyze(spice::Circuit& circuit,
       ml.t_cross_nom = t_nom;
       ml.t_cross_lo = opt.k_lo * t_fast;
       ml.t_cross_hi = std::isfinite(t_nom)
-                          ? opt.t_edge_rise + rep.t_sl_settle_max +
+                          ? kEdgeRise + rep.t_sl_settle_max +
                                 opt.k_hi * t_nom
                           : kInf;
       ml.discharges = std::isfinite(t_nom);
@@ -258,7 +259,7 @@ StaReport analyze(spice::Circuit& circuit,
   rep.p_static = p_static;
   rep.e_search_lo = 0.5 * e_cv2;
   rep.e_search_nom = e_cv2 + p_static * opt.t_window;
-  rep.e_search_hi = opt.k_e * rep.e_search_nom;
+  rep.e_search_hi = kEnergyBand * rep.e_search_nom;
 
   return rep;
 }

@@ -19,11 +19,15 @@
 //
 // Bounds contract (validated by bench_sta across all seven row kinds and
 // a 64×64 array): t_lo = k_lo·t_nom ≤ measured transient crossing ≤
-// t_hi = t_sl_settle + k_hi·t_nom. The defaults are deliberately wide —
-// the macro-model ignores bias-dependent channel current and distributed
-// wire RC; calibrated() tightens the band from one transient spot-check,
-// which is the serving-layer use: calibrate once per row kind, then
-// evaluate delay/energy at full speed.
+// t_hi = t_edge_rise + t_sl_settle + k_hi·t_nom. The defaults are
+// deliberately wide — the macro-model ignores bias-dependent channel
+// current and distributed wire RC; calibrated() tightens the band from one
+// transient spot-check, which is the serving-layer use: calibrate once per
+// row kind, then evaluate delay/energy at full speed.
+//
+// Every template search runs this pass: its margin rules (Rules.h) join
+// the ERC gate on each build, and its summary rides on every search's
+// metrics (tcam/ArrayTemplate.h). There is no switch to turn it off.
 #pragma once
 
 #include <string>
@@ -33,36 +37,19 @@
 
 namespace nemtcam::sta {
 
-// Process-wide default for "attach STA margin rules / fill STA metrics"
-// in the harnesses. Starts true; set NEMTCAM_NO_STA in the environment to
-// start false (mirrors erc::default_enforce).
-bool default_enabled();
-void set_default_enabled(bool on);
-
 struct StaOptions {
   double vdd = 1.0;          // rail (V)
   double v_sense = 0.5;      // ML comparator threshold (V)
   double t_precharge = 0.5e-9;  // precharge phase length (s)
   double t_strobe = 1.0e-9;  // SL edge → sense strobe (s)
   double t_window = 2.5e-9;  // evaluation window after the edge (s)
-  // Driver edge ramp (the PWL sources step over a finite rise); the
-  // discharge clock starts at the edge *onset*, so the ramp rides into
-  // the upper bound only.
-  double t_edge_rise = 20e-12;  // s
-  // Delay-band calibration factors: t_lo = k_lo·t_nom, t_hi adds the SL
-  // settle bound and scales by k_hi.
+  // Delay-band calibration factors: t_lo = k_lo·t_nom, t_hi adds the edge
+  // ramp and the SL settle bound and scales by k_hi.
   double k_lo = 0.2;
   double k_hi = 4.0;
-  // Energy-band half-width factor around the CV² estimate.
-  double k_e = 3.0;
-  // Settle criterion for driven lines: ln(1/ε) with ε = 10 % residue.
-  double settle_ln = 2.302585092994046;
-  // Rule thresholds (see Rules.h). sense_margin_min is the guard band the
-  // nominal ML level must clear at the strobe; refresh_period < 0
-  // disables the sta.refresh-window inequality.
-  double sense_margin_min = 0.05;  // V
-  double refresh_period = -1.0;    // s
-  double refresh_safety = 2.0;     // required t_retention / period ratio
+  // Refresh period the sta.refresh-window rule (Rules.h) holds retention
+  // against; < 0 disables that inequality.
+  double refresh_period = -1.0;  // s
 };
 
 // Tightened copy of `base` after one transient spot-check: the measured/
@@ -96,7 +83,7 @@ struct LineReport {
   double c_total = 0.0;
   double m1 = 0.0;      // worst-sink Elmore first moment (s)
   double m2 = 0.0;      // second moment (s²)
-  double t_settle_hi = 0.0;  // settle_ln·m1 90 % settle bound (s)
+  double t_settle_hi = 0.0;  // ln(10)·m1 90 % settle bound (s)
   int n_nodes = 0;
 };
 

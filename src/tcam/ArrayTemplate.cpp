@@ -143,13 +143,11 @@ const erc::Report& ArrayFixture::check() {
 }
 
 spice::TransientResult ArrayFixture::run() {
-  if (erc::default_enforce()) {
-    const erc::Report& rep = check();
-    if (rep.has_errors()) {
-      spice::TransientResult r;
-      r.failure = "ERC failed before simulation\n" + rep.to_string();
-      return r;
-    }
+  const erc::Report& rep = check();
+  if (rep.has_errors()) {
+    spice::TransientResult r;
+    r.failure = "ERC failed before simulation\n" + rep.to_string();
+    return r;
   }
   spice::TransientOptions opts = spice::step_defaults(t_end_);
   opts.probe_nodes = ml_;  // metrics only read the matchlines
@@ -203,43 +201,41 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
     rr.latency = cross.has_value() ? (*cross - t_edge_) : 0.0;
     if (rr.matched) ++m.match_count;
   }
-  if (sta::default_enabled()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const sta::StaReport rep = sta::analyze(
-        circuit_, ml_names_, sta_options_for(cal_, strobe_delay));
-    // Aggregate: timing band spans the rows STA predicts to discharge
-    // (margin < 0) — matched rows only leak, their multi-ms "times" would
-    // swamp the band. Margin comes from the row closest to the threshold.
-    StaSummary agg;
-    bool have_margin = false, have_band = false;
-    for (int r = 0; r < rows_; ++r) {
-      StaSummary& s = m.rows[static_cast<std::size_t>(r)].sta;
-      s = sta_summary_from(rep, ml_names_[static_cast<std::size_t>(r)]);
-      if (!s.valid) continue;
-      if (!agg.valid) agg = s;  // energy band / SL settle / retention are global
-      if (!have_margin || std::abs(s.margin) < std::abs(agg.margin)) {
-        agg.margin = s.margin;
-        agg.v_strobe = s.v_strobe;
-        have_margin = true;
-      }
-      if (s.margin < 0.0 && std::isfinite(s.t_nom) && s.t_nom > 0.0) {
-        if (!have_band) {
-          agg.t_lo = s.t_lo;
-          agg.t_nom = s.t_nom;
-          agg.t_hi = s.t_hi;
-          have_band = true;
-        } else {
-          agg.t_lo = std::min(agg.t_lo, s.t_lo);
-          agg.t_nom = std::max(agg.t_nom, s.t_nom);
-          agg.t_hi = std::max(agg.t_hi, s.t_hi);
-        }
+  const auto t0 = std::chrono::steady_clock::now();
+  const sta::StaReport rep = sta::analyze(
+      circuit_, ml_names_, sta_options_for(cal_, strobe_delay));
+  // Aggregate: timing band spans the rows STA predicts to discharge
+  // (margin < 0) — matched rows only leak, their multi-ms "times" would
+  // swamp the band. Margin comes from the row closest to the threshold.
+  StaSummary agg;
+  bool have_margin = false, have_band = false;
+  for (int r = 0; r < rows_; ++r) {
+    StaSummary& s = m.rows[static_cast<std::size_t>(r)].sta;
+    s = sta_summary_from(rep, ml_names_[static_cast<std::size_t>(r)]);
+    if (!s.valid) continue;
+    if (!agg.valid) agg = s;  // energy band / SL settle / retention are global
+    if (!have_margin || std::abs(s.margin) < std::abs(agg.margin)) {
+      agg.margin = s.margin;
+      agg.v_strobe = s.v_strobe;
+      have_margin = true;
+    }
+    if (s.margin < 0.0 && std::isfinite(s.t_nom) && s.t_nom > 0.0) {
+      if (!have_band) {
+        agg.t_lo = s.t_lo;
+        agg.t_nom = s.t_nom;
+        agg.t_hi = s.t_hi;
+        have_band = true;
+      } else {
+        agg.t_lo = std::min(agg.t_lo, s.t_lo);
+        agg.t_nom = std::max(agg.t_nom, s.t_nom);
+        agg.t_hi = std::max(agg.t_hi, s.t_hi);
       }
     }
-    agg.analysis_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    m.sta = agg;
   }
+  agg.analysis_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  m.sta = agg;
   m.ok = true;
   return m;
 }
@@ -297,9 +293,8 @@ void ArrayTemplate::build(const core::TernaryWord& key) {
   // One STA margin-rule pass covers every matchline: the rules run over
   // the array as bound for the first search after the (re)build, at the
   // width-scaled nominal strobe.
-  if (sta::default_enabled())
-    fx_->checker().add_rule(sta::margin_rules(
-        fx_->ml_names(), sta_options_for(spec_.cal, default_strobe())));
+  fx_->checker().add_rule(sta::margin_rules(
+      fx_->ml_names(), sta_options_for(spec_.cal, default_strobe())));
   built_key_ = key;
   built_stored_ = stored_;
   ++builds_;

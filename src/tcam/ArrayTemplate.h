@@ -128,9 +128,8 @@ class ArrayFixture {
   // Runs the ERC pass over the assembled circuit once and caches it.
   const erc::Report& check();
 
-  // ERC gate (under erc::default_enforce(): errors → no transient, the
-  // report as the failure text) + transient over the search timeline,
-  // probing every matchline.
+  // ERC gate (errors → no transient, the cached report as the failure
+  // text) + transient over the search timeline, probing every matchline.
   spice::TransientResult run();
 
   // Re-aims all 2M searchline drivers at a new key (waveform rebind; no
@@ -139,9 +138,9 @@ class ArrayFixture {
 
   // Interprets the run. Row r matched when its ML is still above the
   // sense level at the strobe (t_edge + strobe_delay); its latency is the
-  // SL-edge → ML-crossing time when the ML crossed. When
-  // sta::default_enabled(), also attaches the closed-form STA bounds from
-  // a fresh static pass over the bound circuit.
+  // SL-edge → ML-crossing time when the ML crossed. Every finished run
+  // also gets the closed-form STA bounds from a fresh static pass over the
+  // bound circuit.
   ArraySearchMetrics metrics(const spice::TransientResult& result,
                              double strobe_delay);
 

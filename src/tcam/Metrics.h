@@ -14,9 +14,9 @@ struct WriteMetrics {
   std::size_t stamp_pattern_builds = 0;  // of the write circuit; replay ⇒ unchanged
 };
 
-// Closed-form bounds from the sta:: engine, attached to transaction
-// metrics when static analysis is enabled (sta::default_enabled()). The
-// contract the STA bench enforces: t_lo ≤ measured mismatch latency ≤
+// Closed-form bounds from the sta:: engine, attached to the metrics of
+// every search whose transient finished. The contract the STA bench
+// enforces: t_lo ≤ measured mismatch latency ≤
 // t_hi, e_lo ≤ measured search energy ≤ e_hi. All zeros when invalid.
 struct StaSummary {
   bool valid = false;
@@ -53,7 +53,7 @@ struct SearchMetrics {
   // contract (see hier/Elaborate.h).
   std::size_t stamp_pattern_builds = 0;
   // Static timing/energy bounds for this transaction's circuit (empty
-  // when sta::default_enabled() is off).
+  // when the search stopped at the ERC gate or its transient failed).
   StaSummary sta;
   std::string note;
 

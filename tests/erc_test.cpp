@@ -4,7 +4,8 @@
 // checker reports exactly the expected finding — right rule id, severity,
 // and offending node/device names — before any Newton iteration runs.
 // The clean-fixture cases run every TCAM row type through its real search
-// path and assert the pre-simulation ERC pass comes back empty.
+// path and assert the pre-simulation ERC pass comes back empty; the gate
+// case asserts an ERC error stops a search before its transient.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -328,6 +329,26 @@ TEST_P(AllRowKinds, SearchFixturePassesErcClean) {
   ASSERT_TRUE(m.ok) << m.note;
   EXPECT_EQ(m.erc_errors, 0u);
   EXPECT_EQ(m.erc_warnings, 0u);
+}
+
+// The ERC gate runs on every template search: a refresh level below V_PO
+// (tcam.refresh-window, an error) stops the search that builds the
+// template and a rebound replay of it before any Newton iteration.
+TEST(ErcGate, ErrorStopsTemplateSearchBeforeTransient) {
+  tcam::Calibration cal = tcam::Calibration::standard();
+  cal.v_refresh = 0.05;  // below V_PO: a refresh would drop every relay out
+  auto row = tcam::make_row(tcam::TcamKind::Nem3T2N, 8, 16, cal);
+  row->store(TernaryWord("10X10X10"));
+  for (const char* key : {"10110010", "00110010"}) {
+    SCOPED_TRACE(key);
+    const tcam::SearchMetrics m = row->search(TernaryWord(key));
+    EXPECT_FALSE(m.ok);
+    EXPECT_GT(m.erc_errors, 0u);
+    EXPECT_EQ(m.steps, 0u);
+    EXPECT_EQ(m.newton_iters, 0u);
+    EXPECT_NE(m.note.find("tcam.refresh-window"), std::string::npos)
+        << m.note;
+  }
 }
 
 }  // namespace

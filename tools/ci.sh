@@ -20,7 +20,11 @@
 #      starts no thread; it checks that the solver runs clean under the
 #      TSan instrumentation
 #   4. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
-#      clang-tidy when installed (the CMake option degrades gracefully)
+#      clang-tidy when installed (the CMake option degrades gracefully);
+#      first, no file under src/ but src/util/ThreadPool.cpp (which reads
+#      NEMTCAM_THREADS) may call getenv — the simulator has one
+#      configuration, with no process-wide switch (plain grep, so the
+#      check needs no .git directory)
 #   5. static ERC + STA margin rules over the shipped example decks
 #      (including the hierarchical .subckt deck) via
 #      nemtcam_lint --sta --werror
@@ -68,7 +72,15 @@ cmake --build --preset tsan -j
 ctest --preset threads-tsan -j
 ctest --preset solver-tsan -j
 
-echo "==== [4/7] lint build (-Werror, clang-tidy if installed) ===="
+echo "==== [4/7] no getenv outside the thread pool + lint build" \
+     "(-Werror, clang-tidy if installed) ===="
+getenv_calls=$(grep -rn getenv src | grep -v '^src/util/ThreadPool\.cpp:' ||
+               true)
+if [ -n "$getenv_calls" ]; then
+  echo "getenv outside src/util/ThreadPool.cpp (no process-wide switches):" >&2
+  printf '%s\n' "$getenv_calls" >&2
+  exit 1
+fi
 cmake --preset lint
 cmake --build --preset lint -j
 
@@ -102,8 +114,8 @@ same_at_1_and_4_threads bench_ablation_relay_variation A5 \
   '^Ablation A5' '^The 30 mV gap'
 
 echo "==== [7/7] perfbench smoke (all four workloads) ===="
-# perfbench_driver times only the default program: it exits 3 when a
-# NEMTCAM_* switch is set, so this last stage clears them.
+# perfbench_driver exits 3 when one of the NEMTCAM_* variables it lists
+# is set (no code reads them any more), so this last stage clears them.
 for v in $(env | sed -n 's/^\(NEMTCAM_[A-Z0-9_]*\)=.*/\1/p'); do unset "$v"; done
 for w in row_search row_update array_search lifetime; do
   result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 |

@@ -1,7 +1,6 @@
 // nemtcam_sim — command-line circuit simulator over the nemtcam engine.
 //
 //   nemtcam_sim deck.sp [deck2.sp ...] [--points N] [--threads N]
-//               [--reltol X] [--abstol X] [--no-erc]
 //
 // Parses SPICE-style netlists (see spice/Netlist.h for the supported
 // subset), runs the requested analysis (.op or .tran), and prints the
@@ -10,13 +9,14 @@
 // simulated concurrently (--threads, default NEMTCAM_THREADS or the core
 // count); reports still print in argument order.
 //
-// Transients run under LTE-controlled adaptive stepping, the step capped
-// at the larger of the deck's .tran dt_max and t_end/50. --reltol/--abstol
-// set the accuracy target.
+// Transients run under LTE-controlled adaptive stepping at the engine's
+// fixed tolerances, the step capped at the larger of the deck's .tran
+// dt_max and t_end/50.
 //
 // Every deck is ERC-checked before any solve (see src/erc/): errors abort
 // the deck with the structured findings report, warnings print and the
-// simulation proceeds. --no-erc (or NEMTCAM_NO_ERC) skips the pass.
+// simulation proceeds. nemtcam_lint prints the same findings without
+// simulating.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -40,8 +40,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: nemtcam_sim <deck.sp> [more decks...]"
-               " [--points N] [--threads N]"
-               " [--reltol X] [--abstol X] [--no-erc]\n");
+               " [--points N] [--threads N]\n");
   return 2;
 }
 
@@ -80,15 +79,13 @@ DeckReport simulate_deck(const std::string& path, int points) {
 
   // Static checks before any Newton iteration: a malformed deck aborts
   // with named findings instead of a singular-matrix failure mid-solve.
-  if (erc::default_enforce()) {
-    const erc::Report report = erc::Checker().run(ckt);
-    if (report.has_errors()) {
-      rep.text = "nemtcam_sim: ERC failed for '" + path + "' (" +
-                 report.summary() + ")\n" + report.to_string();
-      return rep;
-    }
-    if (!report.empty()) out << report.to_string();
+  const erc::Report report = erc::Checker().run(ckt);
+  if (report.has_errors()) {
+    rep.text = "nemtcam_sim: ERC failed for '" + path + "' (" +
+               report.summary() + ")\n" + report.to_string();
+    return rep;
   }
+  if (!report.empty()) out << report.to_string();
 
   if (deck.analysis.kind == ParsedAnalysis::Kind::Op ||
       deck.analysis.kind == ParsedAnalysis::Kind::None) {
@@ -174,16 +171,6 @@ int main(int argc, char** argv) {
       const int n = std::atoi(argv[++i]);
       if (n < 1) return usage();
       threads = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--reltol") == 0 && i + 1 < argc) {
-      const double x = std::atof(argv[++i]);
-      if (x <= 0.0) return usage();
-      set_default_lte_tolerances(x, default_lte_abstol_v());
-    } else if (std::strcmp(argv[i], "--abstol") == 0 && i + 1 < argc) {
-      const double x = std::atof(argv[++i]);
-      if (x <= 0.0) return usage();
-      set_default_lte_tolerances(default_lte_reltol(), x);
-    } else if (std::strcmp(argv[i], "--no-erc") == 0) {
-      erc::set_default_enforce(false);
     } else if (argv[i][0] != '-') {
       paths.emplace_back(argv[i]);
     } else {
