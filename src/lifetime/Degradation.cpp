@@ -16,8 +16,7 @@ double Degradation::window_loss_wear(double v_pi0, double v_refresh) const {
   return w > 0.0 ? w : 0.0;
 }
 
-void Degradation::apply_to_circuit(spice::Circuit& circuit,
-                                   core::TcamTech tech, double w,
+void Degradation::apply_to_circuit(spice::Circuit& circuit, double w,
                                    double w_prev) const {
   const double dw = w - w_prev;
   for (const auto& dev : circuit.devices()) {
@@ -45,7 +44,6 @@ void Degradation::apply_to_circuit(spice::Circuit& circuit,
                                fefet->params().vth_high - half);
     }
   }
-  (void)tech;  // laws select by device type; tech kept for future asymmetry
 }
 
 }  // namespace nemtcam::lifetime

@@ -21,7 +21,6 @@
 // measured delay/energy override the analytic fallbacks.
 #pragma once
 
-#include "core/EnergyModel.h"
 #include "spice/Circuit.h"
 
 namespace nemtcam::lifetime {
@@ -62,8 +61,6 @@ class Degradation {
  public:
   explicit Degradation(AgingConfig cfg = {}) : cfg_(cfg) {}
 
-  const AgingConfig& config() const noexcept { return cfg_; }
-
   // Fraction of rated retention an array whose worst live cell sits at
   // wear w can still guarantee.
   double retention_scale(double w) const {
@@ -90,8 +87,8 @@ class Degradation {
   // the increment — so repeated calls with increasing wear are exact, and
   // a freshly (re)built circuit starts from w_prev = 0. Mutates stamp
   // values only: safe between template replays.
-  void apply_to_circuit(spice::Circuit& circuit, core::TcamTech tech,
-                        double w, double w_prev) const;
+  void apply_to_circuit(spice::Circuit& circuit, double w,
+                        double w_prev) const;
 
  private:
   AgingConfig cfg_;

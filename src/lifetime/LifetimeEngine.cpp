@@ -132,9 +132,7 @@ LifetimeEngine::LifetimeEngine(LifetimeConfig cfg)
 
   // Refresh-window loss exists only where one-shot refresh exists.
   window_loss_wear_ = kInf;
-  if (cfg_.tech == core::TcamTech::Nem3T2N &&
-      cfg_.refresh_policy != arch::RefreshPolicy::None &&
-      costs_.needs_refresh()) {
+  if (cfg_.tech == core::TcamTech::Nem3T2N && costs_.needs_refresh()) {
     window_loss_wear_ = degradation_.window_loss_wear(
         devices::NemRelayParams{}.v_pi, tcam::Calibration::standard().v_refresh);
   }
@@ -170,7 +168,6 @@ double LifetimeEngine::cell_rate(int physical) const {
   double rate = write_rate_[static_cast<std::size_t>(l)] *
                 cfg_.traffic.flip_fraction;
   if (state_[static_cast<std::size_t>(physical)].window_lost &&
-      cfg_.refresh_policy != arch::RefreshPolicy::None &&
       costs_.needs_refresh()) {
     // Past window loss every one-shot refresh actuates this row's beams:
     // refresh itself now consumes endurance, at one cycle per period.
@@ -220,40 +217,26 @@ void LifetimeEngine::deposit_wear(double dt) {
 
 void LifetimeEngine::refresh_accrue(double t0, double t1,
                                     LifetimeResult& out) {
-  if (cfg_.refresh_policy == arch::RefreshPolicy::None ||
-      !costs_.needs_refresh())
-    return;
+  if (!costs_.needs_refresh()) return;
   const double period = refresh_period();
   const double weak_period = period * cfg_.weak_retention_scale;
   int n_live = 0;
   for (int p = 0; p < cfg_.rows; ++p)
     if (tcam_.logical_at(p) >= 0) ++n_live;
 
-  if (cfg_.refresh_policy == arch::RefreshPolicy::OneShot) {
-    const double ops = ops_in(1.0 / period, t0, t1);
-    // Rows with no live data (retired, unused spares) are skipped by the
-    // one-shot op — same energy share the RefreshController models.
-    const double energy_per_op =
-        costs_.refresh_energy() * static_cast<double>(n_live) / cfg_.rows;
-    out.refresh_ops += ops;
-    out.refresh_energy += ops * energy_per_op;
-    for (int p = 0; p < cfg_.rows; ++p) {
-      const RowState& st = state_[static_cast<std::size_t>(p)];
-      if (tcam_.logical_at(p) < 0 || !st.weak) continue;
-      const double wops = ops_in(1.0 / weak_period, t0, t1);
-      out.weak_refresh_ops += wops;
-      out.refresh_energy += wops * costs_.write_energy();
-    }
-  } else {  // RowByRow
-    for (int p = 0; p < cfg_.rows; ++p) {
-      const RowState& st = state_[static_cast<std::size_t>(p)];
-      if (tcam_.logical_at(p) < 0) continue;
-      const double row_period = st.weak ? weak_period : period;
-      const double ops = ops_in(1.0 / row_period, t0, t1);
-      out.refresh_ops += ops;
-      if (st.weak) out.weak_refresh_ops += ops;
-      out.refresh_energy += ops * costs_.write_energy();
-    }
+  const double ops = ops_in(1.0 / period, t0, t1);
+  // Rows with no live data (retired, unused spares) are skipped by the
+  // one-shot op — same energy share the RefreshController models.
+  const double energy_per_op =
+      costs_.refresh_energy() * static_cast<double>(n_live) / cfg_.rows;
+  out.refresh_ops += ops;
+  out.refresh_energy += ops * energy_per_op;
+  for (int p = 0; p < cfg_.rows; ++p) {
+    const RowState& st = state_[static_cast<std::size_t>(p)];
+    if (tcam_.logical_at(p) < 0 || !st.weak) continue;
+    const double wops = ops_in(1.0 / weak_period, t0, t1);
+    out.weak_refresh_ops += wops;
+    out.refresh_energy += wops * costs_.write_energy();
   }
 }
 
@@ -336,7 +319,7 @@ void LifetimeEngine::sync_template(int physical, double w, double now) {
   const core::TernaryWord stored = checkerboard(cfg_.width);
   tpl_->ensure_built(stored, stored);
   spice::Circuit* ckt = tpl_->circuit();
-  degradation_.apply_to_circuit(*ckt, cfg_.tech, w, tpl_wear_);
+  degradation_.apply_to_circuit(*ckt, w, tpl_wear_);
   tpl_wear_ = w;
   // Inject the measured row's accumulated faults (aging first, faults
   // second: a faulted device's severity overrides its aged parameter).
@@ -615,13 +598,11 @@ LifetimeResult LifetimeEngine::run() {
   out.retention_scale_end =
       cfg_.retention_derate * degradation_.retention_scale(out.worst_wear);
 
-  if (cfg_.refresh_policy != arch::RefreshPolicy::None &&
-      costs_.needs_refresh()) {
+  if (costs_.needs_refresh()) {
     // Replay the end state's refresh interference over a representative
     // window (single-resource model, periodic arrivals for determinism).
     arch::RefreshSimConfig rc;
     rc.tech = cfg_.tech;
-    rc.policy = cfg_.refresh_policy;
     rc.rows = cfg_.rows;
     rc.width = cfg_.width;
     rc.search_rate_hz = std::max(cfg_.traffic.search_rate_hz, 1.0);

@@ -84,7 +84,6 @@ struct LifetimeConfig {
   int spare_rows = 4;
   double horizon = 10.0 * units::year;
   TrafficConfig traffic;
-  arch::RefreshPolicy refresh_policy = arch::RefreshPolicy::OneShot;
   // Sweep axes: refresh period as a fraction of (derated) retention, and
   // a manual retention derate (temperature / margin scaling).
   double refresh_period_scale = 1.0;

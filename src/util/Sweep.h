@@ -1,12 +1,15 @@
-// Deterministic parallel sweep: run N independent trials across a thread
-// pool and collect results in trial order.
+// Deterministic parallel sweep: run N independent trials on a fresh
+// ThreadPool's parallel_for (inline when one thread is asked for) and
+// collect results in trial order.
 //
 // Determinism contract: each trial receives a seed derived only from
 // (base_seed, trial index) via a splitmix64 mix, and results land in a
 // pre-sized vector slot — so the output is bit-identical for any thread
 // count, including the serial fallback. The trial body must not share
 // mutable state between trials (one Circuit per trial, never one Circuit
-// on many threads — see Circuit::solver_cache).
+// on many threads — see Circuit::solver_cache). Failures are kept per
+// slot as well: run_sweep runs every trial and then rethrows the first
+// failure by trial index, run_sweep_guarded returns one message per slot.
 #pragma once
 
 #include <algorithm>
@@ -37,40 +40,41 @@ inline std::uint64_t sweep_trial_seed(std::uint64_t base_seed,
   return z ^ (z >> 31);
 }
 
+namespace detail {
+
+// Runs trial(i) for every i in [0, n_trials): inline when one thread is
+// asked for or there is at most one trial, else on a pool of
+// min(threads, n_trials) workers plus the calling thread.
+inline void run_trials(std::size_t n_trials, std::size_t threads,
+                       const std::function<void(std::size_t)>& trial) {
+  if (threads == 0) threads = default_thread_count();
+  if (threads == 1 || n_trials <= 1) {
+    for (std::size_t i = 0; i < n_trials; ++i) trial(i);
+    return;
+  }
+  ThreadPool(std::min(threads, n_trials)).parallel_for(0, n_trials, trial);
+}
+
+}  // namespace detail
+
 // Runs body(trial, seed) for trial in [0, n_trials) and returns the
-// results ordered by trial index. Exceptions thrown by a trial are
-// captured and rethrown on the calling thread (the first by trial order).
+// results ordered by trial index. Every trial runs; then the first
+// exception by trial index is rethrown on the calling thread.
 template <typename R>
 std::vector<R> run_sweep(std::size_t n_trials,
                          const std::function<R(std::size_t, std::uint64_t)>& body,
                          const SweepOptions& opts = {}) {
   std::vector<R> results(n_trials);
-  if (n_trials == 0) return results;
   std::vector<std::exception_ptr> errors(n_trials);
-
-  const std::size_t threads =
-      opts.threads == 0 ? default_thread_count() : opts.threads;
-  if (threads == 1 || n_trials == 1) {
-    for (std::size_t i = 0; i < n_trials; ++i)
+  detail::run_trials(n_trials, opts.threads, [&](std::size_t i) {
+    try {
       results[i] = body(i, sweep_trial_seed(opts.base_seed, i));
-    return results;
-  }
-
-  {
-    ThreadPool pool(std::min(threads, n_trials));
-    for (std::size_t i = 0; i < n_trials; ++i) {
-      pool.submit([&, i] {
-        try {
-          results[i] = body(i, sweep_trial_seed(opts.base_seed, i));
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    pool.wait_idle();
-  }
-  for (std::size_t i = 0; i < n_trials; ++i)
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  });
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
   return results;
 }
 
@@ -93,9 +97,7 @@ std::vector<SweepItem<R>> run_sweep_guarded(
     const std::function<R(std::size_t, std::uint64_t)>& body,
     const SweepOptions& opts = {}) {
   std::vector<SweepItem<R>> results(n_trials);
-  if (n_trials == 0) return results;
-
-  const auto guarded = [&](std::size_t i) {
+  detail::run_trials(n_trials, opts.threads, [&](std::size_t i) {
     try {
       results[i].value = body(i, sweep_trial_seed(opts.base_seed, i));
       results[i].ok = true;
@@ -104,18 +106,7 @@ std::vector<SweepItem<R>> run_sweep_guarded(
     } catch (...) {
       results[i].error = "unknown exception";
     }
-  };
-
-  const std::size_t threads =
-      opts.threads == 0 ? default_thread_count() : opts.threads;
-  if (threads == 1 || n_trials == 1) {
-    for (std::size_t i = 0; i < n_trials; ++i) guarded(i);
-    return results;
-  }
-  ThreadPool pool(std::min(threads, n_trials));
-  for (std::size_t i = 0; i < n_trials; ++i)
-    pool.submit([&guarded, i] { guarded(i); });
-  pool.wait_idle();
+  });
   return results;
 }
 

@@ -2,17 +2,47 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
-#include <string>
+#include <utility>
 
 #include "util/Expect.h"
 
 namespace nemtcam::util {
 
+namespace {
+
+// Ceiling on NEMTCAM_THREADS: far above the hosts this runs on, far below
+// the thread count a typo or an overflowing value would ask for.
+constexpr long kMaxDefaultThreads = 256;
+
+// True while this thread runs some call's fn: a parallel_for made there
+// runs inline, so a nested call can neither deadlock on call_mutex_ nor
+// wait for workers that are busy running its own caller.
+thread_local bool t_in_fn = false;
+
+// Runs fn on indices claimed from `next` until the claims pass `end`.
+// Returns the first exception fn threw, after every claimed index ran.
+std::exception_ptr claim_and_run(std::atomic<std::size_t>& next,
+                                 std::size_t end,
+                                 const std::function<void(std::size_t)>& fn) {
+  std::exception_ptr first;
+  const bool outer = std::exchange(t_in_fn, true);
+  for (std::size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
+    try {
+      fn(i);
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  t_in_fn = outer;
+  return first;
+}
+
+}  // namespace
+
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("NEMTCAM_THREADS")) {
     const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
+    if (n > 0) return static_cast<std::size_t>(std::min(n, kMaxDefaultThreads));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<std::size_t>(hw) : 1;
@@ -25,182 +55,74 @@ ThreadPool& shared_pool() {
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   NEMTCAM_EXPECT(n_threads > 0);
-  queues_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t i = 0; i < n_threads; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    stop_workers();  // an unjoined std::thread would terminate the program
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
-  wait_idle();
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
-    ++pending_;
-    ++queued_;
-    WorkerQueue& q = *queues_[next_queue_];
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    std::lock_guard<std::mutex> qlock(q.mutex);
-    q.tasks.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  // Assisting waiters (wait_idle) also watch for new queued work.
-  idle_cv_.notify_all();
-}
-
-void ThreadPool::wait_idle() {
-  for (;;) {
-    if (run_one_task()) continue;
-    std::unique_lock<std::mutex> lock(cv_mutex_);
-    if (pending_ == 0) return;
-    // Tasks are in flight on workers. Wake when everything drained or
-    // when in-flight tasks spawn new queued work this thread can assist
-    // with (submit notifies idle_cv_ too).
-    idle_cv_.wait(lock, [this] { return pending_ == 0 || queued_ > 0; });
-    if (pending_ == 0) return;
-  }
-}
-
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
+                              const std::function<void(std::size_t)>& fn) {
   if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  // Over-decompose a little so stolen chunks balance uneven iteration
-  // costs, but never below the caller's grain.
-  const std::size_t target_chunks = std::max<std::size_t>(1, thread_count() * 4);
-  const std::size_t chunk =
-      std::max(grain, (n + target_chunks - 1) / target_chunks);
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
-  if (n_chunks <= 1 || thread_count() == 1) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+  if (t_in_fn) {
+    std::atomic<std::size_t> next{begin};
+    if (std::exception_ptr e = claim_and_run(next, end, fn))
+      std::rethrow_exception(e);
     return;
   }
 
-  // Completion is tracked per call, not via the global pending count, so
-  // this works from inside a pool task (the caller's own task is pending
-  // for its whole lifetime and would deadlock a global wait).
-  struct BatchState {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->remaining = n_chunks;
-
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    submit([state, &fn, lo, hi] {
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(state->mutex);
-        if (!state->error) state->error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lk(state->mutex);
-      if (--state->remaining == 0) state->done.notify_all();
-    });
+  const std::lock_guard<std::mutex> one_call(call_mutex_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    fn_ = &fn;
+    end_ = end;
+    next_.store(begin);
+    ++call_;
   }
+  wake_.notify_all();
+  std::exception_ptr error = claim_and_run(next_, end, fn);
 
-  // Work-assist until this call's chunks are done. Once run_one_task
-  // finds every queue empty, all our chunks have been popped (they were
-  // all enqueued above) and are running elsewhere — blocking on the
-  // per-call condition is then safe even if other tasks keep arriving.
+  // Every index is claimed; wait only for the workers that joined this
+  // call. Clearing fn_ under the lock keeps late wakers out of it.
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_.wait(lock, [this] { return busy_ == 0; });
+  fn_ = nullptr;
+  if (!error) error = error_;
+  error_ = nullptr;
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t joined = 0;  // the last call this worker joined
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(state->mutex);
-      if (state->remaining == 0) break;
-    }
-    if (!run_one_task()) {
-      std::unique_lock<std::mutex> lk(state->mutex);
-      state->done.wait(lk, [&] { return state->remaining == 0; });
-      break;
-    }
-  }
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  // Own queue first (back: LIFO keeps caches warm), then steal from the
-  // front of the others, scanning from self+1 so thieves spread out.
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
-    }
-  }
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& q = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::run_one_task() {
-  std::function<void()> task;
-  bool got = false;
-  for (std::size_t k = 0; k < queues_.size() && !got; ++k) {
-    WorkerQueue& q = *queues_[k];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      got = true;
-    }
-  }
-  if (!got) return false;
-  {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
-    --queued_;
-  }
-  task();
-  {
-    std::lock_guard<std::mutex> lock(cv_mutex_);
-    if (--pending_ == 0) idle_cv_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  for (;;) {
-    std::function<void()> task;
-    if (try_pop(self, task)) {
-      {
-        std::lock_guard<std::mutex> lock(cv_mutex_);
-        --queued_;
-      }
-      task();
-      std::lock_guard<std::mutex> lock(cv_mutex_);
-      if (--pending_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(cv_mutex_);
+    wake_.wait(lock, [&] { return stop_ || (fn_ && call_ != joined); });
     if (stop_) return;
-    // queued_ may lag a concurrent pop by a moment; the worst case is one
-    // extra scan of the queues, never a lost wakeup (submit signals under
-    // the same mutex).
-    cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
+    joined = call_;
+    const std::function<void(std::size_t)>& fn = *fn_;
+    const std::size_t end = end_;
+    ++busy_;
+    lock.unlock();
+    std::exception_ptr error = claim_and_run(next_, end, fn);
+    lock.lock();
+    if (error && !error_) error_ = error;
+    if (--busy_ == 0) done_.notify_one();
   }
 }
 

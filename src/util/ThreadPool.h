@@ -1,28 +1,25 @@
-// Small work-stealing thread pool for embarrassingly parallel sweeps.
+// Small thread pool for embarrassingly parallel sweeps.
 //
-// Each worker owns a deque guarded by its own mutex: the owner pushes and
-// pops at the back, idle workers steal from the front of a victim's deque.
-// Tasks are submitted round-robin across workers. The pool is intended for
-// coarse-grained jobs (one SPICE trial per task), so per-task overhead is
-// not the bottleneck; correctness and determinism of the *caller* matter
-// more than queue micro-optimisation.
-//
-// Nesting: tasks may submit further tasks. wait_idle() and parallel_for()
-// are work-assisting — the blocked thread drains queued tasks instead of
-// sleeping — so a task that fans out subtasks cannot starve the pool.
-// A task must still not call wait_idle() (it waits on the *global* pending
-// count, which includes the caller's own task); from inside a task, use
-// parallel_for, which tracks completion per call.
+// The one primitive is parallel_for: persistent workers and the calling
+// thread claim indices one at a time from one shared atomic counter, so
+// uneven trial costs (one SPICE trial per index) balance without queues.
+// A call returns once every index has run and no worker is still running
+// one; it never waits for an idle worker to wake. Calls from different
+// threads run one at a time, and a parallel_for made from inside a running
+// fn (on a worker or on the calling thread) runs its range inline there.
 //
 // Thread count resolution (default_thread_count): the NEMTCAM_THREADS
-// environment variable when set and positive, else hardware_concurrency.
+// environment variable when set and positive, capped at 256 so that a
+// mistyped or overflowing value cannot start thousands of OS threads, else
+// hardware_concurrency.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,47 +38,31 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  // Enqueues a task. May be called from inside a running task.
-  void submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished running, assisting
-  // with queued work while it waits. Must not be called from inside a
-  // task (use parallel_for there).
-  void wait_idle();
-
-  // Blocked-range helper: runs fn(i) for every i in [begin, end), split
-  // into contiguous chunks of at least `grain` indices distributed across
-  // the pool. The calling thread assists until *this call's* chunks have
-  // finished, so it is safe from inside a pool task (nested parallelism).
-  // Returns after all iterations ran; the first exception thrown by fn is
-  // rethrown on the calling thread. Determinism is the caller's contract:
-  // fn(i) must write only to slot i state, as in run_sweep.
+  // Runs fn(i) for every i in [begin, end) on the workers and the calling
+  // thread. Returns after every index ran; the first exception thrown by
+  // fn is rethrown on the calling thread once all of them have. Determinism
+  // is the caller's contract: fn(i) must write only to slot i state, as in
+  // run_sweep.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
+                    const std::function<void(std::size_t)>& fn);
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop();
+  void stop_workers();
 
-  bool try_pop(std::size_t self, std::function<void()>& out);
-  // Steals one task from any queue and runs it on the calling thread,
-  // with full pending/queued bookkeeping. False when every queue is empty.
-  bool run_one_task();
-  void worker_loop(std::size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex cv_mutex_;
-  std::condition_variable cv_;        // wakes workers when work arrives
-  std::condition_variable idle_cv_;   // wakes wait_idle when all work is
-                                      // done or new work shows up to assist
-  std::size_t pending_ = 0;           // submitted but not yet finished
-  std::size_t queued_ = 0;            // submitted but not yet popped
-  std::size_t next_queue_ = 0;        // round-robin submission cursor
+  std::mutex call_mutex_;  // held for a whole call: one call at a time
+  // The current call, guarded by mutex_ (next_ is claimed lock-free).
+  std::mutex mutex_;
+  std::condition_variable wake_;  // workers: a call started, or stop_
+  std::condition_variable done_;  // caller: the last busy worker left
+  const std::function<void(std::size_t)>* fn_ = nullptr;  // null between calls
+  std::size_t end_ = 0;
+  std::atomic<std::size_t> next_{0};
+  std::uint64_t call_ = 0;  // number of calls started
+  std::size_t busy_ = 0;    // workers inside the current call
+  std::exception_ptr error_;
   bool stop_ = false;
+  std::vector<std::thread> workers_;
 };
 
 // Process-wide lazily constructed pool (default_thread_count() workers at

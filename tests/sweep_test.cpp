@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tcam/Calibration.h"
@@ -19,23 +20,21 @@ using nemtcam::tcam::Calibration;
 using nemtcam::tcam::Rram2T2RRow;
 using nemtcam::tcam::SearchMetrics;
 
-TEST(ThreadPool, RunsEveryTask) {
+TEST(ThreadPool, RunsEveryIndexFromTwoCallers) {
+  // Calls from different threads run one at a time on the same workers.
   util::ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4u);
   std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  util::ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+  const auto caller = [&] {
+    for (int call = 0; call < 50; ++call)
+      pool.parallel_for(0, 10, [&count](std::size_t) {
+        count.fetch_add(1, std::memory_order_relaxed);
+      });
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
+  EXPECT_EQ(count.load(), 1000);
 }
 
 TEST(RunSweep, SeedsDependOnlyOnTrialIndex) {
@@ -62,17 +61,28 @@ TEST(RunSweep, ResultsAreOrderedAndThreadCountInvariant) {
 }
 
 TEST(RunSweep, PropagatesTrialExceptions) {
-  util::SweepOptions opts;
-  opts.threads = 3;
-  EXPECT_THROW(
+  // Two trials fail: every trial still runs, and the sweep rethrows the
+  // lower index's exception whichever of the two finished first.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    util::SweepOptions opts;
+    opts.threads = threads;
+    std::atomic<int> runs{0};
+    try {
       util::run_sweep<int>(
           8,
-          [](std::size_t trial, std::uint64_t) -> int {
-            if (trial == 5) throw std::runtime_error("trial 5 boom");
+          [&runs](std::size_t trial, std::uint64_t) -> int {
+            runs.fetch_add(1);
+            if (trial == 2) throw std::runtime_error("trial 2 boom");
+            if (trial == 6) throw std::runtime_error("trial 6 boom");
             return static_cast<int>(trial);
           },
-          opts),
-      std::runtime_error);
+          opts);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trial 2 boom") << "threads=" << threads;
+    }
+    EXPECT_EQ(runs.load(), 8) << "threads=" << threads;
+  }
 }
 
 TEST(RunSweepGuarded, PoisonedItemYieldsPerIndexFailureRecord) {

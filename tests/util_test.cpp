@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "util/Expect.h"
 #include "util/Random.h"
@@ -130,18 +133,17 @@ TEST(ThreadPool, ParallelForCoversEveryIndex) {
     ASSERT_EQ(hits[i], static_cast<int>(i));
 }
 
-TEST(ThreadPool, ParallelForRespectsGrainAndEmptyRange) {
+TEST(ThreadPool, ParallelForCoversOddRangeAndSkipsEmptyRange) {
   util::ThreadPool pool(2);
   std::vector<int> hits(37, 0);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; },
-                    /*grain=*/8);
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) ASSERT_EQ(h, 1);
   pool.parallel_for(5, 5, [&](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, NestedParallelForInsideTaskCompletes) {
-  // A pool task fanning out its own parallel_for must not deadlock even
-  // on a 1-thread pool: the blocked caller assists with queued work.
+  // A parallel_for called from inside fn runs its range inline on the
+  // thread that called it, so it cannot deadlock even on a 1-thread pool.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool pool(threads);
     std::vector<int> hits(64, 0);
@@ -152,23 +154,6 @@ TEST(ThreadPool, NestedParallelForInsideTaskCompletes) {
     });
     for (int h : hits) ASSERT_EQ(h, 1);
   }
-}
-
-TEST(ThreadPool, WaitIdleAssistsSubmittedWork) {
-  util::ThreadPool pool(2);
-  std::atomic<int> spawned{0};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&] {
-      // Tasks may submit further tasks; wait_idle must cover those too.
-      // The first 50 outer tasks to run each spawn one nested task. The
-      // gate counts spawns only: counting completions would let nested
-      // tasks that finish early close it before 50 were spawned.
-      if (spawned.fetch_add(1) < 50) pool.submit([&] { done.fetch_add(1); });
-      done.fetch_add(1);
-    });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 150);
 }
 
 TEST(ThreadPool, ParallelForRethrowsTaskException) {
@@ -182,6 +167,29 @@ TEST(ThreadPool, ParallelForRethrowsTaskException) {
   std::atomic<int> n{0};
   pool.parallel_for(0, 8, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 8);
+}
+
+TEST(ThreadPool, DefaultThreadCountCapsEnvironmentValue) {
+  // Reads default_thread_count() only: no pool is built from these values.
+  const char* saved = std::getenv("NEMTCAM_THREADS");
+  const bool was_set = saved != nullptr;
+  const std::string restore = was_set ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hw_default = hw > 0 ? hw : 1;
+  const auto count_at = [](const char* value) {
+    ::setenv("NEMTCAM_THREADS", value, 1);
+    return util::default_thread_count();
+  };
+  EXPECT_EQ(count_at("3"), 3u);
+  EXPECT_EQ(count_at("0"), hw_default);
+  EXPECT_EQ(count_at("-2"), hw_default);
+  EXPECT_EQ(count_at("abc"), hw_default);
+  EXPECT_EQ(count_at("100000"), 256u);
+  EXPECT_EQ(count_at("99999999999999999999"), 256u);  // strtol: LONG_MAX
+  if (was_set)
+    ::setenv("NEMTCAM_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("NEMTCAM_THREADS");
 }
 
 }  // namespace

@@ -16,9 +16,10 @@
 #      sanitizers)
 #   3. TSan build (preset `tsan`) + the `threads` and `solver` labels.
 #      `threads` (test_util, test_sweep) holds the repo's only concurrency:
-#      ThreadPool, run_sweep and run_sweep_guarded. The `solver` label
-#      starts no thread; it checks that the solver runs clean under the
-#      TSan instrumentation
+#      ThreadPool::parallel_for, whose workers and caller claim indices
+#      from one shared counter, and run_sweep and run_sweep_guarded on top
+#      of it. The `solver` label starts no thread; it checks that the
+#      solver runs clean under the TSan instrumentation
 #   4. lint build (preset `lint`): -Wall -Wextra -Wshadow -Werror, plus
 #      clang-tidy when installed (the CMake option degrades gracefully);
 #      first, no file under src/ but src/util/ThreadPool.cpp (which reads
@@ -28,14 +29,17 @@
 #   5. static ERC + STA margin rules over the shipped example decks
 #      (including the hierarchical .subckt deck) via
 #      nemtcam_lint --sta --werror
-#   6. bench smokes: the CI-sized datacenter-lifetime sweep
-#      (bench_lifetime --smoke) and the STA bracketing/speedup gate
-#      (bench_sta --smoke) must complete with their internal gates green,
-#      and the two Monte-Carlo sweeps must print the same table at
-#      NEMTCAM_THREADS=1 and =4: the RRAM-variation A1 table
+#   6. bench smokes and sweep determinism: the STA bracketing/speedup
+#      gate (bench_sta --smoke) must complete with its internal gates
+#      green, and every program that runs a sweep must exit 0 and print
+#      the same results at 1 and 4 threads: the RRAM-variation A1 table
 #      (bench_ablation_variation) and the relay-threshold A5 refresh-yield
 #      table (bench_ablation_relay_variation), whose trials each draw their
-#      thresholds in a per-replay hook of their own row
+#      thresholds in a per-replay hook of their own row, the fault
+#      campaign's tables (bench_fault_campaign), the CI-sized
+#      datacenter-lifetime sweep's tables (bench_lifetime --smoke, which
+#      also gates on its own checks), and nemtcam_sim's whole report over
+#      the example decks (--threads 1 and 4)
 #   7. perfbench smoke: perfbench/driver.cpp compiles against the
 #      row and array search templates and the solver's telemetry, yet no
 #      other stage builds it; perfbench/run.py builds it (Release, under
@@ -87,31 +91,57 @@ cmake --build --preset lint -j
 echo "==== [5/7] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/7] bench smokes (lifetime sweep, STA gate, A1/A5 determinism) ===="
-(cd build/bench && ./bench_lifetime --smoke)
+echo "==== [6/7] bench smokes + sweep determinism at 1 and 4 threads" \
+     "(A1, A5, fault campaign, lifetime, example decks) ===="
 (cd build/bench && ./bench_sta --smoke)
 # The table a sweep bench prints at a given thread count, from the line
-# matching the first pattern through the line matching the second.
-# Usage: sweep_table <bench> <threads> <first> <last>
-sweep_table() {
-  (cd build/bench && NEMTCAM_THREADS="$2" "./$1") | sed -n "/$3/,/$4/p"
+# matching <first> through the line matching <last>. Fails when the bench
+# does: a table piped through sed alone would lose its exit status.
+# Usage: bench_table <threads> <first> <last> <bench> [args...]
+bench_table() {
+  threads=$1 first=$2 last=$3 bench=$4
+  shift 4
+  out=$(cd build/bench && NEMTCAM_THREADS="$threads" "./$bench" "$@") ||
+    return
+  printf '%s\n' "$out" | sed -n "/$first/,/$last/p"
 }
-# Fails the chain unless the table is the same at 1 and 4 threads.
-# Usage: same_at_1_and_4_threads <bench> <table> <first> <last>
+a1_table() {
+  bench_table "$1" '^Ablation A1' '^3T2N matched-ML margin' \
+    bench_ablation_variation
+}
+a5_table() {
+  bench_table "$1" '^Ablation A5' '^The 30 mV gap' \
+    bench_ablation_relay_variation
+}
+fault_campaign_tables() {
+  bench_table "$1" '^Fault campaign' '^Recovery-ladder demo' \
+    bench_fault_campaign
+}
+lifetime_tables() {
+  bench_table "$1" '^Lifetime sweep' '^wrote BENCH_lifetime' \
+    bench_lifetime --smoke
+}
+example_decks_report() {
+  build/tools/nemtcam_sim examples/decks/*.sp --threads "$1"
+}
+# Fails the chain unless <output> (a function of the thread count above)
+# exits 0 and prints the same, non-empty text at 1 and at 4 threads.
+# Usage: same_at_1_and_4_threads <what> <output>
 same_at_1_and_4_threads() {
-  serial=$(sweep_table "$1" 1 "$3" "$4")
-  pooled=$(sweep_table "$1" 4 "$3" "$4")
+  serial=$("$2" 1) || { echo "$1 failed at 1 thread" >&2; exit 1; }
+  pooled=$("$2" 4) || { echo "$1 failed at 4 threads" >&2; exit 1; }
   if [ -z "$serial" ] || [ "$serial" != "$pooled" ]; then
-    echo "$1: $2 table differs between NEMTCAM_THREADS=1 and =4" >&2
-    printf '%s\n--- NEMTCAM_THREADS=4 ---\n%s\n' "$serial" "$pooled" >&2
+    echo "$1 differs between 1 and 4 threads" >&2
+    printf '%s\n--- 4 threads ---\n%s\n' "$serial" "$pooled" >&2
     exit 1
   fi
-  printf '%s\n(identical at NEMTCAM_THREADS=1 and =4)\n' "$serial"
+  printf '%s\n(identical at 1 and 4 threads)\n' "$serial"
 }
-same_at_1_and_4_threads bench_ablation_variation A1 \
-  '^Ablation A1' '^3T2N matched-ML margin'
-same_at_1_and_4_threads bench_ablation_relay_variation A5 \
-  '^Ablation A5' '^The 30 mV gap'
+same_at_1_and_4_threads "A1 table" a1_table
+same_at_1_and_4_threads "A5 table" a5_table
+same_at_1_and_4_threads "fault campaign tables" fault_campaign_tables
+same_at_1_and_4_threads "lifetime --smoke tables" lifetime_tables
+same_at_1_and_4_threads "nemtcam_sim example decks" example_decks_report
 
 echo "==== [7/7] perfbench smoke (all four workloads) ===="
 # perfbench_driver exits 3 when one of the NEMTCAM_* variables it lists
