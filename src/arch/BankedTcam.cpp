@@ -113,23 +113,9 @@ int BankedTcam::apply_fault_report(const fault::FaultReport& report) {
   return remapped;
 }
 
-int BankedTcam::apply_endurance(const EnduranceTracker& tracker,
-                                double wear_limit) {
-  NEMTCAM_EXPECT(wear_limit > 0.0);
-  const int rows = std::min(logical_rows_, tracker.rows());
-  int remapped = 0;
-  for (int r = 0; r < rows; ++r) {
-    if (tracker.row_wear_fraction(r) < wear_limit) continue;
-    if (retire_row(r)) ++remapped;
-  }
-  return remapped;
-}
-
 FaultAwareness BankedTcam::refresh_awareness(
-    const fault::FaultReport& physical_report,
-    double weak_retention_scale) const {
+    const fault::FaultReport& physical_report) const {
   FaultAwareness out;
-  out.weak_retention_scale = weak_retention_scale;
   for (int p = 0; p < capacity(); ++p) {
     if (logical_of_[static_cast<std::size_t>(p)] < 0) {
       // No live data here: abandoned retired row or still-unused spare.

@@ -10,9 +10,9 @@
 //
 // Degradation: the top `spare_rows` physical rows of the global row space
 // can be held back as spares. Logical rows are addressed through a remap
-// table; a row reported Dead by a fault campaign (or worn past its
-// endurance rating) is retired onto the next free spare, its contents
-// migrated, and the failing physical row erased so it can never match.
+// table; a row reported Dead by a fault campaign or by the lifetime
+// engine is retired onto the next free spare, its contents migrated, and
+// the failing physical row erased so it can never match.
 // When the spare pool runs dry the row stays where it is — the array
 // degrades (match errors on that row) instead of failing.
 #pragma once
@@ -22,7 +22,6 @@
 #include <optional>
 #include <vector>
 
-#include "arch/Endurance.h"
 #include "arch/RefreshController.h"
 #include "core/DynamicTcam.h"
 #include "fault/FaultModel.h"
@@ -79,10 +78,6 @@ class BankedTcam {
   // Retires every row the fault report classifies Dead (rows containing a
   // stuck relay). Returns the number actually remapped.
   int apply_fault_report(const fault::FaultReport& report);
-  // Retires every row whose worst-cell wear is at or past `wear_limit` of
-  // the technology's rated cycles.
-  int apply_endurance(const EnduranceTracker& tracker,
-                      double wear_limit = 1.0);
 
   // Bridge to the refresh controller: classifies every PHYSICAL row for
   // fault-aware refresh scheduling. Rows holding no live data (abandoned
@@ -91,8 +86,8 @@ class BankedTcam {
   // Weak → weak_rows). A remapped row's spare inherits the weak period iff
   // the spare itself is degraded — health follows the physical silicon,
   // not the logical address. Result is pre-normalized over capacity().
-  FaultAwareness refresh_awareness(const fault::FaultReport& physical_report,
-                                   double weak_retention_scale = 0.25) const;
+  FaultAwareness refresh_awareness(
+      const fault::FaultReport& physical_report) const;
 
   // Advances all banks' clocks together (staggered refreshes fire inside).
   void advance(double seconds);

@@ -62,15 +62,6 @@ void EnduranceTracker::record_one_shot_refresh() {
   for (auto& c : cell_cycles_) ++c;
 }
 
-void EnduranceTracker::record_row_refresh(int row) {
-  NEMTCAM_EXPECT(row >= 0 && row < rows_);
-  if (!spec_.refresh_wears) return;
-  const auto r = static_cast<std::size_t>(row);
-  for (int b = 0; b < width_; ++b)
-    ++cell_cycles_[r * static_cast<std::size_t>(width_) +
-                   static_cast<std::size_t>(b)];
-}
-
 void EnduranceTracker::add_row_cycles(int row, std::uint64_t cycles) {
   NEMTCAM_EXPECT(row >= 0 && row < rows_);
   const auto r = static_cast<std::size_t>(row);
@@ -85,18 +76,6 @@ std::uint64_t EnduranceTracker::worst_cell_cycles() const {
 
 double EnduranceTracker::worst_wear_fraction() const {
   return static_cast<double>(worst_cell_cycles()) / spec_.rated_cycles;
-}
-
-std::uint64_t EnduranceTracker::row_worst_cycles(int row) const {
-  NEMTCAM_EXPECT(row >= 0 && row < rows_);
-  const auto begin =
-      cell_cycles_.begin() +
-      static_cast<std::ptrdiff_t>(row) * static_cast<std::ptrdiff_t>(width_);
-  return *std::max_element(begin, begin + width_);
-}
-
-double EnduranceTracker::row_wear_fraction(int row) const {
-  return static_cast<double>(row_worst_cycles(row)) / spec_.rated_cycles;
 }
 
 double EnduranceTracker::lifetime_at_write_rate(double writes_per_second) const {

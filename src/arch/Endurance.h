@@ -36,9 +36,8 @@ class EnduranceTracker {
   // their cell. Returns the number of cells cycled.
   int record_write(int row, const core::TernaryWord& word);
 
-  // Records a refresh (per the spec, may or may not wear).
+  // Records a one-shot refresh (per the spec, may or may not wear).
   void record_one_shot_refresh();
-  void record_row_refresh(int row);
 
   // Bulk wear deposit: adds `cycles` to every cell of `row` at once. The
   // lifetime engine accrues months of behavioral traffic analytically and
@@ -49,16 +48,11 @@ class EnduranceTracker {
   // Worst (most-cycled) cell count and its fraction of the rating.
   std::uint64_t worst_cell_cycles() const;
   double worst_wear_fraction() const;
-  // Same, restricted to one row — the per-row wear signal spare-row
-  // remapping retires on (see arch/BankedTcam::apply_endurance).
-  std::uint64_t row_worst_cycles(int row) const;
-  double row_wear_fraction(int row) const;
   // Estimated time to end-of-life at a sustained write rate (writes/s,
   // uniformly spread over rows), in seconds.
   double lifetime_at_write_rate(double writes_per_second) const;
 
   const EnduranceSpec& spec() const noexcept { return spec_; }
-  int rows() const noexcept { return rows_; }
   int width() const noexcept { return width_; }
 
  private:

@@ -26,7 +26,6 @@ FaultAwareness FaultAwareness::normalized(int rows) const {
     return v;
   };
   FaultAwareness out;
-  out.weak_retention_scale = weak_retention_scale;
   out.retired_rows = clean(retired_rows);
   out.dead_rows = clean(dead_rows);
   out.weak_rows = clean(weak_rows);
@@ -67,8 +66,6 @@ RefreshSimResult simulate_refresh_interference(const RefreshSimConfig& cfg) {
   const std::vector<bool> weak = row_flags(faults.weak_rows);
   const int n_dead = static_cast<int>(faults.dead_rows.size()) +
                      static_cast<int>(faults.retired_rows.size());
-  NEMTCAM_EXPECT(faults.weak_retention_scale > 0.0 &&
-                 faults.weak_retention_scale <= 1.0);
 
   // Build the refresh schedule.
   struct RefreshOp {
@@ -81,7 +78,7 @@ RefreshSimResult simulate_refresh_interference(const RefreshSimConfig& cfg) {
   if (cfg.policy != RefreshPolicy::None && costs.needs_refresh()) {
     const double period = costs.retention_time() * cfg.retention_scale *
                           cfg.refresh_period_scale;
-    const double weak_period = period * faults.weak_retention_scale;
+    const double weak_period = period * kWeakRetentionScale;
     if (cfg.policy == RefreshPolicy::OneShot) {
       // Dead rows carry no data: the one-shot op skips their share of the
       // recharge energy (its latency is array-parallel and unchanged).

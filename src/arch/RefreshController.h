@@ -25,20 +25,22 @@ enum class RefreshPolicy {
 
 const char* policy_name(RefreshPolicy p);
 
-// Fault-aware scheduling knobs fed from a fault campaign's report:
-// leaky (Weak) rows lose charge faster than the array's rated retention,
-// so they get supplemental row refreshes on a shortened period; Dead rows
+// Fraction of the rated retention time a weak row can actually hold
+// charge (gate-leak faults drain the floating gate early): weak rows are
+// refreshed every kWeakRetentionScale·T.
+inline constexpr double kWeakRetentionScale = 0.25;
+
+// Fault-aware scheduling fed from a fault campaign's report: leaky
+// (Weak) rows lose charge faster than the array's rated retention, so
+// they get supplemental row refreshes on a shortened period; Dead rows
 // hold no data worth refreshing and are excluded from the schedule (and
 // from the one-shot op's per-row energy share). Retired rows (remapped
 // onto spares by BankedTcam, or unused spares) carry no live data either
 // and are excluded the same way — see BankedTcam::refresh_awareness.
 struct FaultAwareness {
-  std::vector<int> weak_rows;     // refreshed every weak_retention_scale·T
+  std::vector<int> weak_rows;     // refreshed every kWeakRetentionScale·T
   std::vector<int> dead_rows;     // excluded from refresh entirely
   std::vector<int> retired_rows;  // remapped away / unused spares: excluded
-  // Fraction of the rated retention time a weak row can actually hold
-  // charge (gate-leak faults drain the floating gate early).
-  double weak_retention_scale = 0.25;
 
   // Cleaned copy with the scheduling invariants enforced: each list is
   // sorted and deduplicated, out-of-range indices are dropped, and

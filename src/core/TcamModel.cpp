@@ -57,10 +57,6 @@ std::optional<int> TcamModel::search_first(const TernaryWord& key) const {
   return std::nullopt;
 }
 
-int TcamModel::match_count(const TernaryWord& key) const {
-  return static_cast<int>(search(key).size());
-}
-
 std::optional<int> TcamModel::find_free_row() const {
   for (int r = 0; r < rows_; ++r)
     if (!valid_[static_cast<std::size_t>(r)]) return r;

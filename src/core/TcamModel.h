@@ -33,8 +33,6 @@ class TcamModel {
   std::vector<int> search(const TernaryWord& key) const;
   // Highest-priority (lowest index) match, or nullopt.
   std::optional<int> search_first(const TernaryWord& key) const;
-  // Number of matching rows.
-  int match_count(const TernaryWord& key) const;
 
   // First invalid row, or nullopt when full.
   std::optional<int> find_free_row() const;

@@ -41,11 +41,6 @@ void Diode::commit(const StampContext& ctx) {
   cj_c_.commit(ctx, anode_, cathode_);
 }
 
-double Diode::power(const StampContext& ctx) const {
-  const double v = ctx.v(anode_) - ctx.v(cathode_);
-  return v * current_at(v);
-}
-
 
 spice::DeviceTopology Diode::topology() const {
   // No r_on summary: the exponential junction has no useful single switch

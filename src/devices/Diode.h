@@ -27,7 +27,6 @@ class Diode final : public Device {
   void stamp(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
-  double power(const StampContext& ctx) const override;
 
   // Diode current at a given forward voltage (model evaluation, for tests).
   double current_at(double v) const;

@@ -90,12 +90,6 @@ double Fefet::event_function(const StampContext& ctx) const {
   return std::min(vc - vgs, vgs + vc);
 }
 
-double Fefet::power(const StampContext& ctx) const {
-  const MosEval e =
-      ekv_eval(params_.fet, vth_eff(), ctx.v(g_), ctx.v(d_), ctx.v(s_));
-  return e.ids * (ctx.v(d_) - ctx.v(s_));
-}
-
 void Fefet::set_polarization(double p) {
   NEMTCAM_EXPECT(p >= -1.0 && p <= 1.0);
   p_ = p;

@@ -38,7 +38,6 @@ class Fefet final : public Device {
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;
   double event_function(const StampContext& ctx) const override;
-  double power(const StampContext& ctx) const override;
 
   double polarization() const noexcept { return p_; }
   void set_polarization(double p);

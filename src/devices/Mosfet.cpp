@@ -160,11 +160,6 @@ double Mosfet::event_function(const StampContext& ctx) const {
   return sign * (ctx.v(g_) - ctx.v(s_)) - params_.vth;
 }
 
-double Mosfet::power(const StampContext& ctx) const {
-  const MosEval e = ekv_eval(params_, params_.vth, ctx.v(g_), ctx.v(d_), ctx.v(s_));
-  return e.ids * (ctx.v(d_) - ctx.v(s_));
-}
-
 double Mosfet::ids(const StampContext& ctx) const {
   return ekv_eval(params_, params_.vth, ctx.v(g_), ctx.v(d_), ctx.v(s_)).ids;
 }

@@ -78,7 +78,6 @@ class Mosfet final : public Device {
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double event_function(const StampContext& ctx) const override;
-  double power(const StampContext& ctx) const override;
 
   const MosfetParams& params() const noexcept { return params_; }
   // Drain current at the given context (telemetry / tests).

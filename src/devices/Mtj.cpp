@@ -39,11 +39,6 @@ void Mtj::commit(const StampContext& ctx) {
 
 double Mtj::max_dt_hint() const { return params_.t_switch_ref / 200.0; }
 
-double Mtj::power(const StampContext& ctx) const {
-  const double v = ctx.v(top_) - ctx.v(bottom_);
-  return v * v / resistance();
-}
-
 void Mtj::set_state(double m) {
   NEMTCAM_EXPECT(m >= 0.0 && m <= 1.0);
   m_ = m;

@@ -37,7 +37,6 @@ class Mtj final : public Device {
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;
-  double power(const StampContext& ctx) const override;
 
   double state() const noexcept { return m_; }
   void set_state(double m);

@@ -140,12 +140,6 @@ double NemRelay::max_dt_hint() const {
   return params_.tau_mech / 50.0;
 }
 
-double NemRelay::power(const StampContext& ctx) const {
-  const double v_ds = ctx.v(d_) - ctx.v(s_);
-  const double g_ds = contact() ? 1.0 / params_.r_on : params_.g_off;
-  return v_ds * v_ds * g_ds;
-}
-
 void NemRelay::set_state(bool closed, double v_gb) {
   if (stuck_) return;  // a welded/broken beam cannot be re-seeded
   position_ = closed ? 1.0 : 0.0;

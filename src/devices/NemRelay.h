@@ -59,7 +59,6 @@ class NemRelay final : public Device {
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;
   double event_function(const StampContext& ctx) const override;
-  double power(const StampContext& ctx) const override;
 
   // Forces the mechanical state (used to establish stored data before an
   // experiment). Also snaps the gate charge to match a given V_GB.

@@ -12,16 +12,6 @@ void Resistor::stamp(Stamper& s, const StampContext&) {
   s.conductance(a_, b_, 1.0 / ohms_);
 }
 
-double Resistor::power(const StampContext& ctx) const {
-  const double v = ctx.v(a_) - ctx.v(b_);
-  return v * v / ohms_;
-}
-
-void Resistor::set_resistance(double ohms) {
-  NEMTCAM_EXPECT(ohms > 0.0);
-  ohms_ = ohms;
-}
-
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
     : Device(std::move(name)), a_(a), b_(b), farads_(farads) {
   NEMTCAM_EXPECT(farads_ >= 0.0);
@@ -46,11 +36,6 @@ void Capacitor::stamp(Stamper& s, const StampContext& ctx) {
 void Capacitor::commit(const StampContext& ctx) {
   if (ctx.dc() || farads_ == 0.0) return;
   i_prev_ = current_at(ctx);
-}
-
-double Capacitor::stored_energy(const StampContext& ctx) const {
-  const double v = ctx.v(a_) - ctx.v(b_);
-  return 0.5 * farads_ * v * v;
 }
 
 double CapCompanion::current_at(const StampContext& ctx, NodeId a,

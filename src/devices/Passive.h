@@ -17,10 +17,8 @@ class Resistor final : public Device {
 
   void stamp(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
-  double power(const StampContext& ctx) const override;
 
   double resistance() const noexcept { return ohms_; }
-  void set_resistance(double ohms);
 
  private:
   NodeId a_, b_;
@@ -40,8 +38,6 @@ class Capacitor final : public Device {
   spice::DeviceTopology topology() const override;
 
   double capacitance() const noexcept { return farads_; }
-  // Stored energy at the iterate, E = C·v²/2 (for ledgers/tests).
-  double stored_energy(const StampContext& ctx) const;
 
   void reset_state() override { i_prev_ = 0.0; }
 

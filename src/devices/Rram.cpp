@@ -77,11 +77,6 @@ double Rram::event_function(const StampContext& ctx) const {
   return std::min(params_.vth_set - v, v + params_.vth_reset);
 }
 
-double Rram::power(const StampContext& ctx) const {
-  const double v = ctx.v(top_) - ctx.v(bottom_);
-  return v * v / resistance();
-}
-
 void Rram::set_state(double w) {
   NEMTCAM_EXPECT(w >= 0.0 && w <= 1.0);
   w_ = w;

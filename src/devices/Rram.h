@@ -44,7 +44,6 @@ class Rram final : public Device {
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;
   double event_function(const StampContext& ctx) const override;
-  double power(const StampContext& ctx) const override;
 
   // Filament state: 1 = fully formed (R_ON), 0 = ruptured (R_OFF).
   double state() const noexcept { return w_; }

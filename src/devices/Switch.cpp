@@ -13,11 +13,6 @@ void Switch::stamp(Stamper& s, const StampContext&) {
   s.conductance(a_, b_, closed_ ? 1.0 / r_on_ : 1.0 / r_off_);
 }
 
-double Switch::power(const StampContext& ctx) const {
-  const double v = ctx.v(a_) - ctx.v(b_);
-  return v * v * (closed_ ? 1.0 / r_on_ : 1.0 / r_off_);
-}
-
 
 spice::DeviceTopology Switch::topology() const {
   // r_off is finite, so the pair is conductive in either state.

@@ -18,7 +18,6 @@ class Switch final : public Device {
 
   void stamp(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
-  double power(const StampContext& ctx) const override;
 
   bool closed() const noexcept { return closed_; }
   double r_on() const noexcept { return r_on_; }

@@ -99,8 +99,4 @@ std::vector<char> NodeGraph::dc_reachable(NodeId from) const {
   return bfs(from, adj_dc_);
 }
 
-std::vector<char> NodeGraph::reachable(NodeId from) const {
-  return bfs(from, adj_any_);
-}
-
 }  // namespace nemtcam::erc

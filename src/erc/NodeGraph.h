@@ -42,9 +42,8 @@ class NodeGraph {
   }
 
   // Per-node flags, indexed by NodeId: reachable from `from` over
-  // DC-conductive edges only / over any coupling.
+  // DC-conductive edges only.
   std::vector<char> dc_reachable(spice::NodeId from) const;
-  std::vector<char> reachable(spice::NodeId from) const;
 
   // Connected components over any coupling; component_of[0] is ground's.
   // A component "has a source" when some independent source device

@@ -5,7 +5,6 @@
 
 #include "devices/Mosfet.h"
 #include "devices/NemRelay.h"
-#include "util/Log.h"
 
 namespace nemtcam::fault {
 
@@ -90,15 +89,15 @@ int FaultInjector::apply(spice::Circuit& circuit, const FaultSpec& spec) const {
           break;
         case FaultKind::RelayStuckOpen:
           relay->force_stuck(false);
-          relay->set_off_leakage(severity_.g_off_broken);
+          relay->set_off_leakage(kGOffBroken);
           ++applied;
           break;
         case FaultKind::ContactDrift:
-          relay->set_contact_resistance(severity_.drift_r_on);
+          relay->set_contact_resistance(kDriftROn);
           ++applied;
           break;
         case FaultKind::GateLeak:
-          relay->set_gate_leakage(severity_.leak_g);
+          relay->set_gate_leakage(kLeakG);
           ++applied;
           break;
         default:
@@ -109,22 +108,10 @@ int FaultInjector::apply(spice::Circuit& circuit, const FaultSpec& spec) const {
       // Absolute offset from the design-nominal threshold, not a relative
       // shift: like every relay hook above this is idempotent, so callers
       // may re-apply a fault list to a persistent circuit.
-      mos->set_vth_outlier(spec.positive ? severity_.vth_shift
-                                         : -severity_.vth_shift);
+      mos->set_vth_outlier(spec.positive ? kVthShift : -kVthShift);
       ++applied;
     }
   }
-  if (applied == 0)
-    log::debug("fault injector: no device matched ", fault_kind_name(spec.kind),
-               " at col ", spec.col);
-  return applied;
-}
-
-int FaultInjector::apply_row(spice::Circuit& circuit, const FaultReport& report,
-                             int row) const {
-  int applied = 0;
-  for (const FaultSpec& f : report.faults)
-    if (f.row == row) applied += apply(circuit, f);
   return applied;
 }
 

@@ -27,31 +27,29 @@
 
 namespace nemtcam::fault {
 
+// The severities FaultInjector applies when it mutates devices:
+//  - kDriftROn: drifted contact resistance (Ω; nominal 1 kΩ);
+//  - kLeakG: gate–body leakage (S), which gives µs-scale retention;
+//  - kVthShift: |ΔVth| (V), its sign carried by the FaultSpec;
+//  - kGOffBroken: a fractured beam's contact leakage, exactly 0.
+inline constexpr double kDriftROn = 50e3;
+inline constexpr double kLeakG = 1e-9;
+inline constexpr double kVthShift = 0.15;
+inline constexpr double kGOffBroken = 0.0;
+
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultSeverity severity = {})
-      : severity_(severity) {}
-
-  const FaultSeverity& severity() const noexcept { return severity_; }
-
   // Applies one fault to every matching device in the circuit. Relay
   // faults target "N1_<col>" or "N2_<col>" per spec.on_n1; MosVthOutlier
   // shifts every MOSFET in the column (the compare stack shares the
   // outlier's process corner). Returns the number of devices mutated.
   int apply(spice::Circuit& circuit, const FaultSpec& spec) const;
 
-  // Applies every fault of `row` in the report to a single-row circuit.
-  int apply_row(spice::Circuit& circuit, const FaultReport& report,
-                int row) const;
-
   // Deterministically draws and applies the faults of row 0 of a
   // width-wide array (the per-trial single-row fixture path used by the
   // Monte-Carlo campaign). Returns the applied specs.
   std::vector<FaultSpec> inject(spice::Circuit& circuit, std::uint64_t seed,
                                 int width, const FaultRates& rates) const;
-
- private:
-  FaultSeverity severity_;
 };
 
 }  // namespace nemtcam::fault

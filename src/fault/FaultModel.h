@@ -57,14 +57,6 @@ struct FaultRates {
   static FaultRates uniform(double per_cell_rate);
 };
 
-// Fault severities applied by FaultInjector when mutating devices.
-struct FaultSeverity {
-  double drift_r_on = 50e3;  // drifted contact resistance (Ω; nominal 1 kΩ)
-  double leak_g = 1e-9;      // gate–body leakage (S): µs-scale retention
-  double vth_shift = 0.15;   // |ΔVth| (V); sign carried by the FaultSpec
-  double g_off_broken = 0.0; // fractured beam: contact leakage exactly 0
-};
-
 // One cell's drawn fault.
 struct FaultSpec {
   int row = 0;

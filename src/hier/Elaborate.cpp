@@ -23,11 +23,6 @@ Stats stats() {
   return s;
 }
 
-void reset_stats() {
-  g_instances.store(0, std::memory_order_relaxed);
-  g_cards.store(0, std::memory_order_relaxed);
-}
-
 std::string substitute_params(const std::string& token, const ParamEnv& env) {
   std::string out;
   std::size_t i = 0;

@@ -98,6 +98,5 @@ struct Stats {
   std::uint64_t cards_emitted = 0;         // devices constructed
 };
 Stats stats();
-void reset_stats();
 
 }  // namespace nemtcam::hier

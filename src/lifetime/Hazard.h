@@ -21,9 +21,11 @@
 //    channel independent of traffic: dielectric wear happens to hot and
 //    cold rows alike.
 //
-// The engine turns these thresholds into event times analytically (wear
-// grows piecewise-linearly between events), which is what makes years of
-// simulated lifetime cost O(events), not O(operations).
+// The Weibull scales and shapes and the leak MTBF are constants
+// (Hazard.cpp), not configuration. The engine turns these thresholds into
+// event times analytically (wear grows piecewise-linearly between
+// events), which is what makes years of simulated lifetime cost
+// O(events), not O(operations).
 #pragma once
 
 #include <cstdint>
@@ -33,19 +35,6 @@
 #include "fault/FaultModel.h"
 
 namespace nemtcam::lifetime {
-
-struct HazardConfig {
-  // Hard-failure Weibull in wear fraction: w* = η·(−ln u)^(1/β).
-  double eta_dead = 1.05;
-  double beta_dead = 6.0;
-  // Contact-drift onset Weibull in wear fraction.
-  double eta_drift = 0.70;
-  double beta_drift = 4.0;
-  // Gate-leak onset: exponential in absolute time, per-cell mean (s).
-  // The default keeps leak rare over a 10-year horizon for a 64×64 array
-  // (expected onsets ≈ rows·width·horizon/mtbf ≈ 13 over 10 years).
-  double leak_mtbf_s = 1.0e10;
-};
 
 // One cell's immutable fault future.
 struct CellFate {
@@ -57,8 +46,7 @@ struct CellFate {
   bool positive;      // sign bit for signed severities (Vth direction)
 };
 
-CellFate cell_fate(std::uint64_t seed, int row, int col,
-                   const HazardConfig& cfg);
+CellFate cell_fate(std::uint64_t seed, int row, int col);
 
 // Per-row first onsets: every cell of a row wears at the same rate (the
 // write stream flips a fixed fraction of its cells), so the first cell to
@@ -72,8 +60,7 @@ struct RowFate {
   int leak_col = -1;
 };
 
-RowFate row_fate(std::uint64_t seed, int row, int width,
-                 const HazardConfig& cfg);
+RowFate row_fate(std::uint64_t seed, int row, int width);
 
 // The FaultKind a fate channel materializes as. Hard failures use the
 // relay stuck kinds for every technology — they are the Dead classifiers
@@ -88,9 +75,7 @@ fault::FaultKind leak_fault_kind(core::TcamTech tech);
 // point: every cell whose threshold has been crossed, (row, col)
 // ascending as fault::FaultReport requires.
 std::vector<fault::FaultSpec> faults_of_row(std::uint64_t seed, int row,
-                                            int width,
-                                            const HazardConfig& cfg,
-                                            core::TcamTech tech, double wear,
-                                            double now);
+                                            int width, core::TcamTech tech,
+                                            double wear, double now);
 
 }  // namespace nemtcam::lifetime

@@ -25,6 +25,15 @@ constexpr int kNumDecades = 4;
 
 constexpr std::uint64_t kZipfStream = 0x5a1f5a1f5a1f5a1full;
 
+// Write popularity is Zipf over logical rows (weight ∝ rank^-α under a
+// seeded permutation): hot rows wear out first, which is what gives
+// spare-row remap something to extend.
+constexpr double kZipfAlpha = 0.9;
+// Cell cycles per row write: fraction of the row's cells that actually
+// change state (EnduranceTracker counts changed bits; behaviorally the
+// expected flip fraction stands in for the exact pattern).
+constexpr double kFlipFraction = 0.5;
+
 tcam::TcamKind kind_of(core::TcamTech tech) {
   switch (tech) {
     case core::TcamTech::Sram16T: return tcam::TcamKind::Sram16T;
@@ -55,21 +64,6 @@ core::TernaryWord checkerboard(int width) {
 
 }  // namespace
 
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::WeakOnset: return "weak-onset";
-    case EventKind::DeadOnset: return "dead-onset";
-    case EventKind::WindowLost: return "refresh-window-lost";
-    case EventKind::RowRetired: return "row-retired";
-    case EventKind::FunctionalDead: return "functional-dead";
-    case EventKind::DecadeCross: return "wear-decade";
-    case EventKind::Forced: return "forced-fault";
-    case EventKind::ArrayDeath: return "array-death";
-    case EventKind::HorizonEnd: return "horizon-end";
-  }
-  return "?";
-}
-
 struct LifetimeEngine::RowState {
   RowFate fate;
   double cycles = 0.0;          // fractional cell cycles accumulated
@@ -83,14 +77,11 @@ struct LifetimeEngine::RowState {
 LifetimeEngine::LifetimeEngine(LifetimeConfig cfg)
     : cfg_(cfg),
       costs_(cfg.tech, cfg.width, cfg.rows),
-      degradation_(cfg.aging),
       tcam_(cfg.tech, /*banks=*/1, cfg.rows, cfg.width, cfg.spare_rows),
       tracker_(cfg.tech, cfg.rows, cfg.width) {
   NEMTCAM_EXPECT(cfg_.rows >= 1 && cfg_.width >= 1);
   NEMTCAM_EXPECT(cfg_.spare_rows >= 0 && cfg_.spare_rows < cfg_.rows);
   NEMTCAM_EXPECT(cfg_.horizon > 0.0);
-  NEMTCAM_EXPECT(cfg_.traffic.flip_fraction > 0.0 &&
-                 cfg_.traffic.flip_fraction <= 1.0);
 
   // Per-row fates over PHYSICAL coordinates (wear is physical: a spare
   // inherits the hot logical row's traffic but starts from zero wear and
@@ -98,7 +89,7 @@ LifetimeEngine::LifetimeEngine(LifetimeConfig cfg)
   state_.resize(static_cast<std::size_t>(cfg_.rows));
   for (int p = 0; p < cfg_.rows; ++p)
     state_[static_cast<std::size_t>(p)].fate =
-        row_fate(cfg_.seed, p, cfg_.width, cfg_.hazard);
+        row_fate(cfg_.seed, p, cfg_.width);
 
   // Zipf write popularity over logical rows, under a seeded permutation
   // so the hot rows are seed-dependent rather than always row 0.
@@ -114,7 +105,7 @@ LifetimeEngine::LifetimeEngine(LifetimeConfig cfg)
   for (int l = 0; l < logical; ++l) {
     const double w = std::pow(
         static_cast<double>(rank[static_cast<std::size_t>(l)] + 1),
-        -cfg_.traffic.zipf_alpha);
+        -kZipfAlpha);
     write_rate_[static_cast<std::size_t>(l)] = w;
     total += w;
   }
@@ -165,8 +156,7 @@ double LifetimeEngine::refresh_period() const {
 double LifetimeEngine::cell_rate(int physical) const {
   const int l = tcam_.logical_at(physical);
   if (l < 0) return 0.0;  // retired / unused spare: no traffic, no refresh
-  double rate = write_rate_[static_cast<std::size_t>(l)] *
-                cfg_.traffic.flip_fraction;
+  double rate = write_rate_[static_cast<std::size_t>(l)] * kFlipFraction;
   if (state_[static_cast<std::size_t>(physical)].window_lost &&
       costs_.needs_refresh()) {
     // Past window loss every one-shot refresh actuates this row's beams:
@@ -219,7 +209,7 @@ void LifetimeEngine::refresh_accrue(double t0, double t1,
                                     LifetimeResult& out) {
   if (!costs_.needs_refresh()) return;
   const double period = refresh_period();
-  const double weak_period = period * cfg_.weak_retention_scale;
+  const double weak_period = period * arch::kWeakRetentionScale;
   int n_live = 0;
   for (int p = 0; p < cfg_.rows; ++p)
     if (tcam_.logical_at(p) >= 0) ++n_live;
@@ -283,7 +273,7 @@ fault::FaultReport LifetimeEngine::build_report(double now) const {
   report.width = cfg_.width;
   for (int p = 0; p < cfg_.rows; ++p) {
     std::vector<fault::FaultSpec> faults = faults_of_row(
-        cfg_.seed, p, cfg_.width, cfg_.hazard, cfg_.tech, wear_of(p), now);
+        cfg_.seed, p, cfg_.width, cfg_.tech, wear_of(p), now);
     // Merge in the forced faults; on a cell collision keep the worse kind
     // (Dead beats Weak), else the forced one.
     for (const fault::FaultSpec& f : state_[static_cast<std::size_t>(p)].forced) {
@@ -325,8 +315,7 @@ void LifetimeEngine::sync_template(int physical, double w, double now) {
   // second: a faulted device's severity overrides its aged parameter).
   const fault::FaultInjector injector;
   for (const fault::FaultSpec& f :
-       faults_of_row(cfg_.seed, physical, cfg_.width, cfg_.hazard, cfg_.tech,
-                     w, now))
+       faults_of_row(cfg_.seed, physical, cfg_.width, cfg_.tech, w, now))
     injector.apply(*ckt, f);
   for (const fault::FaultSpec& f :
        state_[static_cast<std::size_t>(physical)].forced)
@@ -537,7 +526,7 @@ LifetimeResult LifetimeEngine::run() {
       case EventKind::DeadOnset: {
         const RowState& st = state_[static_cast<std::size_t>(row)];
         const CellFate fate =
-            cell_fate(cfg_.seed, row, st.fate.dead_col, cfg_.hazard);
+            cell_fate(cfg_.seed, row, st.fate.dead_col);
         handle_dead(now_, row, EventKind::DeadOnset,
                     std::string(fate.dead_closed ? "stuck-closed"
                                                  : "stuck-open") +
@@ -608,8 +597,7 @@ LifetimeResult LifetimeEngine::run() {
     rc.search_rate_hz = std::max(cfg_.traffic.search_rate_hz, 1.0);
     rc.poisson_arrivals = false;
     rc.seed = cfg_.seed;
-    rc.faults =
-        tcam_.refresh_awareness(out.report, cfg_.weak_retention_scale);
+    rc.faults = tcam_.refresh_awareness(out.report);
     rc.retention_scale = out.retention_scale_end;
     rc.refresh_period_scale = cfg_.refresh_period_scale;
     const double period = refresh_period();

@@ -59,15 +59,9 @@ namespace nemtcam::lifetime {
 
 struct TrafficConfig {
   double search_rate_hz = 1e6;  // array searches per second
-  double write_rate_hz = 1e3;   // row writes per second, array aggregate
-  // Write popularity is Zipf over logical rows (weight ∝ rank^-α under a
-  // seeded permutation): hot rows wear out first, which is what gives
-  // spare-row remap something to extend.
-  double zipf_alpha = 0.9;
-  // Cell cycles per row write: fraction of the row's cells that actually
-  // change state (EnduranceTracker counts changed bits; behaviorally the
-  // expected flip fraction stands in for the exact pattern).
-  double flip_fraction = 0.5;
+  // Row writes per second, array aggregate, Zipf-distributed over the
+  // logical rows (see LifetimeEngine.cpp).
+  double write_rate_hz = 1e3;
 };
 
 // An externally scheduled fault (validation and what-if experiments):
@@ -88,10 +82,7 @@ struct LifetimeConfig {
   // a manual retention derate (temperature / margin scaling).
   double refresh_period_scale = 1.0;
   double retention_derate = 1.0;
-  double weak_retention_scale = 0.25;
   bool remap_enabled = true;
-  HazardConfig hazard;
-  AgingConfig aging;
   std::uint64_t seed = 1;
   // Circuit-feedback budget: transients are replayed at state-change
   // boundaries until this many have run; afterwards the analytic aging
@@ -115,8 +106,6 @@ enum class EventKind {
   ArrayDeath,      // uncorrectable row: spare pool exhausted or remap off
   HorizonEnd,
 };
-
-const char* event_kind_name(EventKind k);
 
 struct LifetimeEvent {
   double t = 0.0;

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "linalg/DenseLu.h"  // SingularMatrixError
+#include "linalg/SingularMatrixError.h"
 
 namespace nemtcam::linalg {
 

@@ -43,9 +43,9 @@ struct CsrView {
 class SparseLu {
  public:
   SparseLu() = default;
-  // Factorizes; throws linalg::SingularMatrixError (see DenseLu.h) when a
-  // pivot column has no usable entry. The SparseMatrix form serves
-  // one-shot solves (sta::RcGraph); the circuit solver hands in CSR views.
+  // Factorizes; throws linalg::SingularMatrixError when a pivot column
+  // has no usable entry. The SparseMatrix form serves one-shot solves
+  // (sta::RcGraph); the circuit solver hands in CSR views.
   explicit SparseLu(SparseMatrix& a, double pivot_tol = 1e-30);
   explicit SparseLu(const CsrView& a, double pivot_tol = 1e-30);
 

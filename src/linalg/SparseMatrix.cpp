@@ -14,11 +14,6 @@ void SparseMatrix::add(std::size_t r, std::size_t c, double value) {
   compressed_ = false;
 }
 
-void SparseMatrix::clear() {
-  for (auto& row : row_entries_) row.clear();
-  compressed_ = true;
-}
-
 void SparseMatrix::compress() {
   if (compressed_) return;
   for (auto& row : row_entries_) {

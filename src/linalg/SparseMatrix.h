@@ -24,9 +24,6 @@ class SparseMatrix {
   // Accumulates `value` at (r, c).
   void add(std::size_t r, std::size_t c, double value);
 
-  // Resets all values to an empty matrix of the same shape.
-  void clear();
-
   // Merges duplicates and sorts each row by column. Idempotent; called
   // automatically by consumers that need the normalized view.
   void compress();

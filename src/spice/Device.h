@@ -245,12 +245,10 @@ class Device {
     return false;
   }
 
-  // Instantaneous dissipated power at the given solution, for breakdowns.
-  virtual double power(const StampContext& ctx) const { (void)ctx; return 0.0; }
-
   // Instantaneous power *delivered to the circuit* by this device (nonzero
-  // for sources only). The transient engine integrates this per device to
-  // give the energy ledger used by the write/search energy benches.
+  // for sources only). The transient engine integrates this per device
+  // into its one energy ledger, the per-source energies the write, search
+  // and refresh energy figures read.
   virtual double delivered_power(const StampContext& ctx) const {
     (void)ctx;
     return 0.0;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "linalg/DenseLu.h"  // SingularMatrixError
+#include "linalg/SingularMatrixError.h"
 #include "linalg/StructuralRank.h"
 #include "spice/AssemblyCache.h"
 #include "spice/Recovery.h"
@@ -83,10 +83,7 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
 
     try {
       cache.factorize().solve_inplace(rhs);  // rhs becomes v_new
-      if (iter == 0)
-        log::debug("newton: n=", n, " nnz=", cache.view().nnz());
     } catch (const linalg::SingularMatrixError&) {
-      log::debug("Newton: singular system at t=", t, " iter=", iter);
       result.converged = false;
       result.singular = true;
       return result;

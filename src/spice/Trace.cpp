@@ -14,21 +14,6 @@ Trace::Trace(std::vector<double> times, std::vector<double> values)
     NEMTCAM_EXPECT_MSG(times_[i] > times_[i - 1], "trace times must increase");
 }
 
-double Trace::t_begin() const {
-  NEMTCAM_EXPECT(!empty());
-  return times_.front();
-}
-
-double Trace::t_end() const {
-  NEMTCAM_EXPECT(!empty());
-  return times_.back();
-}
-
-double Trace::front() const {
-  NEMTCAM_EXPECT(!empty());
-  return values_.front();
-}
-
 double Trace::back() const {
   NEMTCAM_EXPECT(!empty());
   return values_.back();

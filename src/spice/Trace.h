@@ -18,9 +18,6 @@ class Trace {
   const std::vector<double>& times() const noexcept { return times_; }
   const std::vector<double>& values() const noexcept { return values_; }
 
-  double t_begin() const;
-  double t_end() const;
-  double front() const;
   double back() const;
 
   // Linear interpolation; clamps outside the recorded span.
@@ -40,8 +37,9 @@ class Trace {
   double max_value() const;
 
   // Last time the signal is outside the band target ± tol (i.e. the time
-  // it finally settles). Returns t_begin() if it is always inside, and
-  // nullopt if it never settles (still outside at the last sample).
+  // it finally settles). Returns the first sample's time if it is always
+  // inside, and nullopt if it never settles (still outside at the last
+  // sample).
   std::optional<double> settle_time(double target, double tol) const;
 
  private:

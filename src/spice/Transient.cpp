@@ -5,7 +5,6 @@
 #include <set>
 
 #include "util/Expect.h"
-#include "util/Log.h"
 
 namespace nemtcam::spice {
 
@@ -202,13 +201,6 @@ double TransientResult::total_source_energy() const {
   return total;
 }
 
-double TransientResult::device_dissipation(const std::string& device_name) const {
-  const auto it = dissipation_.find(device_name);
-  NEMTCAM_EXPECT_MSG(it != dissipation_.end(),
-                     "no dissipation recorded for device '" + device_name + "'");
-  return it->second;
-}
-
 TransientResult run_transient(Circuit& circuit, const TransientOptions& opts) {
   return run_transient_from(circuit, circuit.initial_state(), opts);
 }
@@ -251,20 +243,17 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   NewtonOptions newton;
   double sticky_gmin = 0.0;
 
-  // Per-device previous power sample for trapezoidal energy integration.
+  // Per-device previous delivered-power sample for trapezoidal source
+  // energy integration.
   std::vector<Device*> devs;
   devs.reserve(circuit.devices().size());
   for (const auto& dev : circuit.devices()) devs.push_back(dev.get());
   std::vector<double> prev_delivered(devs.size(), 0.0);
-  std::vector<double> prev_dissipated(devs.size(), 0.0);
   std::vector<double> acc_delivered(devs.size(), 0.0);
-  std::vector<double> acc_dissipated(devs.size(), 0.0);
   {
     StampContext ctx0(0.0, 0.0, /*is_dc=*/false, n_node, &v_prev, &v_prev);
-    for (std::size_t i = 0; i < devs.size(); ++i) {
+    for (std::size_t i = 0; i < devs.size(); ++i)
       prev_delivered[i] = devs[i]->delivered_power(ctx0);
-      prev_dissipated[i] = devs[i]->power(ctx0);
-    }
   }
 
   // Probe recording: store only the requested node voltages per step.
@@ -523,8 +512,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     ++result.steps_taken;
     dt_last = dt;
 
-    // Commit device state and integrate energies at the accepted point
-    // (same integrator the step was solved with, so companion-current
+    // Commit device state and integrate source energies at the accepted
+    // point (same integrator the step was solved with, so companion-current
     // state stays consistent).
     StampContext ctx(t, dt, /*is_dc=*/false, n_node, &v, &v_prev,
                      step_integrator);
@@ -533,9 +522,6 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       const double pd = devs[i]->delivered_power(ctx);
       acc_delivered[i] += 0.5 * (prev_delivered[i] + pd) * dt;
       prev_delivered[i] = pd;
-      const double pp = devs[i]->power(ctx);
-      acc_dissipated[i] += 0.5 * (prev_dissipated[i] + pp) * dt;
-      prev_dissipated[i] = pp;
     }
 
     if (opts.record) record_sample(t, v);
@@ -556,16 +542,9 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   for (std::size_t i = 0; i < devs.size(); ++i) {
     if (acc_delivered[i] != 0.0 || devs[i]->branch_count() > 0)
       result.source_energy_[devs[i]->name()] += acc_delivered[i];
-    if (acc_dissipated[i] != 0.0)
-      result.dissipation_[devs[i]->name()] += acc_dissipated[i];
   }
 
   result.finished = true;
-  log::info("transient done: steps=", result.steps_taken,
-            " rejected=", result.steps_rejected,
-            " events=", result.events_located,
-            " newton_iters=", result.newton_iterations,
-            " unknowns=", circuit.unknown_count());
   return result;
 }
 

@@ -3,6 +3,11 @@
 // breakpoint landing, device-event bisection, and per-source energy
 // accounting.
 //
+// The one energy ledger is per independent source: ∫v·i delivered over
+// the run, which is how the paper states write, search and OSR energy.
+// Nothing integrates per-device dissipation; a test that wants it
+// integrates v²/R over the node traces it records.
+//
 // The engine starts from the circuit's initial conditions (SPICE "UIC"
 // style) — the TCAM experiments always begin from a known stored state —
 // or from a caller-provided state vector (e.g. a DC operating point).
@@ -100,8 +105,6 @@ class TransientResult {
   double source_energy(const std::string& device_name) const;
   // Sum over all sources.
   double total_source_energy() const;
-  // Energy dissipated in the named device (only devices reporting power()).
-  double device_dissipation(const std::string& device_name) const;
 
   const std::map<std::string, double>& source_energies() const noexcept {
     return source_energy_;
@@ -115,7 +118,6 @@ class TransientResult {
   std::vector<std::size_t> recorded_unknowns;
   int n_node_unknowns = 0;
   std::map<std::string, double> source_energy_;
-  std::map<std::string, double> dissipation_;
 
   // Maps a raw unknown index to its sample column: identity when the full
   // vector was recorded, else a binary search in an index built lazily on

@@ -1,6 +1,5 @@
 #include "util/Log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -8,26 +7,13 @@ namespace nemtcam::log {
 
 namespace {
 
-std::atomic<Level> g_level{Level::Warn};
 std::mutex g_mutex;
 
 const char* name_of(Level lvl) {
-  switch (lvl) {
-    case Level::Trace: return "TRACE";
-    case Level::Debug: return "DEBUG";
-    case Level::Info: return "INFO";
-    case Level::Warn: return "WARN";
-    case Level::Error: return "ERROR";
-    case Level::Off: return "OFF";
-  }
-  return "?";
+  return lvl == Level::Warn ? "WARN" : "ERROR";
 }
 
 }  // namespace
-
-Level level() noexcept { return g_level.load(std::memory_order_relaxed); }
-
-void set_level(Level lvl) noexcept { g_level.store(lvl, std::memory_order_relaxed); }
 
 void write(Level lvl, const std::string& msg) {
   std::lock_guard<std::mutex> lock(g_mutex);

@@ -1,7 +1,8 @@
-// Minimal leveled logger.
+// Minimal logger for the library's warnings and errors.
 //
-// The simulator is a library, so logging defaults to Warn and writes to
-// stderr; benches and examples may raise the level for progress output.
+// The simulator is a library: it reports only what a caller should see
+// (a failed operating point, an exhausted recovery ladder, a full spare
+// pool), always, to stderr. There is no level to raise or lower.
 #pragma once
 
 #include <sstream>
@@ -9,11 +10,7 @@
 
 namespace nemtcam::log {
 
-enum class Level { Trace = 0, Debug, Info, Warn, Error, Off };
-
-// Global threshold; messages below it are dropped.
-Level level() noexcept;
-void set_level(Level lvl) noexcept;
+enum class Level { Warn, Error };
 
 void write(Level lvl, const std::string& msg);
 
@@ -21,7 +18,6 @@ namespace detail {
 
 template <typename... Args>
 void emit(Level lvl, Args&&... args) {
-  if (lvl < level()) return;
   std::ostringstream os;
   (os << ... << args);
   write(lvl, os.str());
@@ -29,12 +25,6 @@ void emit(Level lvl, Args&&... args) {
 
 }  // namespace detail
 
-template <typename... Args>
-void trace(Args&&... args) { detail::emit(Level::Trace, std::forward<Args>(args)...); }
-template <typename... Args>
-void debug(Args&&... args) { detail::emit(Level::Debug, std::forward<Args>(args)...); }
-template <typename... Args>
-void info(Args&&... args) { detail::emit(Level::Info, std::forward<Args>(args)...); }
 template <typename... Args>
 void warn(Args&&... args) { detail::emit(Level::Warn, std::forward<Args>(args)...); }
 template <typename... Args>

@@ -39,19 +39,4 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
 
-double mean_of(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean_of(xs);
-  double m2 = 0.0;
-  for (double x : xs) m2 += (x - m) * (x - m);
-  return std::sqrt(m2 / static_cast<double>(xs.size() - 1));
-}
-
 }  // namespace nemtcam::util

@@ -31,10 +31,4 @@ class RunningStats {
 // The input vector is copied, so callers keep their ordering.
 double percentile(std::vector<double> samples, double p);
 
-// Mean of a vector; 0 for empty input.
-double mean_of(const std::vector<double>& xs);
-
-// Sample standard deviation; 0 for fewer than two samples.
-double stddev_of(const std::vector<double>& xs);
-
 }  // namespace nemtcam::util

@@ -1,4 +1,4 @@
-#include "linalg/DenseLu.h"
+#include "DenseLu.h"
 
 #include <cmath>
 

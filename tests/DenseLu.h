@@ -1,9 +1,11 @@
-// LU factorization with partial pivoting and solve, for dense MNA systems.
+// Dense LU factorization with partial pivoting and solve: test_linalg's
+// reference solution for SparseLu.
 #pragma once
 
 #include <vector>
 
-#include "linalg/DenseMatrix.h"
+#include "DenseMatrix.h"
+#include "linalg/SingularMatrixError.h"
 
 namespace nemtcam::linalg {
 
@@ -21,10 +23,6 @@ class DenseLu {
  private:
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;  // row permutation: row i of U came from perm_[i]
-};
-
-struct SingularMatrixError : std::runtime_error {
-  using std::runtime_error::runtime_error;
 };
 
 }  // namespace nemtcam::linalg

@@ -1,4 +1,4 @@
-#include "linalg/DenseMatrix.h"
+#include "DenseMatrix.h"
 
 #include <algorithm>
 #include <cmath>
@@ -14,8 +14,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
-void DenseMatrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
   NEMTCAM_EXPECT(x.size() == cols_);
   std::vector<double> y(rows_, 0.0);
@@ -26,14 +24,6 @@ std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
     y[r] = acc;
   }
   return y;
-}
-
-double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
-  NEMTCAM_EXPECT(rows_ == other.rows_ && cols_ == other.cols_);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    worst = std::max(worst, std::fabs(data_[i] - other.data_[i]));
-  return worst;
 }
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
@@ -54,11 +44,6 @@ std::vector<double> subtract(const std::vector<double>& a, const std::vector<dou
   std::vector<double> r(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
   return r;
-}
-
-void axpy(std::vector<double>& a, double s, const std::vector<double>& b) {
-  NEMTCAM_EXPECT(a.size() == b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
 }
 
 }  // namespace nemtcam::linalg

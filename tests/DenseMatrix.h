@@ -1,5 +1,5 @@
-// Row-major dense matrix, sized for MNA systems of small circuits
-// (a few hundred unknowns). Larger systems use SparseMatrix/SparseLu.
+// Row-major dense matrix and vector helpers: test_linalg's oracle for
+// SparseLu (DenseLu.h), sized for small systems.
 #pragma once
 
 #include <cstddef>
@@ -28,14 +28,8 @@ class DenseMatrix {
     return data_[r * cols_ + c];
   }
 
-  // Sets every entry to zero without reallocating.
-  void set_zero();
-
   // y = A * x
   std::vector<double> multiply(const std::vector<double>& x) const;
-
-  // Frobenius norm difference, used by tests.
-  double max_abs_diff(const DenseMatrix& other) const;
 
   const std::vector<double>& data() const noexcept { return data_; }
 
@@ -45,12 +39,10 @@ class DenseMatrix {
   std::vector<double> data_;
 };
 
-// Vector helpers shared by solvers and the transient engine.
+// Vector helpers.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 double norm_inf(const std::vector<double>& v);
 // r = a - b
 std::vector<double> subtract(const std::vector<double>& a, const std::vector<double>& b);
-// a += s * b
-void axpy(std::vector<double>& a, double s, const std::vector<double>& b);
 
 }  // namespace nemtcam::linalg

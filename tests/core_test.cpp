@@ -2,7 +2,6 @@
 
 #include "core/DynamicTcam.h"
 #include "core/EnergyModel.h"
-#include "core/PriorityEncoder.h"
 #include "core/TcamModel.h"
 #include "core/Ternary.h"
 #include "util/Random.h"
@@ -151,30 +150,6 @@ TEST(TcamModel, SearchEqualsBruteForce) {
         expect.push_back(r);
     EXPECT_EQ(t.search(key), expect);
   }
-}
-
-// --- PriorityEncoder -------------------------------------------------------
-
-TEST(PriorityEncoder, FirstAndAll) {
-  const std::vector<bool> m = {false, true, false, true};
-  EXPECT_EQ(PriorityEncoder::first_match(m).value(), 1);
-  EXPECT_EQ(PriorityEncoder::all_matches(m), (std::vector<int>{1, 3}));
-  EXPECT_FALSE(PriorityEncoder::first_match({false, false}).has_value());
-  EXPECT_TRUE(PriorityEncoder::all_matches({}).empty());
-}
-
-TEST(PriorityEncoder, TopK) {
-  const std::vector<bool> m = {true, false, true, true};
-  EXPECT_EQ(PriorityEncoder::top_k(m, 2), (std::vector<int>{0, 2}));
-  EXPECT_EQ(PriorityEncoder::top_k(m, 0), (std::vector<int>{}));
-  EXPECT_EQ(PriorityEncoder::top_k(m, 10), (std::vector<int>{0, 2, 3}));
-}
-
-TEST(PriorityEncoder, FromIndicesRoundTrip) {
-  const std::vector<int> hits = {0, 3, 7};
-  const auto v = PriorityEncoder::from_indices(hits, 8);
-  EXPECT_EQ(PriorityEncoder::all_matches(v), hits);
-  EXPECT_THROW(PriorityEncoder::from_indices({8}, 8), std::logic_error);
 }
 
 // --- EnergyModel ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "devices/Fefet.h"
 #include "devices/Mosfet.h"
@@ -423,8 +424,15 @@ TEST(Energy, SourceEnergyEqualsDissipationPlusStored) {
   const auto res = run_transient(c, opts);
   ASSERT_TRUE(res.finished) << res.failure;
   const double e_src = res.source_energy("V1");
-  const double e_r = res.device_dissipation("R");
-  const double v_final = res.node_trace(out).back();
+  // Energy burned in R: trapezoidal ∫(v_in − v_out)²/R dt over the samples.
+  const Trace v_in = res.node_trace(vin), v_out = res.node_trace(out);
+  std::vector<double> p_r(v_out.size());
+  for (std::size_t i = 0; i < v_out.size(); ++i) {
+    const double dv = v_in.values()[i] - v_out.values()[i];
+    p_r[i] = dv * dv / 5e3;
+  }
+  const double e_r = Trace(v_out.times(), std::move(p_r)).integral();
+  const double v_final = v_out.back();
   const double e_c = 0.5 * 50e-15 * v_final * v_final;
   EXPECT_NEAR(e_src, e_r + e_c, 0.02 * e_src);
 }

@@ -197,8 +197,7 @@ CellFragment build_cell_fragment() {
 }
 
 TEST(FaultInjector, MutatesDevicesByNameConvention) {
-  FaultSeverity sev;
-  const FaultInjector inj(sev);
+  const FaultInjector inj;
 
   {
     CellFragment f = build_cell_fragment();
@@ -218,21 +217,21 @@ TEST(FaultInjector, MutatesDevicesByNameConvention) {
         1);
     EXPECT_TRUE(f.n2->stuck());
     EXPECT_FALSE(f.n2->contact());
-    EXPECT_EQ(f.n2->params().g_off, sev.g_off_broken);
+    EXPECT_EQ(f.n2->params().g_off, kGOffBroken);
   }
   {
     CellFragment f = build_cell_fragment();
     EXPECT_EQ(inj.apply(f.ckt,
                         FaultSpec{0, 0, FaultKind::ContactDrift, true, true}),
               1);
-    EXPECT_DOUBLE_EQ(f.n1->params().r_on, sev.drift_r_on);
+    EXPECT_DOUBLE_EQ(f.n1->params().r_on, kDriftROn);
   }
   {
     CellFragment f = build_cell_fragment();
     EXPECT_EQ(inj.apply(f.ckt,
                         FaultSpec{0, 0, FaultKind::GateLeak, true, true}),
               1);
-    EXPECT_DOUBLE_EQ(f.n1->params().gate_leak_g, sev.leak_g);
+    EXPECT_DOUBLE_EQ(f.n1->params().gate_leak_g, kLeakG);
   }
   {
     CellFragment f = build_cell_fragment();
@@ -241,7 +240,7 @@ TEST(FaultInjector, MutatesDevicesByNameConvention) {
     EXPECT_GE(inj.apply(f.ckt,
                         FaultSpec{0, 0, FaultKind::MosVthOutlier, true, true}),
               1);
-    EXPECT_NEAR(f.ts->params().vth, vth0 + sev.vth_shift, 1e-12);
+    EXPECT_NEAR(f.ts->params().vth, vth0 + kVthShift, 1e-12);
   }
   {
     // A fault drawn for column 3 must not touch column 0's devices.

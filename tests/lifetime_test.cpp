@@ -1,9 +1,10 @@
 // Multi-rate lifetime co-simulation (lifetime/LifetimeEngine) and the
 // degradation-feedback plumbing around it: multi-rate vs brute-force
 // agreement, seed determinism across thread counts, spare-row remap
-// extending NEM lifetime, refresh-window loss, FaultAwareness
-// normalization, BankedTcam retirement × fault-aware refresh, and the
-// physical saturation bounds on the device aging hooks.
+// extending NEM lifetime, refresh-window loss, one pinned smoke point per
+// technology, FaultAwareness normalization, BankedTcam retirement ×
+// fault-aware refresh, and the physical saturation bounds on the device
+// aging hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,6 +178,59 @@ TEST(LifetimeEngine, RefreshWindowLossTriggersWearRunaway) {
   EXPECT_LT(dead->t - it->t, 0.1 * it->t);
 }
 
+// One seeded `bench_lifetime --smoke` point per technology (16×16 with 2
+// spares, 2-year horizon, 10k writes/s, two circuit checks), seeded the
+// way the bench seeds it. Runs are bit-deterministic, so every figure is
+// pinned exactly: a change to the hazard, aging, traffic or refresh
+// constants, or to the engine, shows up here.
+struct SmokeGolden {
+  core::TcamTech tech;
+  std::size_t pair;  // the bench's sweep-point index for this seed
+  double t_death;
+  std::vector<EventKind> events;
+  double search_energy, write_energy, refresh_energy;
+};
+
+TEST(LifetimeEngine, SmokePointsMatchRecordedGoldens) {
+  using K = EventKind;
+  const SmokeGolden goldens[] = {
+      {core::TcamTech::Nem3T2N, 0, 7268719.6673666481,
+       {K::DecadeCross, K::DecadeCross, K::DecadeCross, K::WeakOnset,
+        K::WeakOnset, K::WindowLost, K::DeadOnset, K::RowRetired,
+        K::DeadOnset, K::RowRetired, K::WeakOnset, K::DeadOnset,
+        K::ArrayDeath},
+       0.22775361167452271, 0.0014174003351235002, 0.085447171283166201},
+      {core::TcamTech::Rram2T2R, 2, 8789.3651173131166,
+       {K::DecadeCross, K::DecadeCross, K::DecadeCross, K::WeakOnset,
+        K::DeadOnset, K::RowRetired, K::WeakOnset, K::WeakOnset,
+        K::WeakOnset, K::DeadOnset, K::RowRetired, K::WeakOnset,
+        K::DeadOnset, K::ArrayDeath},
+       0.00030451952730858038, 0.00041090281842499996, 0.0},
+  };
+  for (const SmokeGolden& g : goldens) {
+    SCOPED_TRACE(core::tech_name(g.tech));
+    LifetimeConfig cfg;
+    cfg.tech = g.tech;
+    cfg.rows = 16;
+    cfg.width = 16;
+    cfg.spare_rows = 2;
+    cfg.horizon = 2.0 * units::year;
+    cfg.traffic.write_rate_hz = 1e4;
+    cfg.max_circuit_checks = 2;
+    cfg.seed = util::sweep_trial_seed(0x11fe71feu, g.pair);
+    const LifetimeResult r = LifetimeEngine(cfg).run();
+    EXPECT_TRUE(r.died);
+    EXPECT_EQ(r.t_death, g.t_death);
+    EXPECT_EQ(r.rows_retired, 2);
+    std::vector<EventKind> kinds;
+    for (const auto& e : r.events) kinds.push_back(e.kind);
+    EXPECT_EQ(kinds, g.events);
+    EXPECT_EQ(r.search_energy, g.search_energy);
+    EXPECT_EQ(r.write_energy, g.write_energy);
+    EXPECT_EQ(r.refresh_energy, g.refresh_energy);
+  }
+}
+
 TEST(FaultAwareness, NormalizationDedupesAndAppliesPrecedence) {
   FaultAwareness raw;
   raw.weak_rows = {5, 3, 3, 9, -1, 64, 7};   // dupes, out of range
@@ -327,15 +381,14 @@ TEST(DegradationHooks, SaturateAtPhysicalBounds) {
 }
 
 TEST(Hazard, FatesAreDeterministicAndFaultListsOrdered) {
-  const lifetime::HazardConfig hz;
-  const lifetime::CellFate a = lifetime::cell_fate(42, 3, 5, hz);
-  const lifetime::CellFate b = lifetime::cell_fate(42, 3, 5, hz);
+  const lifetime::CellFate a = lifetime::cell_fate(42, 3, 5);
+  const lifetime::CellFate b = lifetime::cell_fate(42, 3, 5);
   EXPECT_EQ(a.wear_dead, b.wear_dead);
   EXPECT_EQ(a.time_leak, b.time_leak);
   EXPECT_GT(a.wear_dead, 0.0);
 
   const auto faults = lifetime::faults_of_row(
-      42, 3, 16, hz, core::TcamTech::Nem3T2N, /*wear=*/1.5, /*now=*/0.0);
+      42, 3, 16, core::TcamTech::Nem3T2N, /*wear=*/1.5, /*now=*/0.0);
   // High wear: every cell has at least crossed its dead threshold well
   // before w = 1.5 (Weibull η ≈ 1, β large), and the list is col-ordered.
   EXPECT_FALSE(faults.empty());

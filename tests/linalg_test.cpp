@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "linalg/DenseLu.h"
-#include "linalg/DenseMatrix.h"
+#include "DenseLu.h"
+#include "DenseMatrix.h"
 #include "linalg/SparseLu.h"
 #include "linalg/SparseMatrix.h"
 #include "util/Random.h"

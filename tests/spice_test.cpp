@@ -152,8 +152,15 @@ TEST(Transient, RcChargeDelayAndEnergy) {
   // Fully settled by 20 RC = 20 ns.
   EXPECT_NEAR(v.back(), vdd, 1e-3);
   EXPECT_NEAR(res.source_energy("V1"), cap * vdd * vdd, 0.03 * cap * vdd * vdd);
-  EXPECT_NEAR(res.device_dissipation("R"), 0.5 * cap * vdd * vdd,
-              0.03 * 0.5 * cap * vdd * vdd);
+  // Energy burned in R: trapezoidal ∫(v_in − v_out)²/R dt over the samples.
+  const Trace v_in = res.node_trace(vin);
+  std::vector<double> p_r(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double dv = v_in.values()[i] - v.values()[i];
+    p_r[i] = dv * dv / r;
+  }
+  EXPECT_NEAR(Trace(v.times(), std::move(p_r)).integral(),
+              0.5 * cap * vdd * vdd, 0.03 * 0.5 * cap * vdd * vdd);
 }
 
 TEST(Transient, BreakpointsAreHit) {

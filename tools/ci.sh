@@ -45,18 +45,28 @@
 #      other stage builds it; perfbench/run.py builds it (Release, under
 #      .bench_build/) and runs each of its four workloads for 2 s at seed
 #      1, whose JSON result must read "correct": true with 0 failed ops
+#   8. every library function has a caller: the programs, the tests and
+#      the perfbench driver build into build-reach/ (preset `reach`) at
+#      -O0 -ffunction-sections -fdata-sections and link with
+#      -Wl,--gc-sections, so each binary keeps exactly the functions it
+#      can reach. The stage fails on any nemtcam:: function that a
+#      libnemtcam_*.a archive defines and no binary keeps, comparing
+#      demangled names without their argument lists (a template
+#      instantiation whose demangled text starts with its return type is
+#      skipped). An inline function no one calls is never emitted, so it
+#      does not show here. ~2 min on 4 cores
 #
 # Fails fast on the first broken stage.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==== [1/7] release build + tests ===="
+echo "==== [1/8] release build + tests ===="
 cmake --preset release
 cmake --build --preset release -j
 ctest --preset all -j
 
-echo "==== [2/7] asan build + sanitizer test labels" \
+echo "==== [2/8] asan build + sanitizer test labels" \
      "(robustness/hier/array/lifetime/sta/paper/tcam/netlist/solver) ===="
 cmake --preset asan
 cmake --build --preset asan -j
@@ -70,13 +80,13 @@ ctest --preset tcam-asan -j
 ctest --preset netlist-asan -j
 ctest --preset solver-asan -j
 
-echo "==== [3/7] tsan build + threads/solver labels ===="
+echo "==== [3/8] tsan build + threads/solver labels ===="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --preset threads-tsan -j
 ctest --preset solver-tsan -j
 
-echo "==== [4/7] no getenv outside the thread pool + lint build" \
+echo "==== [4/8] no getenv outside the thread pool + lint build" \
      "(-Werror, clang-tidy if installed) ===="
 getenv_calls=$(grep -rn getenv src | grep -v '^src/util/ThreadPool\.cpp:' ||
                true)
@@ -88,10 +98,10 @@ fi
 cmake --preset lint
 cmake --build --preset lint -j
 
-echo "==== [5/7] ERC + STA margins over example decks (warnings are errors) ===="
+echo "==== [5/8] ERC + STA margins over example decks (warnings are errors) ===="
 build/tools/nemtcam_lint --sta --werror examples/decks/*.sp
 
-echo "==== [6/7] bench smokes + sweep determinism at 1 and 4 threads" \
+echo "==== [6/8] bench smokes + sweep determinism at 1 and 4 threads" \
      "(A1, A5, fault campaign, lifetime, example decks) ===="
 (cd build/bench && ./bench_sta --smoke)
 # The table a sweep bench prints at a given thread count, from the line
@@ -143,9 +153,9 @@ same_at_1_and_4_threads "fault campaign tables" fault_campaign_tables
 same_at_1_and_4_threads "lifetime --smoke tables" lifetime_tables
 same_at_1_and_4_threads "nemtcam_sim example decks" example_decks_report
 
-echo "==== [7/7] perfbench smoke (all four workloads) ===="
+echo "==== [7/8] perfbench smoke (all four workloads) ===="
 # perfbench_driver exits 3 when one of the NEMTCAM_* variables it lists
-# is set (no code reads them any more), so this last stage clears them.
+# is set (no code reads them any more), so this stage clears them.
 for v in $(env | sed -n 's/^\(NEMTCAM_[A-Z0-9_]*\)=.*/\1/p'); do unset "$v"; done
 for w in row_search row_update array_search lifetime; do
   result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 |
@@ -160,5 +170,37 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
   fi
   echo "perfbench $w: correct, 0 failed ops"
 done
+
+echo "==== [8/8] every library function has a caller" \
+     "(-O0, -ffunction-sections, --gc-sections) ===="
+cmake --preset reach
+cmake --build --preset reach -j
+cmake -S perfbench -B build-reach/perfbench -DCMAKE_BUILD_TYPE=None \
+  -DCMAKE_CXX_FLAGS="-O0 -ffunction-sections -fdata-sections" \
+  -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
+cmake --build build-reach/perfbench -j
+# The nemtcam:: functions the given archives or binaries define, one
+# demangled name per line without its argument list (so overloads count
+# as one name). A template instantiation whose demangled text starts with
+# its return type is skipped.
+functions_defined() {
+  nm --defined-only "$@" | awk 'NF == 3 && $2 ~ /^[TtWw]$/ { print $3 }' |
+    c++filt -p | grep '^nemtcam::' | sort -u
+}
+functions_defined build-reach/src/*/libnemtcam_*.a \
+  > build-reach/library_functions.txt
+functions_defined build-reach/perfbench/perfbench_driver \
+  $(find build-reach/bench build-reach/tools build-reach/examples \
+         build-reach/tests -maxdepth 1 -type f -perm -u+x) \
+  > build-reach/kept_functions.txt
+uncalled=$(comm -23 build-reach/library_functions.txt \
+                    build-reach/kept_functions.txt)
+if [ -n "$uncalled" ]; then
+  echo "library functions that no program, test or the perfbench driver" \
+       "keeps (delete them, or call them):" >&2
+  printf '%s\n' "$uncalled" >&2
+  exit 1
+fi
+echo "every library function is kept by a program, a test or the driver"
 
 echo "==== ci.sh: all stages passed ===="
