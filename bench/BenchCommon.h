@@ -27,6 +27,16 @@ inline const std::vector<tcam::TcamKind>& all_kinds() {
   return kinds;
 }
 
+// Every row kind, in TcamKind order.
+inline const std::vector<tcam::TcamKind>& seven_kinds() {
+  static const std::vector<tcam::TcamKind> kinds = {
+      tcam::TcamKind::Sram16T,  tcam::TcamKind::Nem3T2N,
+      tcam::TcamKind::Rram2T2R, tcam::TcamKind::Fefet2F,
+      tcam::TcamKind::Dtcam5T,  tcam::TcamKind::Fefet4T2F,
+      tcam::TcamKind::Mram4T2M};
+  return kinds;
+}
+
 // Alternating 1010… word of the given width.
 inline core::TernaryWord checker_word(int width) {
   core::TernaryWord w(static_cast<std::size_t>(width));

@@ -240,12 +240,14 @@ void write_json(const SweepAxes& a) {
                "  \"array\": {\"rows\": %d, \"width\": %d, \"spare_rows\": "
                "%d},\n"
                "  \"horizon_years\": %.6g,\n"
-               "  \"traffic\": {\"search_rate_hz\": 1e6, \"zipf_alpha\": "
-               "0.9, \"flip_fraction\": 0.5},\n"
+               "  \"traffic\": {\"search_rate_hz\": %.6g, \"zipf_alpha\": "
+               "%.6g, \"flip_fraction\": %.6g},\n"
                "  \"points_failed\": %zu,\n"
                "  \"sweep\": {\n",
                g_smoke ? "true" : "false", a.rows, a.width, a.spare_rows,
-               a.horizon / units::year, g_failed);
+               a.horizon / units::year,
+               lifetime::TrafficConfig{}.search_rate_hz, lifetime::kZipfAlpha,
+               lifetime::kFlipFraction, g_failed);
   for (std::size_t ti = 0; ti < a.techs.size(); ++ti) {
     const core::TcamTech tech = a.techs[ti];
     std::fprintf(f, "    \"%s\": [\n", core::tech_name(tech));

@@ -1,6 +1,6 @@
 // Solver bench (no paper figure — engineering validation).
 //
-// Two measurements, written to bench_solver.json / BENCH_pr5.json for
+// Three measurements, written to bench_solver.json / BENCH_pr5.json for
 // machine checks:
 //  1. A SparseLu micro: full factorization vs numeric refactorization of
 //     the same MNA-shaped pattern with perturbed values.
@@ -9,10 +9,14 @@
 //     search wall-clock, heap allocation counts (via the replacement
 //     operator new below), and the elaboration/stamp-pattern counters
 //     proving zero reconstruction during replay go to BENCH_pr5.json.
-// The adaptive-vs-refined-fixed step-control oracle is a test
-// (StepControl.AdaptiveSearchMatchesRefinedFixedReference). Coupled-array
-// search time is measured by bench_sta (64x64, with its STA speedup gate)
-// and bench_ablation_array_size.
+//  3. Step-control accuracy: every kind's one-bit-miss 8-bit search on a
+//     64-row column under step_defaults, against fixed-step Backward Euler
+//     at a 0.25 ps ceiling (the set-up of the 3T2N-only test
+//     StepControl.AdaptiveSearchMatchesRefinedFixedReference). The latency
+//     and energy errors go to bench_solver.json: they are the evidence a
+//     change that moves results at the rounding level is no less accurate.
+// Coupled-array search time is measured by bench_sta (64x64, with its STA
+// speedup gate) and bench_ablation_array_size.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -23,7 +27,11 @@
 #include "BenchCommon.h"
 #include "hier/Elaborate.h"
 #include "linalg/SparseLu.h"
+#include "spice/Transient.h"
+#include "tcam/ArrayTemplate.h"
+#include "tcam/Harness.h"
 #include "tcam/Nem3T2NRow.h"
+#include "tcam/RowSpecs.h"
 
 // Process-wide heap-allocation counter for the template-replay leg. The
 // replaceable allocation functions must live at global scope with external
@@ -179,6 +187,65 @@ void BM_SearchTemplateReplay(benchmark::State& state) {
 
 BENCHMARK(BM_SearchTemplateReplay)->Iterations(1)->Unit(benchmark::kMillisecond);
 
+// --- Step-control accuracy ---
+
+// The one-bit-miss search (checkerboard word, key bit 0 flipped) of an
+// 8-bit row on the one-row fixture of a 64-row column, with the cell
+// search_spec_for elaborates, run under `opts` (its t_end is replaced by
+// the fixture's).
+ArraySearchMetrics miss_search(TcamKind kind, spice::TransientOptions opts) {
+  constexpr int kAccWidth = 8;
+  const SearchTemplateSpec spec =
+      search_spec_for(kind, Calibration::standard());
+  const core::TernaryWord word = checker_word(kAccWidth);
+  ArrayFixture fx(spec, /*rows=*/1, kAccWidth, one_bit_mismatch_key(word), {},
+                  /*column_rows=*/kRows);
+  const PortNets nets = fx.port_nets(0);
+  for (int i = 0; i < kAccWidth; ++i)
+    spec.bind(fx.circuit(),
+              elaborate_cell(fx.circuit(), spec.cell,
+                             "Xcell" + std::to_string(i), nets, i,
+                             spec.cell.params),
+              word[static_cast<std::size_t>(i)]);
+  opts.t_end = fx.t_end();
+  opts.probe_nodes = {fx.ml(0)};
+  return fx.metrics(run_transient(fx.circuit(), opts),
+                    width_scaled_strobe(spec.t_strobe, kAccWidth));
+}
+
+struct AccuracyRow {
+  TcamKind kind;
+  bool ok = false;
+  double latency_err_pct = 0.0;  // (adaptive − reference) / reference
+  double energy_err_pct = 0.0;
+};
+
+std::vector<AccuracyRow> g_accuracy;
+
+void BM_StepControlAccuracy(benchmark::State& state) {
+  for (auto _ : state) {
+    g_accuracy.clear();
+    for (const TcamKind kind : seven_kinds()) {
+      spice::TransientOptions fixed;
+      fixed.dt_init = 1e-13;
+      fixed.dt_max = 0.25e-12;
+      const ArraySearchMetrics ref = miss_search(kind, fixed);
+      const ArraySearchMetrics ad = miss_search(kind, spice::step_defaults(0.0));
+      AccuracyRow row{kind};
+      row.ok = ref.ok && ad.ok && ref.rows.at(0).latency > 0.0;
+      if (row.ok) {
+        const double ref_latency = ref.rows[0].latency;
+        row.latency_err_pct =
+            100.0 * (ad.rows[0].latency - ref_latency) / ref_latency;
+        row.energy_err_pct = 100.0 * (ad.energy - ref.energy) / ref.energy;
+      }
+      g_accuracy.push_back(row);
+    }
+  }
+}
+
+BENCHMARK(BM_StepControlAccuracy)->Iterations(1)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,6 +267,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(g_replay.allocs_per_search),
       static_cast<unsigned long long>(g_replay.instances_elaborated),
       g_replay.m.stamp_pattern_builds);
+
+  std::printf(
+      "Step-control accuracy — 8-bit one-bit-miss search, 64-row column, "
+      "step_defaults vs fixed-step BE at dt_max 0.25 ps:\n");
+  for (const AccuracyRow& row : g_accuracy) {
+    if (row.ok)
+      std::printf("  %-11s latency %+.3f%%   energy %+.3f%%\n",
+                  kind_name(row.kind), row.latency_err_pct,
+                  row.energy_err_pct);
+    else
+      std::printf("  %-11s search failed\n", kind_name(row.kind));
+  }
 
   FILE* f5 = std::fopen("BENCH_pr5.json", "w");
   if (f5 != nullptr) {
@@ -231,9 +310,20 @@ int main(int argc, char** argv) {
         "    \"full_factor_us\": %.6f,\n"
         "    \"refactor_us\": %.6f,\n"
         "    \"speedup\": %.4f\n"
-        "  }\n"
-        "}\n",
+        "  },\n"
+        "  \"step_accuracy\": {",
         g_full_factor_s * 1e6, g_refactor_s * 1e6, refactor_speedup);
+    for (std::size_t i = 0; i < g_accuracy.size(); ++i) {
+      const AccuracyRow& row = g_accuracy[i];
+      std::fprintf(f, "%s\n    \"%s\": ", i ? "," : "", kind_name(row.kind));
+      if (row.ok)
+        std::fprintf(f,
+                     "{\"latency_err_pct\": %.6f, \"energy_err_pct\": %.6f}",
+                     row.latency_err_pct, row.energy_err_pct);
+      else
+        std::fprintf(f, "null");
+    }
+    std::fprintf(f, "\n  }\n}\n");
     std::fclose(f);
     std::printf("wrote bench_solver.json\n");
   }

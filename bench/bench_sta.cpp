@@ -70,15 +70,6 @@ std::string fmt(const char* f, double v) {
   return buf;
 }
 
-const std::vector<tcam::TcamKind>& seven_kinds() {
-  static const std::vector<tcam::TcamKind> kinds = {
-      tcam::TcamKind::Sram16T,  tcam::TcamKind::Nem3T2N,
-      tcam::TcamKind::Rram2T2R, tcam::TcamKind::Fefet2F,
-      tcam::TcamKind::Dtcam5T,  tcam::TcamKind::Fefet4T2F,
-      tcam::TcamKind::Mram4T2M};
-  return kinds;
-}
-
 // Stored word cycling 1,0,X — exercises both SL polarities and the
 // don't-care encoding in every design.
 core::TernaryWord stored_word(int width) {

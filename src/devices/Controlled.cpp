@@ -6,7 +6,7 @@ Vcvs::Vcvs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm,
            double gain)
     : Device(std::move(name)), p_(p), m_(m), cp_(cp), cm_(cm), gain_(gain) {}
 
-void Vcvs::stamp(Stamper& s, const StampContext&) {
+void Vcvs::stamp_fixed(Stamper& s, const StampContext&) {
   // Branch row: v_p − v_m − gain·(v_cp − v_cm) = 0.
   s.voltage_source(p_, m_, first_branch(), 0.0);
   s.branch_row_node(first_branch(), cp_, -gain_);
@@ -17,7 +17,7 @@ Vccs::Vccs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm,
            double gm)
     : Device(std::move(name)), p_(p), m_(m), cp_(cp), cm_(cm), gm_(gm) {}
 
-void Vccs::stamp(Stamper& s, const StampContext&) {
+void Vccs::stamp_fixed(Stamper& s, const StampContext&) {
   s.vccs(p_, m_, cp_, cm_, gm_);
 }
 
@@ -29,7 +29,7 @@ Cccs::Cccs(std::string name, NodeId p, NodeId m, const Device& controlling,
                      "CCCS controlling element must own an MNA branch");
 }
 
-void Cccs::stamp(Stamper& s, const StampContext&) {
+void Cccs::stamp_fixed(Stamper& s, const StampContext&) {
   s.branch_controlled_current(p_, m_, controlling_->first_branch(), gain_);
 }
 
@@ -41,7 +41,7 @@ Ccvs::Ccvs(std::string name, NodeId p, NodeId m, const Device& controlling,
                      "CCVS controlling element must own an MNA branch");
 }
 
-void Ccvs::stamp(Stamper& s, const StampContext&) {
+void Ccvs::stamp_fixed(Stamper& s, const StampContext&) {
   // Branch row: v_p − v_m − r·i_ctrl = 0.
   s.voltage_source(p_, m_, first_branch(), 0.0);
   s.branch_row_branch(first_branch(), controlling_->first_branch(), -r_);

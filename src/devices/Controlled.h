@@ -19,7 +19,7 @@ class Vcvs final : public Device {
   Vcvs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm, double gain);
 
   int branch_count() const override { return 1; }
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
  private:
@@ -32,7 +32,7 @@ class Vccs final : public Device {
  public:
   Vccs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm, double gm);
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
  private:
@@ -47,7 +47,7 @@ class Cccs final : public Device {
   Cccs(std::string name, NodeId p, NodeId m, const Device& controlling,
        double gain);
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
  private:
@@ -63,7 +63,7 @@ class Ccvs final : public Device {
        double transresistance);
 
   int branch_count() const override { return 1; }
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
  private:

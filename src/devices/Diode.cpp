@@ -34,7 +34,10 @@ void Diode::stamp(Stamper& s, const StampContext& ctx) {
                        ? params_.i_sat * std::exp(40.0) / nvt
                        : params_.i_sat * std::exp(x) / nvt;
   s.nonlinear_current(anode_, cathode_, i, g, v);
-  cj_c_.stamp(s, ctx, anode_, cathode_);
+}
+
+void Diode::stamp_fixed(Stamper& s, const StampContext& ctx) {
+  cj_c_.stamp_fixed(s, ctx, anode_, cathode_);
 }
 
 void Diode::commit(const StampContext& ctx) {

@@ -24,6 +24,7 @@ class Diode final : public Device {
  public:
   Diode(std::string name, NodeId anode, NodeId cathode, DiodeParams params = {});
 
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void stamp(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;

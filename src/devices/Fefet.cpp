@@ -30,12 +30,14 @@ void Fefet::stamp(Stamper& s, const StampContext& ctx) {
   s.vccs(d_, s_, d_, spice::kGround, e.g_vd);
   s.vccs(d_, s_, s_, spice::kGround, e.g_vs);
   s.current(d_, s_, e.ids - (e.g_vg * vg + e.g_vd * vd + e.g_vs * vs));
+}
 
+void Fefet::stamp_fixed(Stamper& s, const StampContext& ctx) {
   // Ferroelectric gate stack plus the FET's own parasitics.
-  cgfe_c_.stamp(s, ctx, g_, s_);
-  cgd_c_.stamp(s, ctx, g_, d_);
-  cdb_c_.stamp(s, ctx, d_, spice::kGround);
-  csb_c_.stamp(s, ctx, s_, spice::kGround);
+  cgfe_c_.stamp_fixed(s, ctx, g_, s_);
+  cgd_c_.stamp_fixed(s, ctx, g_, d_);
+  cdb_c_.stamp_fixed(s, ctx, d_, spice::kGround);
+  csb_c_.stamp_fixed(s, ctx, s_, spice::kGround);
 }
 
 void Fefet::commit(const StampContext& ctx) {

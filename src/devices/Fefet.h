@@ -33,6 +33,7 @@ class Fefet final : public Device {
  public:
   Fefet(std::string name, NodeId d, NodeId g, NodeId s, FefetParams params = {});
 
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void stamp(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;

@@ -7,7 +7,7 @@ Inductor::Inductor(std::string name, NodeId a, NodeId b, double henries)
   NEMTCAM_EXPECT(henries_ > 0.0);
 }
 
-void Inductor::stamp(Stamper& s, const StampContext& ctx) {
+void Inductor::stamp_fixed(Stamper& s, const StampContext& ctx) {
   // BE companion: v − (L/dt)·i = −(L/dt)·i_prev; trapezoidal:
   // v − (2L/dt)·i = −(2L/dt)·i_prev − v_prev. In DC the reactive term
   // vanishes and the row enforces v_a = v_b (a short).

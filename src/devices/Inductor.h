@@ -17,7 +17,7 @@ class Inductor final : public Device {
   Inductor(std::string name, NodeId a, NodeId b, double henries);
 
   int branch_count() const override { return 1; }
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 

@@ -137,11 +137,13 @@ void Mosfet::stamp(Stamper& s, const StampContext& ctx) {
   // Equivalent current so that J·v − f is stamped consistently.
   const double i_lin = e.g_vg * vg + e.g_vd * vd + e.g_vs * vs;
   s.current(d_, s_, e.ids - i_lin);
+}
 
-  cgs_c_.stamp(s, ctx, g_, s_);
-  cgd_c_.stamp(s, ctx, g_, d_);
-  cdb_c_.stamp(s, ctx, d_, spice::kGround);
-  csb_c_.stamp(s, ctx, s_, spice::kGround);
+void Mosfet::stamp_fixed(Stamper& s, const StampContext& ctx) {
+  cgs_c_.stamp_fixed(s, ctx, g_, s_);
+  cgd_c_.stamp_fixed(s, ctx, g_, d_);
+  cdb_c_.stamp_fixed(s, ctx, d_, spice::kGround);
+  csb_c_.stamp_fixed(s, ctx, s_, spice::kGround);
 }
 
 void Mosfet::commit(const StampContext& ctx) {

@@ -74,6 +74,7 @@ class Mosfet final : public Device {
  public:
   Mosfet(std::string name, NodeId d, NodeId g, NodeId s, MosfetParams params);
 
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void stamp(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;

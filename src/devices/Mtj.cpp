@@ -19,7 +19,7 @@ double Mtj::resistance() const noexcept {
   return 1.0 / (g_ap + (g_p - g_ap) * m_);
 }
 
-void Mtj::stamp(Stamper& s, const StampContext&) {
+void Mtj::stamp_fixed(Stamper& s, const StampContext&) {
   s.conductance(top_, bottom_, 1.0 / resistance());
 }
 

@@ -33,7 +33,7 @@ class Mtj final : public Device {
  public:
   Mtj(std::string name, NodeId top, NodeId bottom, MtjParams params = {});
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

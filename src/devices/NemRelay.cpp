@@ -25,7 +25,7 @@ double NemRelay::effective_vgb(double v_gb) const {
   return params_.bipolar_actuation ? std::fabs(v_gb) : v_gb;
 }
 
-void NemRelay::stamp(Stamper& s, const StampContext& ctx) {
+void NemRelay::stamp_fixed(Stamper& s, const StampContext& ctx) {
   // Drain–source contact.
   const double g_ds = contact() ? 1.0 / params_.r_on : params_.g_off;
   s.conductance(d_, s_, g_ds);
@@ -40,12 +40,10 @@ void NemRelay::stamp(Stamper& s, const StampContext& ctx) {
   // where q_prev is the committed charge. When z changed last commit, the
   // mismatch between C(z_new)·v and q_prev drives the physically correct
   // redistribution current (or, on a floating node, a voltage change at
-  // constant charge).
-  const double c = gate_capacitance();
-  const double g = c / ctx.dt();
-  const double v_gb = ctx.v(g_) - ctx.v(b_);
-  const double i = (c * v_gb - q_gb_) / ctx.dt();
-  s.nonlinear_current(g_, b_, i, g, v_gb);
+  // constant charge). z and q_prev are committed state, so both the
+  // conductance C(z)/dt and the current −q_prev/dt are fixed over the step.
+  s.conductance(g_, b_, gate_capacitance() / ctx.dt());
+  s.current(g_, b_, -q_gb_ / ctx.dt());
 }
 
 NemRelay::MechDrive NemRelay::drive_for(double v_now_eff, double v_before_eff,

@@ -54,7 +54,7 @@ class NemRelay final : public Device {
   NemRelay(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
            NemRelayParams params = {});
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

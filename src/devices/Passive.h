@@ -15,7 +15,7 @@ class Resistor final : public Device {
  public:
   Resistor(std::string name, NodeId a, NodeId b, double ohms);
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
   double resistance() const noexcept { return ohms_; }
@@ -25,42 +25,22 @@ class Resistor final : public Device {
   double ohms_;
 };
 
-// Linear capacitor. Backward Euler uses the previous accepted voltage
-// directly (i = C·(v − v_prev)/dt); trapezoidal additionally carries the
-// previous step's current (i = 2C·(v − v_prev)/dt − i_prev) for
-// second-order accuracy. Open in DC analysis.
-class Capacitor final : public Device {
- public:
-  Capacitor(std::string name, NodeId a, NodeId b, double farads);
-
-  void stamp(Stamper& s, const StampContext& ctx) override;
-  void commit(const StampContext& ctx) override;
-  spice::DeviceTopology topology() const override;
-
-  double capacitance() const noexcept { return farads_; }
-
-  void reset_state() override { i_prev_ = 0.0; }
-
- private:
-  double current_at(const StampContext& ctx) const;
-
-  NodeId a_, b_;
-  double farads_;
-  double i_prev_ = 0.0;  // used by the trapezoidal companion
-};
-
-// Embeddable companion for a fixed linear capacitance owned by a composite
-// device (MOSFET/FeFET/diode parasitics): same Backward-Euler/trapezoidal
-// scheme as Capacitor, carrying the previous step's current so the
-// trapezoidal form stays second-order on internal nodes too. stamp() runs
-// at every Newton iterate; commit() exactly once per accepted step (the
-// engine guarantees rejected steps never reach commit, so i_prev stays
-// consistent under LTE step rejection).
+// Embeddable companion for a fixed linear capacitance, shared by Capacitor
+// and the composite devices' parasitics (MOSFET/FeFET/diode). Backward
+// Euler uses the previous accepted voltage directly (i = C·(v − v_prev)/dt);
+// trapezoidal additionally carries the previous step's current
+// (i = 2C·(v − v_prev)/dt − i_prev) for second-order accuracy, on internal
+// nodes too. Open in DC analysis. The companion is linear with a fixed
+// conductance and history current, so stamp_fixed() runs once per Newton
+// solve, from the owner's Device::stamp_fixed; commit() runs exactly once
+// per accepted step (the engine guarantees rejected steps never reach
+// commit, so i_prev stays consistent under LTE step rejection).
 class CapCompanion {
  public:
   explicit CapCompanion(double farads = 0.0) : farads_(farads) {}
 
-  void stamp(Stamper& s, const StampContext& ctx, NodeId a, NodeId b) const;
+  void stamp_fixed(Stamper& s, const StampContext& ctx, NodeId a,
+                   NodeId b) const;
   void commit(const StampContext& ctx, NodeId a, NodeId b);
 
   double capacitance() const noexcept { return farads_; }
@@ -69,10 +49,28 @@ class CapCompanion {
   void reset() { i_prev_ = 0.0; }
 
  private:
-  double current_at(const StampContext& ctx, NodeId a, NodeId b) const;
-
   double farads_;
   double i_prev_ = 0.0;  // used by the trapezoidal companion
+};
+
+// Linear capacitor: a CapCompanion between two nodes.
+class Capacitor final : public Device {
+ public:
+  Capacitor(std::string name, NodeId a, NodeId b, double farads);
+
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override {
+    c_.stamp_fixed(s, ctx, a_, b_);
+  }
+  void commit(const StampContext& ctx) override { c_.commit(ctx, a_, b_); }
+  spice::DeviceTopology topology() const override;
+
+  double capacitance() const noexcept { return c_.capacitance(); }
+
+  void reset_state() override { c_.reset(); }
+
+ private:
+  NodeId a_, b_;
+  CapCompanion c_;
 };
 
 }  // namespace nemtcam::devices

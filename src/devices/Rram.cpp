@@ -20,7 +20,7 @@ double Rram::resistance() const noexcept {
   return 1.0 / g;
 }
 
-void Rram::stamp(Stamper& s, const StampContext&) {
+void Rram::stamp_fixed(Stamper& s, const StampContext&) {
   s.conductance(top_, bottom_, 1.0 / resistance());
 }
 

@@ -39,7 +39,7 @@ class Rram final : public Device {
  public:
   Rram(std::string name, NodeId top, NodeId bottom, RramParams params = {});
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   void commit(const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double max_dt_hint() const override;

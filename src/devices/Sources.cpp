@@ -15,7 +15,7 @@ VSource::VSource(std::string name, NodeId plus, NodeId minus, double dc_volts,
     : VSource(std::move(name), plus, minus,
               std::make_unique<spice::DcWave>(dc_volts), series_ohms) {}
 
-void VSource::stamp(Stamper& s, const StampContext& ctx) {
+void VSource::stamp_fixed(Stamper& s, const StampContext& ctx) {
   s.voltage_source(plus_, minus_, first_branch(),
                    ctx.source_scale() * wave_->value(ctx.t()));
   if (series_ohms_ > 0.0)
@@ -50,7 +50,7 @@ ISource::ISource(std::string name, NodeId from, NodeId to, double dc_amps)
     : ISource(std::move(name), from, to,
               std::make_unique<spice::DcWave>(dc_amps)) {}
 
-void ISource::stamp(Stamper& s, const StampContext& ctx) {
+void ISource::stamp_fixed(Stamper& s, const StampContext& ctx) {
   s.current(from_, to_, ctx.source_scale() * wave_->value(ctx.t()));
 }
 

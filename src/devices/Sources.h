@@ -26,7 +26,7 @@ class VSource final : public Device {
           double series_ohms = 0.0);
 
   int branch_count() const override { return 1; }
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double delivered_power(const StampContext& ctx) const override;
   std::vector<double> breakpoints(double t_end) const override;
@@ -58,7 +58,7 @@ class ISource final : public Device {
           std::unique_ptr<Waveform> wave);
   ISource(std::string name, NodeId from, NodeId to, double dc_amps);
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
   double delivered_power(const StampContext& ctx) const override;
   std::vector<double> breakpoints(double t_end) const override;

@@ -9,7 +9,7 @@ Switch::Switch(std::string name, NodeId a, NodeId b, double r_on, double r_off,
   NEMTCAM_EXPECT(r_on > 0.0 && r_off > r_on);
 }
 
-void Switch::stamp(Stamper& s, const StampContext&) {
+void Switch::stamp_fixed(Stamper& s, const StampContext&) {
   s.conductance(a_, b_, closed_ ? 1.0 / r_on_ : 1.0 / r_off_);
 }
 

@@ -16,7 +16,7 @@ class Switch final : public Device {
   Switch(std::string name, NodeId a, NodeId b, double r_on = 1.0,
          double r_off = 1e12, bool closed = false);
 
-  void stamp(Stamper& s, const StampContext& ctx) override;
+  void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
   bool closed() const noexcept { return closed_; }

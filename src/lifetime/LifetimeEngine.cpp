@@ -25,15 +25,6 @@ constexpr int kNumDecades = 4;
 
 constexpr std::uint64_t kZipfStream = 0x5a1f5a1f5a1f5a1full;
 
-// Write popularity is Zipf over logical rows (weight ∝ rank^-α under a
-// seeded permutation): hot rows wear out first, which is what gives
-// spare-row remap something to extend.
-constexpr double kZipfAlpha = 0.9;
-// Cell cycles per row write: fraction of the row's cells that actually
-// change state (EnduranceTracker counts changed bits; behaviorally the
-// expected flip fraction stands in for the exact pattern).
-constexpr double kFlipFraction = 0.5;
-
 tcam::TcamKind kind_of(core::TcamTech tech) {
   switch (tech) {
     case core::TcamTech::Sram16T: return tcam::TcamKind::Sram16T;

@@ -60,9 +60,18 @@ namespace nemtcam::lifetime {
 struct TrafficConfig {
   double search_rate_hz = 1e6;  // array searches per second
   // Row writes per second, array aggregate, Zipf-distributed over the
-  // logical rows (see LifetimeEngine.cpp).
+  // logical rows (kZipfAlpha below).
   double write_rate_hz = 1e3;
 };
+
+// Write popularity is Zipf over logical rows (weight ∝ rank^-α under a
+// seeded permutation): hot rows wear out first, which is what gives
+// spare-row remap something to extend.
+inline constexpr double kZipfAlpha = 0.9;
+// Cell cycles per row write: fraction of the row's cells that actually
+// change state (EnduranceTracker counts changed bits; behaviorally the
+// expected flip fraction stands in for the exact pattern).
+inline constexpr double kFlipFraction = 0.5;
 
 // An externally scheduled fault (validation and what-if experiments):
 // injected at time t, physical coordinates.

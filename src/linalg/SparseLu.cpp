@@ -151,12 +151,15 @@ void SparseLu::factorize(const CsrView& a) {
     pivot_of_stage_[stage] = best_row;
     eliminated[k] = true;
     const auto& pivot_entries = rows[best_row];
-    const double pivot_val = value_at(best_row, k);
+    // The factor is value × (1/pivot), the expression refactorize() uses,
+    // so a refactorization over this schedule reproduces this
+    // factorization bit for bit.
+    const double inv = 1.0 / value_at(best_row, k);
 
     // Eliminate column k from every other structurally valid candidate row.
     for (const std::size_t r : cands) {
       if (r == best_row) continue;
-      const double factor = value_at(r, k) / pivot_val;
+      const double factor = value_at(r, k) * inv;
       op_target_.push_back(r);
       op_factor_.push_back(factor);
 

@@ -18,6 +18,12 @@
 // refactorize() watches the reused pivots and reports failure when one
 // degenerates, at which point the caller runs a fresh full factorization
 // (which re-picks pivots from the new values).
+//
+// Both phases form every elimination factor as value × (1/pivot) and
+// update with the same multiply-subtract, so refactorize() over the
+// schedule a factorize() recorded reproduces that factorization bit for
+// bit on the same values: a solve does not depend on which of the two
+// produced its factors.
 #pragma once
 
 #include <cstddef>

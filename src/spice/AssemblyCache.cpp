@@ -6,37 +6,56 @@
 
 namespace nemtcam::spice {
 
-void AssemblyCache::begin(std::size_t n) {
-  ++stats_.assemblies;
+void AssemblyCache::replay(std::size_t begin, std::size_t end, double* dst) {
+  fast_ = true;
+  building_ = false;
+  cursor_ = begin;
+  end_ = end;
+  dst_ = dst;
+}
+
+std::vector<double>& AssemblyCache::begin_solve(std::size_t n) {
+  step_rhs_.assign(n, 0.0);
   if (has_pattern() && n == n_) {
-    fast_ = true;
-    building_ = false;
-    cursor_ = 0;
-    std::fill(vals_.begin(), vals_.end(), 0.0);
-    return;
+    std::fill(step_vals_.begin(), step_vals_.end(), 0.0);
+    replay(0, solve_len_, step_vals_.data());
+    return step_rhs_;
   }
   invalidate();
   n_ = n;
-  fast_ = false;
   building_ = true;
-  seq_key_.clear();
-  trip_val_.clear();
   ++stats_.pattern_builds;
+  return step_rhs_;
 }
 
-bool AssemblyCache::finish() {
-  if (fast_) {
-    fast_ = false;
-    if (cursor_ == seq_key_.size()) return true;
-    invalidate();  // short pass: fewer stamps than recorded
-    return false;
-  }
-  if (!building_) {
-    // A fast pass that deviated mid-stream: drop the stale pattern so the
-    // caller's retry runs in build mode.
-    invalidate();
-    return false;
-  }
+bool AssemblyCache::finish_replay() {
+  // A fast pass that deviated mid-stream or ended short: drop the stale
+  // pattern so the caller's retry runs in build mode.
+  const bool replayed = fast_ && cursor_ == end_;
+  fast_ = false;
+  if (!replayed) invalidate();
+  return replayed;
+}
+
+bool AssemblyCache::finish_solve() {
+  if (!building_) return finish_replay();
+  solve_len_ = seq_key_.size();
+  return true;
+}
+
+std::vector<double>& AssemblyCache::begin_iteration() {
+  ++stats_.assemblies;
+  rhs_ = step_rhs_;
+  if (building_) return rhs_;  // keeps recording after the per-solve calls
+  NEMTCAM_EXPECT_MSG(has_pattern(),
+                     "AssemblyCache::begin_iteration before finish_solve");
+  vals_ = step_vals_;
+  replay(solve_len_, seq_key_.size(), vals_.data());
+  return rhs_;
+}
+
+bool AssemblyCache::finish_iteration() {
+  if (!building_) return finish_replay();
   building_ = false;
 
   // Finalize: distinct (r, c) positions -> CSR, one slot per position.
@@ -48,23 +67,27 @@ bool AssemblyCache::finish() {
 
   row_ptr_.assign(n_ + 1, 0);
   cols_.clear();
-  vals_.clear();
   seq_slot_.assign(seq_key_.size(), 0);
   std::size_t prev_key = 0;
-  bool have_prev = false;
   for (const std::size_t i : order) {
     const std::size_t key = seq_key_[i];
-    if (!have_prev || key != prev_key) {
+    if (cols_.empty() || key != prev_key) {
       cols_.push_back(key % n_);
-      vals_.push_back(0.0);
       ++row_ptr_[key / n_ + 1];
       prev_key = key;
-      have_prev = true;
     }
-    seq_slot_[i] = vals_.size() - 1;
-    vals_.back() += trip_val_[i];
+    seq_slot_[i] = cols_.size() - 1;
   }
   for (std::size_t r = 0; r < n_; ++r) row_ptr_[r + 1] += row_ptr_[r];
+
+  // Sum the way a replay does: per-solve contributions in stamp order,
+  // then the iteration's on top.
+  step_vals_.assign(cols_.size(), 0.0);
+  for (std::size_t i = 0; i < solve_len_; ++i)
+    step_vals_[seq_slot_[i]] += trip_val_[i];
+  vals_ = step_vals_;
+  for (std::size_t i = solve_len_; i < seq_key_.size(); ++i)
+    vals_[seq_slot_[i]] += trip_val_[i];
   trip_val_.clear();
   trip_val_.shrink_to_fit();
   return true;
@@ -74,11 +97,15 @@ void AssemblyCache::invalidate() {
   fast_ = false;
   building_ = false;
   cursor_ = 0;
+  end_ = 0;
+  dst_ = nullptr;
   seq_key_.clear();
   seq_slot_.clear();
+  solve_len_ = 0;
   trip_val_.clear();
   row_ptr_.clear();
   cols_.clear();
+  step_vals_.clear();
   vals_.clear();
   lu_analyzed_ = false;
 }

@@ -1,6 +1,13 @@
 // Device interface for the MNA simulator.
 //
-// Each device stamps its Newton linearization into the system J·v = rhs.
+// Each device stamps its Newton linearization into the system J·v = rhs,
+// in two parts. stamp_fixed() runs once per Newton solve and stamps what
+// the solve holds fixed: everything that depends only on t, dt, the
+// integrator, the source scale, committed device state, v_prev and
+// companion history (linear conductances, sources, capacitor companions).
+// stamp() runs at every Newton iterate and stamps only what depends on
+// the iterate (transistor channels, diode junctions).
+//
 // Devices carry their own internal state (mechanical position, memristor
 // filament, polarization, capacitor charge history); state advances only in
 // commit(), which the transient engine calls exactly once per *accepted*
@@ -196,8 +203,21 @@ class Device {
   // reported here.
   virtual DeviceTopology topology() const { return {}; }
 
-  // Stamps the Newton linearization at the context's iterate.
-  virtual void stamp(Stamper& s, const StampContext& ctx) = 0;
+  // Stamps the contributions a Newton solve holds fixed, once per solve.
+  // The context's iterate is v_prev, so nothing stamped here can depend on
+  // Newton's starting guess.
+  virtual void stamp_fixed(Stamper& s, const StampContext& ctx) {
+    (void)s;
+    (void)ctx;
+  }
+
+  // Stamps the iterate-dependent part of the Newton linearization, at
+  // every iterate. A device that overrides only this is re-stamped whole
+  // at every iteration.
+  virtual void stamp(Stamper& s, const StampContext& ctx) {
+    (void)s;
+    (void)ctx;
+  }
 
   // Advances internal state after a step is accepted.
   virtual void commit(const StampContext& ctx) { (void)ctx; }

@@ -61,35 +61,52 @@ NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
 
   NewtonResult result;
   AssemblyCache& cache = circuit.solver_cache();
-  std::vector<double> rhs(n);
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    // A pass that deviates from the recorded stamp pattern (topology-
-    // visible mode change, e.g. DC vs transient) is redone once in build
-    // mode; the second pass always succeeds.
+  // The per-solve pass: everything the solve holds fixed, stamped at
+  // v_prev. A pass that deviates from the recorded stamp pattern
+  // (topology-visible mode change, e.g. DC vs transient) is redone once
+  // in build mode; the second pass always succeeds.
+  StampContext fixed_ctx(t, dt, is_dc, n_node, &v_prev, &v_prev, integrator);
+  fixed_ctx.set_source_scale(opts.source_scale);
+  const auto stamp_fixed = [&] {
     for (int pass = 0; pass < 2; ++pass) {
-      cache.begin(n);
-      std::fill(rhs.begin(), rhs.end(), 0.0);
-      Stamper stamper(cache, rhs, n_node);
-      StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
-      ctx.set_source_scale(opts.source_scale);
-      for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
+      Stamper stamper(cache, cache.begin_solve(n), n_node);
+      for (const auto& dev : circuit.devices())
+        dev->stamp_fixed(stamper, fixed_ctx);
       if (opts.gmin > 0.0)
         for (int i = 1; i <= n_node; ++i)
           stamper.conductance(static_cast<NodeId>(i), kGround, opts.gmin);
-      if (cache.finish()) break;
+      if (cache.finish_solve()) return;
       NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
+    }
+  };
+  stamp_fixed();
+
+  StampContext ctx(t, dt, is_dc, n_node, &v, &v_prev, integrator);
+  ctx.set_source_scale(opts.source_scale);
+  for (int iter = 0; iter < opts.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    // Each iteration starts from the per-solve stamps and adds the
+    // iterate-dependent ones. A deviating pass drops the pattern; both
+    // passes are then re-recorded.
+    std::vector<double>* rhs = nullptr;
+    for (int pass = 0; pass < 2; ++pass) {
+      rhs = &cache.begin_iteration();
+      Stamper stamper(cache, *rhs, n_node);
+      for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
+      if (cache.finish_iteration()) break;
+      NEMTCAM_ENSURE_MSG(pass == 0, "assembly pattern unstable");
+      stamp_fixed();
     }
 
     try {
-      cache.factorize().solve_inplace(rhs);  // rhs becomes v_new
+      cache.factorize().solve_inplace(*rhs);  // rhs becomes v_new
     } catch (const linalg::SingularMatrixError&) {
       result.converged = false;
       result.singular = true;
       return result;
     }
 
-    if (apply_update(rhs, v, n_node, opts, result)) {
+    if (apply_update(*rhs, v, n_node, opts, result)) {
       result.converged = true;
       return result;
     }
@@ -104,14 +121,15 @@ std::vector<int> dc_undetermined_unknowns(Circuit& circuit) {
   // own solver cache keeps its gmin-augmented pattern). stamp() reads
   // device state but never advances it; only commit() does.
   AssemblyCache cache;
-  std::vector<double> v(n, 0.0);
-  std::vector<double> rhs(n, 0.0);
-  cache.begin(n);
-  Stamper stamper(cache, rhs, circuit.node_unknowns());
+  const std::vector<double> v(n, 0.0);
   const StampContext ctx(0.0, 0.0, /*is_dc=*/true, circuit.node_unknowns(),
                          &v, &v);
+  Stamper fixed(cache, cache.begin_solve(n), circuit.node_unknowns());
+  for (const auto& dev : circuit.devices()) dev->stamp_fixed(fixed, ctx);
+  cache.finish_solve();
+  Stamper stamper(cache, cache.begin_iteration(), circuit.node_unknowns());
   for (const auto& dev : circuit.devices()) dev->stamp(stamper, ctx);
-  cache.finish();
+  cache.finish_iteration();
 
   // Unmatched columns and uncoverable equations name the same defects;
   // merge them.

@@ -10,8 +10,11 @@
 namespace nemtcam::spice {
 
 // Every solve assembles into the circuit's fixed-pattern AssemblyCache and
-// reuses its symbolic LU across iterations and steps. Convergence: max |Δv|
-// over node unknowns below 1 µV + 1e-6·max|v|.
+// reuses its symbolic LU across iterations and steps. A solve stamps what
+// it holds fixed once (Device::stamp_fixed at v_prev, then gmin), and each
+// iteration adds only the iterate-dependent stamps (Device::stamp) to a
+// copy of that. Convergence: max |Δv| over node unknowns below
+// 1 µV + 1e-6·max|v|.
 struct NewtonOptions {
   int max_iterations = 60;
   // Per-iteration update clamp (volts) to keep exponential device models
@@ -38,7 +41,8 @@ struct NewtonResult {
 
 // Solves f(v) = 0 at time t with step dt (dt == 0 → DC stamping).
 // `v` holds the initial guess on entry and the solution on success;
-// `v_prev` is the last accepted solution used by companion models.
+// `v_prev` is the last accepted solution used by companion models and the
+// iterate the per-solve stamps see, so they never depend on the guess.
 NewtonResult solve_newton(Circuit& circuit, double t, double dt, bool is_dc,
                           std::vector<double>& v,
                           const std::vector<double>& v_prev,
@@ -81,8 +85,9 @@ struct DcResult {
 // The structurally undetermined unknowns of the circuit's gmin-free DC
 // stamp pattern, ascending: the unmatched rows and columns of the
 // bipartite matching in linalg/StructuralRank. Empty when the pattern has
-// full structural rank. The pattern is assembled into a private cache, so
-// the circuit's solver cache and device state are untouched.
+// full structural rank. The pattern (both stamp passes) is assembled into a
+// private cache, so the circuit's solver cache and device state are
+// untouched.
 std::vector<int> dc_undetermined_unknowns(Circuit& circuit);
 
 // The device owning branch unknown `branch` (counted from the first

@@ -10,6 +10,7 @@
 #include "hier/Elaborate.h"
 #include "tcam/ArrayTemplate.h"
 #include "tcam/RowSpecs.h"
+#include "tcam/TcamRow.h"
 
 namespace {
 
@@ -27,6 +28,22 @@ TernaryWord word_for_row(int r, int width) {
     if ((r + c) % 5 == 4) w[static_cast<std::size_t>(c)] = Ternary::X;
   }
   return w;
+}
+
+// Searches `key` again on `arr`, whose first search `build` gave: every
+// row's figures and the energy must come out bit for bit the same.
+void expect_replay_equals_build(ArrayTemplate& arr, const TernaryWord& key,
+                                const ArraySearchMetrics& build) {
+  const ArraySearchMetrics m = arr.search(key);
+  ASSERT_TRUE(m.ok) << m.note;
+  ASSERT_EQ(m.rows.size(), build.rows.size());
+  for (std::size_t r = 0; r < m.rows.size(); ++r) {
+    SCOPED_TRACE("replayed row " + std::to_string(r));
+    EXPECT_EQ(m.rows[r].matched, build.rows[r].matched);
+    EXPECT_EQ(m.rows[r].latency, build.rows[r].latency);
+    EXPECT_EQ(m.rows[r].ml_final, build.rows[r].ml_final);
+  }
+  EXPECT_EQ(m.energy, build.energy);
 }
 
 // Golden values of an 8×8 search keyed on row 0's word, captured from the
@@ -83,6 +100,28 @@ TEST(ArraySearch, MatchesParentMonolithicGoldens) {
       EXPECT_NEAR(m.rows[r].ml_final, kind.ml_final_v[r], 1e-4);
     }
     EXPECT_NEAR(m.energy * 1e15, kind.energy_fj, 1e-4 * kind.energy_fj);
+
+    // A same-key replay reproduces the build bit for bit.
+    expect_replay_equals_build(arr, key, m);
+  }
+}
+
+// The same-key replay contract for the kinds without monolithic goldens:
+// an 8×8 array's second search with the key that built it reproduces the
+// first bit for bit.
+TEST(ArrayReplay, SameKeyReplayReproducesBuild) {
+  const Calibration& cal = Calibration::standard();
+  constexpr int R = 8, W = 8;
+  const TernaryWord key = word_for_row(0, W);
+  for (const tcam::TcamKind kind :
+       {tcam::TcamKind::Sram16T, tcam::TcamKind::Rram2T2R,
+        tcam::TcamKind::Fefet4T2F, tcam::TcamKind::Mram4T2M}) {
+    SCOPED_TRACE(tcam::kind_name(kind));
+    ArrayTemplate arr(tcam::search_spec_for(kind, cal), R, W);
+    for (int r = 0; r < R; ++r) arr.store(r, word_for_row(r, W));
+    const ArraySearchMetrics m = arr.search(key);
+    ASSERT_TRUE(m.ok) << m.note;
+    expect_replay_equals_build(arr, key, m);
   }
 }
 

@@ -199,13 +199,13 @@ TEST(LifetimeEngine, SmokePointsMatchRecordedGoldens) {
         K::WeakOnset, K::WindowLost, K::DeadOnset, K::RowRetired,
         K::DeadOnset, K::RowRetired, K::WeakOnset, K::DeadOnset,
         K::ArrayDeath},
-       0.22775361167452271, 0.0014174003351235002, 0.085447171283166201},
+       0.22762448575361696, 0.0014174003351235002, 0.085447171283166201},
       {core::TcamTech::Rram2T2R, 2, 8789.3651173131166,
        {K::DecadeCross, K::DecadeCross, K::DecadeCross, K::WeakOnset,
         K::DeadOnset, K::RowRetired, K::WeakOnset, K::WeakOnset,
         K::WeakOnset, K::DeadOnset, K::RowRetired, K::WeakOnset,
         K::DeadOnset, K::ArrayDeath},
-       0.00030451952730858038, 0.00041090281842499996, 0.0},
+       0.00030443679769884079, 0.00041090281842499996, 0.0},
   };
   for (const SmokeGolden& g : goldens) {
     SCOPED_TRACE(core::tech_name(g.tech));

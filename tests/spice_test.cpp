@@ -230,20 +230,32 @@ TEST(Newton, ReportsNonConvergenceAsFailure) {
   EXPECT_NEAR(dc.v[static_cast<std::size_t>(c.node("floating") - 1)], 0.0, 1e-9);
 }
 
-// One assembly pass of every device of `ckt` into `cache` at iterate `v`:
-// a 1 ps backward-Euler step from rest, or a DC pass (capacitors open).
-// Returns finish().
+// The per-solve pass of every device of `ckt` into `cache`: a 1 ps
+// backward-Euler step from rest, or a DC pass (capacitors open). Returns
+// finish_solve().
+bool fixed_pass(Circuit& ckt, AssemblyCache& cache,
+                const std::vector<double>& v_prev, bool is_dc) {
+  const StampContext ctx(1e-12, is_dc ? 0.0 : 1e-12, is_dc,
+                         ckt.node_unknowns(), &v_prev, &v_prev);
+  Stamper stamper(cache, cache.begin_solve(v_prev.size()), ckt.node_unknowns());
+  for (const auto& dev : ckt.devices()) dev->stamp_fixed(stamper, ctx);
+  return cache.finish_solve();
+}
+
+// Both passes of one assembly at iterate `v`, with the step starting from
+// rest. Returns false when either pass reports a deviation; `rhs` gets
+// the iteration pass's right-hand side.
 bool stamp_pass(Circuit& ckt, AssemblyCache& cache,
                 const std::vector<double>& v, bool is_dc,
                 std::vector<double>& rhs) {
   const std::vector<double> v_prev(v.size(), 0.0);
-  cache.begin(v.size());
-  rhs.assign(v.size(), 0.0);
-  Stamper stamper(cache, rhs, ckt.node_unknowns());
+  if (!fixed_pass(ckt, cache, v_prev, is_dc)) return false;
   const StampContext ctx(1e-12, is_dc ? 0.0 : 1e-12, is_dc,
                          ckt.node_unknowns(), &v, &v_prev);
+  rhs = cache.begin_iteration();
+  Stamper stamper(cache, rhs, ckt.node_unknowns());
   for (const auto& dev : ckt.devices()) dev->stamp(stamper, ctx);
-  return cache.finish();
+  return cache.finish_iteration();
 }
 
 // The cache's replay against a fresh build at the same iterate: a
@@ -289,9 +301,10 @@ TEST(AssemblyCache, ReplayMatchesFreshBuildAndRefactorMatchesFreshLu) {
     ASSERT_EQ(got.nnz(), want.nnz());
     for (std::size_t r = 0; r <= n; ++r)
       EXPECT_EQ(got.row_ptr[r], want.row_ptr[r]);
+    // A build sums in replay order, so the values agree bit for bit.
     for (std::size_t j = 0; j < want.nnz(); ++j) {
       EXPECT_EQ(got.cols[j], want.cols[j]);
-      EXPECT_NEAR(got.vals[j], want.vals[j], 1e-15 * std::fabs(want.vals[j]));
+      EXPECT_EQ(got.vals[j], want.vals[j]);
     }
     EXPECT_EQ(rhs, fresh_rhs);
 
@@ -299,14 +312,78 @@ TEST(AssemblyCache, ReplayMatchesFreshBuildAndRefactorMatchesFreshLu) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_fresh[i], 1e-12);
   }
 
-  // A DC pass skips every capacitor stamp: the replay deviates from the
-  // recorded sequence, finish() reports it and drops the pattern, and the
-  // retry records a new one.
+  // A DC pass skips every capacitor stamp, all of them per-solve stamps:
+  // the per-solve replay deviates from the recorded sequence,
+  // finish_solve() reports it and drops the pattern, and the retry records
+  // a new one.
   const std::vector<double> v0(n, 0.0);
-  EXPECT_FALSE(stamp_pass(ckt, cache, v0, /*is_dc=*/true, rhs));
+  EXPECT_FALSE(fixed_pass(ckt, cache, v0, /*is_dc=*/true));
   EXPECT_FALSE(cache.has_pattern());
   EXPECT_TRUE(stamp_pass(ckt, cache, v0, /*is_dc=*/true, rhs));
   EXPECT_EQ(cache.stats().pattern_builds, 2u);
+}
+
+// A node-to-ground test device that counts its two stamp hooks: a fixed
+// conductance once per solve, and a cubic current i = k·v³ at every
+// iterate (nonlinear, so Newton takes several iterations).
+class CountingDevice final : public Device {
+ public:
+  explicit CountingDevice(NodeId a) : Device("Xcount"), a_(a) {}
+
+  void stamp_fixed(Stamper& s, const StampContext&) override {
+    ++fixed_calls;
+    s.conductance(a_, kGround, 1e-4);
+  }
+  void stamp(Stamper& s, const StampContext& ctx) override {
+    ++stamp_calls;
+    const double v = ctx.v(a_);
+    s.nonlinear_current(a_, kGround, 1e-3 * v * v * v, 3e-3 * v * v, v);
+  }
+
+  int fixed_calls = 0;
+  int stamp_calls = 0;
+
+ private:
+  NodeId a_;
+};
+
+TEST(StampSplit, FixedStampsOncePerSolveAndStampOncePerIteration) {
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId a = c.node("a");
+  c.add<VSource>("V1", in, c.ground(), 1.0);
+  c.add<Resistor>("R1", in, a, 1e3);
+  auto& dev = c.add<CountingDevice>(a);
+
+  const std::size_t n = static_cast<std::size_t>(c.unknown_count());
+  std::vector<double> v(n, 0.0);
+  const std::vector<double> v_prev(n, 0.0);
+  const NewtonResult r = solve_newton(c, 0.0, 0.0, /*is_dc=*/true, v, v_prev,
+                                      NewtonOptions{});
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.iterations, 1);
+  EXPECT_EQ(dev.fixed_calls, 1);
+  EXPECT_EQ(dev.stamp_calls, r.iterations);
+  EXPECT_EQ(c.solver_cache().stats().assemblies,
+            static_cast<std::uint64_t>(r.iterations));
+}
+
+TEST(StampSplit, TransientStampsOncePerNewtonIteration) {
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId a = c.node("a");
+  c.add<VSource>("V1", in, c.ground(), 1.0);
+  c.add<Resistor>("R1", in, a, 1e3);
+  c.add<Capacitor>("C1", a, c.ground(), 1e-13);
+  auto& dev = c.add<CountingDevice>(a);
+
+  const TransientResult r = run_transient(c, step_defaults(1e-9));
+  ASSERT_TRUE(r.finished) << r.failure;
+  EXPECT_EQ(static_cast<std::size_t>(dev.stamp_calls), r.newton_iterations);
+  // One per-solve pass per Newton solve, each serving one or more
+  // iterations.
+  EXPECT_GT(dev.fixed_calls, 0);
+  EXPECT_LT(dev.fixed_calls, dev.stamp_calls);
 }
 
 }  // namespace

@@ -244,12 +244,14 @@ TEST(StepControl, ProbeRecordingResolvesOnlyProbedColumns) {
 
 // An 8-bit 2T2R row (16-row column load, checkerboard word) run with
 // step_defaults over precharge plus the search window, for the matching
-// key and for a key with bit 0 flipped to '0'. The goldens are the figures
-// of the Newton path that rebuilt the matrix and re-picked every pivot
-// each iteration, measured on this circuit (gcc 12.2 Release) before that
-// path was deleted. The assembly-cache path reuses one pivot order across
-// iterations, so it agrees to solver tolerance (within 2e-9 relative
-// here), not bitwise.
+// key and for a key with bit 0 flipped to '0'. The verdicts and ML levels
+// are the figures of the Newton path that rebuilt the matrix and re-picked
+// every pivot each iteration, measured on this circuit (gcc 12.2 Release)
+// before that path was deleted. The assembly-cache path reuses one pivot
+// order across iterations, so it agrees to solver tolerance, not bitwise.
+// The energies are the assembly-cache path's own, re-recorded when the
+// fixed stamps moved to once per solve: that reorders the stamp sums, and
+// the step control carries the rounding into the integrated energy.
 TEST(SolverFastPath, MatchesRebuildPathGoldensOnTcamSearch) {
   struct Golden {
     bool flip_bit0;
@@ -258,8 +260,10 @@ TEST(SolverFastPath, MatchesRebuildPathGoldensOnTcamSearch) {
     double energy;    // J
   };
   const Golden goldens[] = {
-      {false, true, 0.2556633168076079, 1.8918769629084592e-14},
-      {true, false, 2.9069869146477404e-4, 1.9386094381567652e-14},
+      // The rebuild path's energies: 1.8918769629084592e-14 (match) and
+      // 1.9386094381567652e-14 (miss), 1.1e-6 and 7.0e-6 away.
+      {false, true, 0.2556633168076079, 1.8918749071394841e-14},
+      {true, false, 2.9069869146477404e-4, 1.9386230883260649e-14},
   };
 
   const tcam::Calibration cal = tcam::Calibration::standard();
