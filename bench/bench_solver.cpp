@@ -198,7 +198,7 @@ ArraySearchMetrics miss_search(TcamKind kind, spice::TransientOptions opts) {
   const SearchTemplateSpec spec =
       search_spec_for(kind, Calibration::standard());
   const core::TernaryWord word = checker_word(kAccWidth);
-  ArrayFixture fx(spec, /*rows=*/1, kAccWidth, one_bit_mismatch_key(word), {},
+  ArrayFixture fx(spec, /*rows=*/1, kAccWidth, one_bit_mismatch_key(word),
                   /*column_rows=*/kRows);
   const PortNets nets = fx.port_nets(0);
   for (int i = 0; i < kAccWidth; ++i)

@@ -19,11 +19,12 @@
 //    many-stack mismatch has a different measured/nominal ratio);
 //  - speed: the static pass must be at least 100x faster than the
 //    transients it replaces — summed over the row cases, and separately
-//    for the array leg. Each case is one search, timed whole; its
-//    transient time is that wall time less the attached STA pass (a
-//    case's first search includes the template build, as a served search
-//    would). The row sweep and the array leg run three times, each on
-//    fresh templates, and the gate reads the median speedups.
+//    for the array leg. Each case times its search (a case's first search
+//    includes the template build, as a served search would) and then,
+//    separately, the STA pass over the searched circuit that gives its
+//    bounds; no search computes bounds itself. The row sweep and the
+//    array leg run three times, each on fresh templates, and the gate
+//    reads the median speedups.
 //
 // Any violated bracket (in any run), non-positive matched margin, failed
 // calibrated re-check, or median speedup below the floor makes the
@@ -45,6 +46,7 @@
 #include "tcam/RowSpecs.h"
 #include "tcam/ArrayTemplate.h"
 #include "tcam/SearchTemplate.h"
+#include "tcam/StaBridge.h"
 
 namespace {
 
@@ -114,13 +116,15 @@ struct CaseResult {
   double measured = 0.0;  // transient ML crossing, s (0 when no crossing)
   double energy = 0.0;    // measured search energy, J
   tcam::StaSummary sta;
-  double t_transient = 0.0;  // search wall seconds less the STA pass
+  double t_transient = 0.0;  // search wall seconds
+  double t_sta = 0.0;        // STA pass wall seconds
   bool ok = true;
   std::string why;
 };
 
-// One search, timed whole; the STA pass it attaches is what the static
-// analysis costs, the rest is the transient (and build) it replaces.
+// One search, then the STA pass over the circuit it left: the first timing
+// is the transient (and build) the static analysis replaces, the second
+// what the analysis costs.
 CaseResult run_case(tcam::SearchTemplate& tpl, const char* kind,
                     const char* label, const core::TernaryWord& key,
                     const core::TernaryWord& stored) {
@@ -128,29 +132,37 @@ CaseResult run_case(tcam::SearchTemplate& tpl, const char* kind,
   r.kind = kind;
   r.label = label;
 
-  const auto t0 = Clock::now();
-  const tcam::SearchMetrics m = tpl.search(key, stored, tpl.default_strobe());
-  r.t_transient = seconds_since(t0) - m.sta.analysis_seconds;
+  const double strobe = tpl.default_strobe();
+  auto t0 = Clock::now();
+  const tcam::SearchMetrics m = tpl.search(key, stored, strobe);
+  r.t_transient = seconds_since(t0);
   r.matched = m.matched;
   r.measured = m.latency;
   r.energy = m.energy;
-  r.sta = m.sta;
-  if (!m.ok || !m.sta.valid) {
+  if (m.ok) {
+    t0 = Clock::now();
+    r.sta = tcam::sta_summary_from(
+        sta::analyze(*tpl.circuit(), {"ml"},
+                     tcam::sta_options_for(tpl.spec().cal, strobe)),
+        "ml");
+    r.t_sta = seconds_since(t0);
+  }
+  if (!m.ok || !r.sta.valid) {
     r.ok = false;
     r.why = "search or STA did not complete";
     return r;
   }
 
   if (!m.matched && m.latency > 0.0) {
-    if (!(m.sta.t_lo <= m.latency && m.latency <= m.sta.t_hi)) {
+    if (!(r.sta.t_lo <= m.latency && m.latency <= r.sta.t_hi)) {
       r.ok = false;
       r.why = "delay bracket violated";
     }
-  } else if (m.matched && m.sta.margin <= 0.0) {
+  } else if (m.matched && r.sta.margin <= 0.0) {
     r.ok = false;
     r.why = "matched row with non-positive static margin";
   }
-  if (r.ok && !(m.sta.e_lo <= m.energy && m.energy <= m.sta.e_hi)) {
+  if (r.ok && !(r.sta.e_lo <= m.energy && m.energy <= r.sta.e_hi)) {
     r.ok = false;
     r.why = "energy bracket violated";
   }
@@ -180,38 +192,61 @@ ArrayLeg run_array(int rows, int width) {
   for (int r = 0; r < rows; ++r)
     arr.store(r, r % 2 == 0 ? stored : flip_bit(stored, 0));
 
-  const auto t0 = Clock::now();
+  auto t0 = Clock::now();
   const tcam::ArraySearchMetrics m = arr.search(match);
-  leg.t_sta = m.sta.analysis_seconds;
-  leg.t_transient = seconds_since(t0) - leg.t_sta;
-  if (!m.ok || !m.sta.valid) {
+  leg.t_transient = seconds_since(t0);
+  if (!m.ok) {
     leg.brackets_ok = leg.aggregate_ok = false;
     return leg;
   }
+
+  // Per-row bounds from one STA pass over the searched array, and the
+  // aggregate band: earliest t_lo to latest t_hi over the rows STA predicts
+  // to discharge (margin < 0). Matched rows only leak, and their multi-ms
+  // "crossings" would swamp the band.
+  t0 = Clock::now();
+  tcam::ArrayFixture& fx = *arr.fixture();
+  const sta::StaReport rep =
+      sta::analyze(fx.circuit(), fx.ml_names(),
+                   tcam::sta_options_for(arr.spec().cal, arr.default_strobe()));
+  std::vector<tcam::StaSummary> bounds;
+  bool any_valid = false, have_band = false;
+  for (const std::string& ml : fx.ml_names()) {
+    const tcam::StaSummary& s = bounds.emplace_back(tcam::sta_summary_from(rep, ml));
+    any_valid = any_valid || s.valid;
+    if (!s.valid || !(s.margin < 0.0 && std::isfinite(s.t_nom) && s.t_nom > 0.0))
+      continue;
+    leg.agg_t_lo = have_band ? std::min(leg.agg_t_lo, s.t_lo) : s.t_lo;
+    leg.agg_t_hi = have_band ? std::max(leg.agg_t_hi, s.t_hi) : s.t_hi;
+    have_band = true;
+  }
+  leg.t_sta = seconds_since(t0);
+  if (!any_valid) {
+    leg.brackets_ok = leg.aggregate_ok = false;
+    return leg;
+  }
+
   double lo = 0.0, hi = 0.0;
   for (int r = 0; r < rows; ++r) {
     const tcam::ArrayRowResult& rr = m.rows[static_cast<std::size_t>(r)];
+    const tcam::StaSummary& s = bounds[static_cast<std::size_t>(r)];
     if (rr.matched || rr.latency <= 0.0) continue;
     ++leg.discharging;
-    if (!(rr.sta.valid && rr.sta.t_lo <= rr.latency &&
-          rr.latency <= rr.sta.t_hi))
+    if (!(s.valid && s.t_lo <= rr.latency && rr.latency <= s.t_hi))
       leg.brackets_ok = false;
     lo = leg.discharging == 1 ? rr.latency : std::min(lo, rr.latency);
     hi = std::max(hi, rr.latency);
   }
   leg.meas_min = lo;
   leg.meas_max = hi;
-  leg.agg_t_lo = m.sta.t_lo;
-  leg.agg_t_hi = m.sta.t_hi;
   // The aggregate band must span every measured crossing.
-  leg.aggregate_ok =
-      leg.discharging > 0 && m.sta.t_lo <= lo && hi <= m.sta.t_hi;
+  leg.aggregate_ok = leg.discharging > 0 && have_band &&
+                     leg.agg_t_lo <= lo && hi <= leg.agg_t_hi;
   return leg;
 }
 
 double case_speedup(const CaseResult& c) {
-  return c.sta.analysis_seconds > 0.0 ? c.t_transient / c.sta.analysis_seconds
-                                      : 0.0;
+  return c.t_sta > 0.0 ? c.t_transient / c.t_sta : 0.0;
 }
 
 double leg_speedup(const ArrayLeg& leg) {
@@ -271,7 +306,7 @@ RowSweep run_rows(int width) {
 
     for (const CaseResult& c : {rm, r1, rn, rcal}) {
       sum_transient += c.t_transient;
-      sum_sta += c.sta.analysis_seconds;
+      sum_sta += c.t_sta;
       sweep.cases.push_back(c);
     }
   }
@@ -313,7 +348,7 @@ void write_json(const std::vector<CaseResult>& cases, const ArrayLeg& leg,
         c.kind.c_str(), c.label.c_str(), c.ok ? "true" : "false",
         c.matched ? "true" : "false", c.measured, c.sta.t_lo, c.sta.t_nom,
         c.sta.t_hi, c.sta.margin, c.energy, c.sta.e_lo, c.sta.e_hi,
-        c.t_transient, c.sta.analysis_seconds,
+        c.t_transient, c.t_sta,
         i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

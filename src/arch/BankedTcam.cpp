@@ -12,7 +12,7 @@ using core::TernaryWord;
 
 BankedTcam::BankedTcam(core::TcamTech tech, int banks, int rows_per_bank,
                        int width, int spare_rows)
-    : rows_per_bank_(rows_per_bank), width_(width) {
+    : rows_per_bank_(rows_per_bank) {
   NEMTCAM_EXPECT(banks >= 1 && rows_per_bank >= 1 && width >= 1);
   NEMTCAM_EXPECT(spare_rows >= 0 && spare_rows < banks * rows_per_bank);
   banks_.reserve(static_cast<std::size_t>(banks));

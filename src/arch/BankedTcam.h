@@ -35,12 +35,10 @@ class BankedTcam {
              int spare_rows = 0);
 
   int banks() const noexcept { return static_cast<int>(banks_.size()); }
-  int rows_per_bank() const noexcept { return rows_per_bank_; }
   // Physical rows, spares included.
   int capacity() const noexcept { return banks() * rows_per_bank_; }
   // Rows addressable by write/erase/search.
   int logical_capacity() const noexcept { return logical_rows_; }
-  int width() const noexcept { return width_; }
   int spare_rows_free() const noexcept { return capacity() - next_spare_; }
   int retired_rows() const noexcept { return retired_; }
 
@@ -102,7 +100,6 @@ class BankedTcam {
   int physical_of(int global_row) const;
 
   int rows_per_bank_;
-  int width_;
   int logical_rows_;
   int next_spare_;   // next unused spare physical row
   int retired_ = 0;  // rows successfully remapped onto spares

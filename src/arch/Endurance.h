@@ -53,7 +53,6 @@ class EnduranceTracker {
   double lifetime_at_write_rate(double writes_per_second) const;
 
   const EnduranceSpec& spec() const noexcept { return spec_; }
-  int width() const noexcept { return width_; }
 
  private:
   EnduranceSpec spec_;

@@ -44,7 +44,6 @@ class LpmTable {
 
   // Operation ledger of the underlying dynamic TCAM (energy, refreshes…).
   const core::TcamLedger& ledger() const { return tcam_.ledger(); }
-  core::DynamicTcam& tcam() noexcept { return tcam_; }
 
  private:
   static core::TernaryWord key_of(std::uint32_t addr);

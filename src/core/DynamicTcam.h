@@ -36,8 +36,6 @@ class DynamicTcam {
   DynamicTcam(TcamTech tech, int rows, int width, bool auto_refresh = true);
 
   int rows() const noexcept { return model_.rows(); }
-  int width() const noexcept { return model_.width(); }
-  TcamTech tech() const noexcept { return energy_model_.tech(); }
   const EnergyModel& costs() const noexcept { return energy_model_; }
 
   double now() const noexcept { return now_; }
@@ -64,7 +62,6 @@ class DynamicTcam {
   bool valid(int row) const { return model_.valid(row); }
 
   const TcamLedger& ledger() const noexcept { return ledger_; }
-  const TcamModel& model() const noexcept { return model_; }
 
  private:
   void maybe_auto_refresh(double target_time);

@@ -35,8 +35,6 @@ class EnergyModel {
 
   EnergyModel(TcamTech tech, int width, int rows);
 
-  TcamTech tech() const noexcept { return tech_; }
-
   double write_latency() const;
   double write_energy() const;
   double search_latency() const;

@@ -20,7 +20,6 @@ class TcamModel {
   TcamModel(int rows, int width);
 
   int rows() const noexcept { return rows_; }
-  int width() const noexcept { return width_; }
 
   // Writes a word into a row and marks it valid.
   void write(int row, const TernaryWord& word);

@@ -38,7 +38,6 @@ class TernaryWord {
   static TernaryWord from_uint(std::uint64_t value, std::size_t width);
 
   std::size_t size() const noexcept { return bits_.size(); }
-  bool empty() const noexcept { return bits_.empty(); }
 
   Ternary& operator[](std::size_t i) { return bits_[i]; }
   Ternary operator[](std::size_t i) const { return bits_[i]; }
@@ -52,9 +51,6 @@ class TernaryWord {
   std::size_t count_x() const;
 
   std::string to_string() const;
-
-  auto begin() const { return bits_.begin(); }
-  auto end() const { return bits_.end(); }
 
  private:
   std::vector<Ternary> bits_;

@@ -109,7 +109,6 @@ class NemRelay final : public Device {
   static constexpr double kVpiMax = 1.5;      // V: beyond any on-chip drive
 
   bool contact() const noexcept { return position_ >= 1.0; }
-  double position() const noexcept { return position_; }
   // Simulation time at which the beam last reached full contact / full
   // release (write-latency telemetry); negative if it never happened.
   double t_contact_closed() const noexcept { return t_closed_; }

@@ -31,9 +31,7 @@ class VSource final : public Device {
   double delivered_power(const StampContext& ctx) const override;
   std::vector<double> breakpoints(double t_end) const override;
 
-  double value_at(double t) const { return wave_->value(t); }
   NodeId plus() const noexcept { return plus_; }
-  NodeId minus() const noexcept { return minus_; }
 
   // Replaces the drive waveform (transaction drivers reuse one netlist
   // across operations).

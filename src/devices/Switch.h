@@ -19,7 +19,6 @@ class Switch final : public Device {
   void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
 
-  bool closed() const noexcept { return closed_; }
   double r_on() const noexcept { return r_on_; }
   double r_off() const noexcept { return r_off_; }
   void set_closed(bool closed) noexcept { closed_ = closed; }

@@ -35,7 +35,6 @@ class Checker {
   explicit Checker(CheckerOptions options = {}) : options_(options) {}
 
   void add_rule(CustomRule rule) { rules_.push_back(std::move(rule)); }
-  std::size_t rule_count() const noexcept { return rules_.size(); }
 
   // Runs every enabled pass; never throws on findings (only on internal
   // contract violations). The circuit is not modified: the structural

@@ -108,7 +108,6 @@ class Library {
   // Returns false when a definition with this name already exists.
   bool add(SubcktDef def);
   const SubcktDef* find(const std::string& name) const;
-  bool empty() const noexcept { return defs_.empty(); }
 
  private:
   std::map<std::string, SubcktDef> defs_;

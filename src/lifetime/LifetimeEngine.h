@@ -179,8 +179,6 @@ class LifetimeEngine {
   // asserts if called twice (construct a fresh engine per run).
   LifetimeResult run();
 
-  const LifetimeConfig& config() const noexcept { return cfg_; }
-
  private:
   struct RowState;
 

@@ -74,7 +74,6 @@ class SparseLu {
   // concurrent solves need distinct SparseLu objects).
   void solve_inplace(double* bx) const;
 
-  std::size_t size() const noexcept { return n_; }
   // Total stored entries in U plus recorded L operations (fill metric).
   std::size_t fill_nnz() const noexcept { return u_cols_.size() + op_target_.size(); }
 

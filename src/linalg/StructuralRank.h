@@ -25,8 +25,6 @@ struct StructuralRankResult {
   // determines. Both empty iff the pattern has full structural rank.
   std::vector<std::size_t> unmatched_rows;
   std::vector<std::size_t> unmatched_cols;
-
-  bool full_rank(std::size_t n) const noexcept { return rank == n; }
 };
 
 // Maximum bipartite matching over the pattern of `a` (values are ignored;

@@ -45,7 +45,6 @@ class Circuit {
   // Number of nodes including ground.
   std::size_t node_count() const noexcept { return names_.size() + 1; }
   int node_unknowns() const noexcept { return static_cast<int>(names_.size()); }
-  int branch_unknowns() const noexcept { return n_branches_; }
   int unknown_count() const noexcept { return node_unknowns() + n_branches_; }
 
   const std::vector<std::unique_ptr<Device>>& devices() const noexcept {
@@ -81,10 +80,6 @@ class Circuit {
   // Builds the initial unknown vector from ICs (branch currents start at 0).
   std::vector<double> initial_state() const;
 
-  // Bumped whenever a device is added; lets the solver cache detect that
-  // its recorded stamp pattern belongs to an older topology.
-  std::uint64_t topology_revision() const noexcept { return topology_rev_; }
-
   // Solver-owned assembly/factorization scratch (see AssemblyCache). Kept
   // on the circuit so the fixed stamp pattern and symbolic LU survive
   // across Newton solves and transient steps. Invalidated automatically
@@ -107,6 +102,8 @@ class Circuit {
   int n_branches_ = 0;
   int anon_counter_ = 0;
   std::map<NodeId, double> ics_;
+  // Bumped whenever a device is added; lets the solver cache detect that
+  // its recorded stamp pattern belongs to an older topology.
   std::uint64_t topology_rev_ = 0;
   std::uint64_t cache_rev_ = 0;
   AssemblyCache solver_cache_;

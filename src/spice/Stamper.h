@@ -120,8 +120,6 @@ class Stamper {
     madd(rb, cb, coeff);
   }
 
-  int node_unknowns() const noexcept { return n_node_unknowns_; }
-
  private:
   static int idx(NodeId n) { return n - 1; }  // -1 for ground
   static std::size_t u(int i) { return static_cast<std::size_t>(i); }

@@ -91,7 +91,6 @@ class RcGraph {
 
   explicit RcGraph(spice::Circuit& circuit);
 
-  spice::Circuit& circuit() const noexcept { return *circuit_; }
   int node_count() const noexcept { return n_nodes_; }
   const std::vector<RcEdge>& edges() const noexcept { return edges_; }
   const std::vector<RcPin>& pins() const noexcept { return pins_; }

@@ -25,9 +25,11 @@
 // transient spot-check, which is the serving-layer use: calibrate once per
 // row kind, then evaluate delay/energy at full speed.
 //
-// Every template search runs this pass: its margin rules (Rules.h) join
-// the ERC gate on each build, and its summary rides on every search's
-// metrics (tcam/ArrayTemplate.h). There is no switch to turn it off.
+// Every template build runs this pass once, as a gate: its margin rules
+// (Rules.h) join the build's ERC checker, with no switch to turn them
+// off. A search itself computes no bounds; bench_sta and the sta tests
+// run analyze() over the searched circuit where they check the bounds
+// (tcam/StaBridge.h folds the report per matchline).
 #pragma once
 
 #include <string>

@@ -1,8 +1,6 @@
 #include "tcam/ArrayTemplate.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <map>
 #include <utility>
 
@@ -11,7 +9,6 @@
 #include "devices/Sources.h"
 #include "erc/TcamRules.h"
 #include "sta/Rules.h"
-#include "sta/Sta.h"
 #include "tcam/StaBridge.h"
 
 namespace nemtcam::tcam {
@@ -19,9 +16,15 @@ namespace nemtcam::tcam {
 using namespace nemtcam::devices;
 using spice::NodeId;
 
+namespace {
+// RC sections per shared searchline (fewer when the array has fewer rows);
+// each extra section adds 2·width unknowns.
+constexpr int kSlSegments = 2;
+}  // namespace
+
 ArrayFixture::ArrayFixture(const SearchTemplateSpec& spec, int rows,
                            int width, const core::TernaryWord& key,
-                           const ArrayOptions& opt, int column_rows)
+                           int column_rows)
     : cal_(spec.cal), rows_(rows), width_(width) {
   NEMTCAM_EXPECT(rows >= 1 && width >= 1);
   NEMTCAM_EXPECT(column_rows >= rows);
@@ -59,7 +62,7 @@ ArrayFixture::ArrayFixture(const SearchTemplateSpec& spec, int rows,
   }
 
   // Row-to-segment map for the shared-line ladders.
-  n_segments_ = std::clamp(opt.sl_segments, 1, rows);
+  n_segments_ = std::min(kSlSegments, rows);
   seg_of_row_.resize(static_cast<std::size_t>(rows));
   std::vector<int> rows_in_seg(static_cast<std::size_t>(n_segments_), 0);
   for (int r = 0; r < rows; ++r) {
@@ -201,52 +204,16 @@ ArraySearchMetrics ArrayFixture::metrics(const spice::TransientResult& result,
     rr.latency = cross.has_value() ? (*cross - t_edge_) : 0.0;
     if (rr.matched) ++m.match_count;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  const sta::StaReport rep = sta::analyze(
-      circuit_, ml_names_, sta_options_for(cal_, strobe_delay));
-  // Aggregate: timing band spans the rows STA predicts to discharge
-  // (margin < 0) — matched rows only leak, their multi-ms "times" would
-  // swamp the band. Margin comes from the row closest to the threshold.
-  StaSummary agg;
-  bool have_margin = false, have_band = false;
-  for (int r = 0; r < rows_; ++r) {
-    StaSummary& s = m.rows[static_cast<std::size_t>(r)].sta;
-    s = sta_summary_from(rep, ml_names_[static_cast<std::size_t>(r)]);
-    if (!s.valid) continue;
-    if (!agg.valid) agg = s;  // energy band / SL settle / retention are global
-    if (!have_margin || std::abs(s.margin) < std::abs(agg.margin)) {
-      agg.margin = s.margin;
-      agg.v_strobe = s.v_strobe;
-      have_margin = true;
-    }
-    if (s.margin < 0.0 && std::isfinite(s.t_nom) && s.t_nom > 0.0) {
-      if (!have_band) {
-        agg.t_lo = s.t_lo;
-        agg.t_nom = s.t_nom;
-        agg.t_hi = s.t_hi;
-        have_band = true;
-      } else {
-        agg.t_lo = std::min(agg.t_lo, s.t_lo);
-        agg.t_nom = std::max(agg.t_nom, s.t_nom);
-        agg.t_hi = std::max(agg.t_hi, s.t_hi);
-      }
-    }
-  }
-  agg.analysis_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  m.sta = agg;
   m.ok = true;
   return m;
 }
 
 ArrayTemplate::ArrayTemplate(SearchTemplateSpec spec, int rows, int width,
-                             ArrayOptions opt, int column_rows)
+                             ArrayOptions /*opt*/, int column_rows)
     : spec_(std::move(spec)),
       rows_(rows),
       width_(width),
       column_rows_(column_rows == 0 ? rows : column_rows),
-      opt_(opt),
       stored_(static_cast<std::size_t>(rows),
               core::TernaryWord(static_cast<std::size_t>(width),
                                 core::Ternary::X)) {
@@ -262,7 +229,7 @@ void ArrayTemplate::store(int row, const core::TernaryWord& word) {
 }
 
 void ArrayTemplate::build(const core::TernaryWord& key) {
-  fx_ = std::make_unique<ArrayFixture>(spec_, rows_, width_, key, opt_,
+  fx_ = std::make_unique<ArrayFixture>(spec_, rows_, width_, key,
                                        column_rows_);
   cells_.assign(static_cast<std::size_t>(rows_), {});
   spice::Circuit& ckt = fx_->circuit();

@@ -44,11 +44,6 @@ class ThreadPool;
 namespace nemtcam::tcam {
 
 struct ArrayOptions {
-  // Shared-searchline discretization: each SL/SL̄ runs as `sl_segments`
-  // RC sections (per-cell wire R and C from the Calibration), rows
-  // tapping their nearest section node. More segments → finer line
-  // model, 2·M more unknowns per extra segment. Clamped to [1, N].
-  int sl_segments = 2;
   // Read only by perfbench/driver.cpp; remove at the next benchmark change.
   util::ThreadPool* pool = nullptr;
 };
@@ -59,9 +54,6 @@ struct ArrayRowResult {
   double latency = 0.0;  // SL edge → ML crossing the sense level (s)
   double ml_final = 0.0;
   double ml_min = 0.0;  // minimum after the SL edge
-  // This row's static bounds from the whole-array STA pass (the energy
-  // band and line/retention worst cases repeat the array-level figures).
-  StaSummary sta;
 };
 
 struct ArraySearchMetrics {
@@ -78,9 +70,8 @@ struct ArraySearchMetrics {
   std::size_t stamp_pattern_builds = 0;  // replay ⇒ unchanged
   // Read only by perfbench/driver.cpp; remove at the next benchmark change.
   std::size_t bbd_blocks = 0, bbd_border = 0;
-  // Array-level STA aggregate: timing bounds span every discharging row
-  // (t_lo = earliest, t_hi = latest), margin/v_strobe come from the row
-  // closest to the sense threshold, energy band covers the whole array.
+  // Always empty. Read only by perfbench/driver.cpp; remove at the next
+  // benchmark change.
   StaSummary sta;
   std::string note;
 };
@@ -88,18 +79,17 @@ struct ArraySearchMetrics {
 // Design-independent array scaffolding: VDD/precharge rails, `rows`
 // matchlines with precharge PMOS and wire parasitics, `width` segmented
 // SL/SL̄ ladders driven per the key. The template adds each row's cells on
-// top. The ladders model a column of `column_rows` ≥ rows cells; the
+// top. Each SL/SL̄ runs as min(2, rows) RC sections (per-cell wire R and C
+// from the Calibration), rows tapping their nearest section node. The
+// ladders model a column of `column_rows` ≥ rows cells; the
 // column_rows − rows stand-in rows load each line's driven head section
 // with their wire C plus spec.c_sl_gate_per_row each.
 class ArrayFixture {
  public:
   ArrayFixture(const SearchTemplateSpec& spec, int rows, int width,
-               const core::TernaryWord& key, const ArrayOptions& opt,
-               int column_rows);
+               const core::TernaryWord& key, int column_rows);
 
   spice::Circuit& circuit() noexcept { return circuit_; }
-  int rows() const noexcept { return rows_; }
-  int width() const noexcept { return width_; }
   spice::NodeId vdd() const noexcept { return vdd_; }
   spice::NodeId ml(int row) const {
     return ml_.at(static_cast<std::size_t>(row));
@@ -138,9 +128,10 @@ class ArrayFixture {
 
   // Interprets the run. Row r matched when its ML is still above the
   // sense level at the strobe (t_edge + strobe_delay); its latency is the
-  // SL-edge → ML-crossing time when the ML crossed. Every finished run
-  // also gets the closed-form STA bounds from a fresh static pass over the
-  // bound circuit.
+  // SL-edge → ML-crossing time when the ML crossed. It reads the transient
+  // only: a caller that wants the closed-form STA bounds runs the STA pass
+  // (sta/Sta.h) over circuit() with the ml_names() probes
+  // (tcam/StaBridge.h).
   ArraySearchMetrics metrics(const spice::TransientResult& result,
                              double strobe_delay);
 
@@ -175,7 +166,6 @@ class ArrayTemplate {
                 ArrayOptions opt = {}, int column_rows = 0);
 
   int rows() const noexcept { return rows_; }
-  int width() const noexcept { return width_; }
 
   // Replaces row `row`'s stored word. The next search rebuilds the
   // template (ERC rules and cached report are bound to the stored image).
@@ -218,7 +208,6 @@ class ArrayTemplate {
   int rows_;
   int width_;
   int column_rows_;
-  ArrayOptions opt_;
   std::unique_ptr<ArrayFixture> fx_;
   std::vector<std::vector<hier::InstanceHandles>> cells_;  // [row][col]
   std::vector<core::TernaryWord> stored_;

@@ -14,9 +14,10 @@ struct WriteMetrics {
   std::size_t stamp_pattern_builds = 0;  // of the write circuit; replay ⇒ unchanged
 };
 
-// Closed-form bounds from the sta:: engine, attached to the metrics of
-// every search whose transient finished. The contract the STA bench
-// enforces: t_lo ≤ measured mismatch latency ≤
+// Closed-form bounds of one matchline from the sta:: engine, folded from a
+// StaReport by sta_summary_from (tcam/StaBridge.h) for a caller that asks
+// for them after a search; no search computes them itself. The contract
+// bench_sta and the sta tests check: t_lo ≤ measured mismatch latency ≤
 // t_hi, e_lo ≤ measured search energy ≤ e_hi. All zeros when invalid.
 struct StaSummary {
   bool valid = false;
@@ -29,7 +30,9 @@ struct StaSummary {
   double e_hi = 0.0;
   double t_sl_settle = 0.0;   // worst driven-line settle bound (s)
   double t_retention = 0.0;   // worst storage retention bound (s; inf = safe)
-  double analysis_seconds = 0.0;  // wall time of the static pass
+  // Always 0. Read only by perfbench/driver.cpp; remove at the next
+  // benchmark change.
+  double analysis_seconds = 0.0;
 };
 
 struct SearchMetrics {
@@ -52,8 +55,8 @@ struct SearchMetrics {
   // assertion behind the "zero reconstruction after the first search"
   // contract (see hier/Elaborate.h).
   std::size_t stamp_pattern_builds = 0;
-  // Static timing/energy bounds for this transaction's circuit (empty
-  // when the search stopped at the ERC gate or its transient failed).
+  // Always empty. Read only by perfbench/driver.cpp; remove at the next
+  // benchmark change.
   StaSummary sta;
   std::string note;
 

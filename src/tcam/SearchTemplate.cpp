@@ -38,8 +38,6 @@ SearchMetrics SearchTemplate::search(const core::TernaryWord& key,
     m.latency = row.latency;
     m.ml_final = row.ml_final;
     m.ml_min = row.ml_min;
-    m.sta = row.sta;
-    m.sta.analysis_seconds = am.sta.analysis_seconds;
   }
   return m;
 }

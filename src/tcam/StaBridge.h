@@ -1,8 +1,11 @@
-// Glue between the tcam calibration/metrics layer and the sta:: engine:
-// derives StaOptions from a Calibration plus the transaction's strobe,
-// and folds a full StaReport down to the StaSummary that rides on
-// SearchMetrics / ArraySearchMetrics. Kept out of Harness.h so Metrics.h
-// stays free of sta includes.
+// Glue between the tcam calibration/metrics layer and the sta:: engine,
+// for callers that ask for bounds: derives StaOptions from a Calibration
+// plus the search's strobe (the STA margin rules every template build
+// registers use it too), and folds a full StaReport down to one
+// matchline's StaSummary. A search computes no bounds; a caller that
+// checks them runs the STA pass (sta/Sta.h) over the searched circuit
+// with these options and folds the report per matchline. Kept out of
+// Harness.h so Metrics.h stays free of sta includes.
 #pragma once
 
 #include <string>

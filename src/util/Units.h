@@ -2,10 +2,9 @@
 //
 // All internal quantities in nemtcam are plain `double` in base SI units
 // (seconds, volts, amperes, farads, ohms, joules, watts). These constants
-// and user-defined literals make magnitudes readable at construction sites:
+// make magnitudes readable at construction sites:
 //
 //   double c = 20 * units::aF;      // 2e-17 F
-//   double t = 2.0_ns;              // 2e-9 s
 #pragma once
 
 namespace nemtcam::units {
@@ -62,30 +61,3 @@ inline constexpr double um = 1e-6;
 inline constexpr double nm = 1e-9;
 
 }  // namespace nemtcam::units
-
-namespace nemtcam::literals {
-
-constexpr double operator""_s(long double v) { return static_cast<double>(v); }
-constexpr double operator""_ms(long double v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator""_us(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_ns(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_ps(long double v) { return static_cast<double>(v) * 1e-12; }
-
-constexpr double operator""_V(long double v) { return static_cast<double>(v); }
-constexpr double operator""_mV(long double v) { return static_cast<double>(v) * 1e-3; }
-
-constexpr double operator""_pF(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_fF(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_aF(long double v) { return static_cast<double>(v) * 1e-18; }
-
-constexpr double operator""_Ohm(long double v) { return static_cast<double>(v); }
-constexpr double operator""_kOhm(long double v) { return static_cast<double>(v) * 1e3; }
-constexpr double operator""_MOhm(long double v) { return static_cast<double>(v) * 1e6; }
-
-constexpr double operator""_pJ(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_fJ(long double v) { return static_cast<double>(v) * 1e-15; }
-
-constexpr double operator""_um(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_nm(long double v) { return static_cast<double>(v) * 1e-9; }
-
-}  // namespace nemtcam::literals

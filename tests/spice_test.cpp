@@ -15,14 +15,12 @@
 #include "spice/Stamper.h"
 #include "spice/Transient.h"
 #include "spice/Waveform.h"
-#include "util/Units.h"
 
 namespace {
 
 using namespace nemtcam;
 using namespace nemtcam::spice;
 using namespace nemtcam::devices;
-using namespace nemtcam::literals;
 
 TEST(Waveform, PulseShape) {
   // PULSE(0 1 | delay 1ns | rise 0.1ns | fall 0.1ns | width 2ns)

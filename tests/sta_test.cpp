@@ -10,8 +10,9 @@
 //    pass reports the right sta.* rule id at the right severity — and
 //    that the matching clean fixture stays silent on that rule;
 //  - bound bracketing: for every row kind, one matched and one one-bit
-//    mismatched search at reduced width must land the measured transient
-//    delay and energy inside the static bounds (the full-width version of
+//    mismatched search at reduced width, fresh and aged in place, must
+//    land the measured transient delay and energy inside the static
+//    bounds computed over the searched circuit (the full-width version of
 //    this contract is bench_sta's gate; this is the fast regression).
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "devices/Passive.h"
 #include "devices/Sources.h"
 #include "erc/Checker.h"
+#include "lifetime/Degradation.h"
 #include "sta/RcGraph.h"
 #include "sta/Rules.h"
 #include "sta/Sta.h"
@@ -196,10 +198,8 @@ TEST(StaSeededDefect, SlowSearchlineDriverFlagsSettleBound) {
 TEST(StaSeededDefect, OverlongArraySlLadderFlagsSettleBound) {
   tcam::Calibration cal;
   cal.r_wire_per_m = 2.0e6 * 20000.0;
-  tcam::ArrayOptions aopt;
-  aopt.sl_segments = 4;
   tcam::ArrayTemplate arr(tcam::nem3t2n_search_spec(cal), /*rows=*/4,
-                          /*width=*/8, aopt);
+                          /*width=*/8);
   const core::TernaryWord word = all_ones(8);
   for (int r = 0; r < arr.rows(); ++r) arr.store(r, word);
   ASSERT_TRUE(arr.search(word).ok);
@@ -262,33 +262,69 @@ TEST(StaSeededDefect, HealthyRelaysMeetRefreshSchedule) {
 
 class StaBracketing : public ::testing::TestWithParam<tcam::TcamKind> {};
 
-TEST_P(StaBracketing, TransientDelayAndEnergyInsideStaticBounds) {
-  constexpr int kTestWidth = 16;
-  tcam::SearchTemplate tpl(
-      tcam::search_spec_for(GetParam(), tcam::Calibration{}), kTestWidth, 64);
-  const core::TernaryWord stored = all_ones(kTestWidth);
+constexpr int kBracketWidth = 16;
+
+// The static bounds of the row's matchline, from an STA pass over the
+// circuit the last search left.
+tcam::StaSummary bounds_after(tcam::SearchTemplate& tpl, double strobe) {
+  return tcam::sta_summary_from(
+      sta::analyze(*tpl.circuit(), {"ml"},
+                   tcam::sta_options_for(tpl.spec().cal, strobe)),
+      "ml");
+}
+
+// A matched search must leave a positive static margin, a one-bit miss
+// must cross inside [t_lo, t_hi], and both energies must sit in
+// [e_lo, e_hi].
+void expect_bracketed(tcam::SearchTemplate& tpl) {
+  const core::TernaryWord stored = all_ones(kBracketWidth);
   core::TernaryWord miss = stored;
   miss[0] = core::Ternary::Zero;
   const double strobe = tpl.default_strobe();
 
   const tcam::SearchMetrics hit = tpl.search(stored, stored, strobe);
   ASSERT_TRUE(hit.ok) << hit.note;
-  ASSERT_TRUE(hit.sta.valid);
+  const tcam::StaSummary hit_sta = bounds_after(tpl, strobe);
+  ASSERT_TRUE(hit_sta.valid);
   EXPECT_TRUE(hit.matched);
-  EXPECT_GT(hit.sta.margin, 0.0);
-  EXPECT_GE(hit.energy, hit.sta.e_lo);
-  EXPECT_LE(hit.energy, hit.sta.e_hi);
+  EXPECT_GT(hit_sta.margin, 0.0);
+  EXPECT_GE(hit.energy, hit_sta.e_lo);
+  EXPECT_LE(hit.energy, hit_sta.e_hi);
 
   const tcam::SearchMetrics mm = tpl.search(miss, stored, strobe);
   ASSERT_TRUE(mm.ok) << mm.note;
-  ASSERT_TRUE(mm.sta.valid);
+  const tcam::StaSummary mm_sta = bounds_after(tpl, strobe);
+  ASSERT_TRUE(mm_sta.valid);
   EXPECT_FALSE(mm.matched);
   ASSERT_GT(mm.latency, 0.0);
-  EXPECT_LE(mm.sta.t_lo, mm.latency);
-  EXPECT_GE(mm.sta.t_hi, mm.latency);
-  EXPECT_LT(mm.sta.t_lo, mm.sta.t_hi);
-  EXPECT_GE(mm.energy, mm.sta.e_lo);
-  EXPECT_LE(mm.energy, mm.sta.e_hi);
+  EXPECT_LE(mm_sta.t_lo, mm.latency);
+  EXPECT_GE(mm_sta.t_hi, mm.latency);
+  EXPECT_LT(mm_sta.t_lo, mm_sta.t_hi);
+  EXPECT_GE(mm.energy, mm_sta.e_lo);
+  EXPECT_LE(mm.energy, mm_sta.e_hi);
+}
+
+TEST_P(StaBracketing, TransientDelayAndEnergyInsideStaticBounds) {
+  tcam::SearchTemplate tpl(
+      tcam::search_spec_for(GetParam(), tcam::Calibration{}), kBracketWidth,
+      64);
+  expect_bracketed(tpl);
+}
+
+// Aging moves the bounds (the SRAM miss band's top grows with wear), so
+// they are recomputed over the aged circuit. Wear 0.1 is the level every
+// kind still searches correctly at; by 0.5 the 3T2N search fails and the
+// 2T2R one-bit miss reads as a match, which is wear-out (the lifetime
+// engine's FunctionalDead), not a question for the bounds.
+TEST_P(StaBracketing, AgedRowInsideRecomputedStaticBounds) {
+  tcam::SearchTemplate tpl(
+      tcam::search_spec_for(GetParam(), tcam::Calibration{}), kBracketWidth,
+      64);
+  const core::TernaryWord stored = all_ones(kBracketWidth);
+  tpl.ensure_built(stored, stored);
+  lifetime::Degradation().apply_to_circuit(*tpl.circuit(), /*w=*/0.1,
+                                           /*w_prev=*/0.0);
+  expect_bracketed(tpl);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -109,8 +109,7 @@ tcam::ArraySearchMetrics nem_search(TransientOptions opts) {
   core::TernaryWord key = word;
   key[0] = Ternary::Zero;
 
-  tcam::ArrayFixture fx(spec, /*rows=*/1, kWidth, key, {},
-                        /*column_rows=*/64);
+  tcam::ArrayFixture fx(spec, /*rows=*/1, kWidth, key, /*column_rows=*/64);
   const tcam::PortNets nets = fx.port_nets(0);
   for (int i = 0; i < kWidth; ++i)
     spec.bind(fx.circuit(),

@@ -11,20 +11,10 @@
 #include "util/Stats.h"
 #include "util/Table.h"
 #include "util/ThreadPool.h"
-#include "util/Units.h"
 
 namespace {
 
 using namespace nemtcam;
-using namespace nemtcam::literals;
-
-TEST(Units, LiteralsMatchConstants) {
-  EXPECT_DOUBLE_EQ(2.0_ns, 2.0 * units::ns);
-  EXPECT_DOUBLE_EQ(20.0_aF, 20.0 * units::aF);
-  EXPECT_DOUBLE_EQ(1.0_kOhm, 1.0 * units::kOhm);
-  EXPECT_DOUBLE_EQ(0.35_pJ, 0.35 * units::pJ);
-  EXPECT_DOUBLE_EQ(500.0_mV, 0.5 * units::V);
-}
 
 TEST(Expect, ThrowsOnViolation) {
   EXPECT_THROW(NEMTCAM_EXPECT(1 == 2), std::logic_error);
