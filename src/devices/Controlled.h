@@ -21,6 +21,9 @@ class Vcvs final : public Device {
   int branch_count() const override { return 1; }
   void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(gain_);
+  }
 
  private:
   NodeId p_, m_, cp_, cm_;
@@ -34,6 +37,9 @@ class Vccs final : public Device {
 
   void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(gm_);
+  }
 
  private:
   NodeId p_, m_, cp_, cm_;
@@ -49,6 +55,9 @@ class Cccs final : public Device {
 
   void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(gain_);
+  }
 
  private:
   NodeId p_, m_;
@@ -65,6 +74,9 @@ class Ccvs final : public Device {
   int branch_count() const override { return 1; }
   void stamp_fixed(Stamper& s, const StampContext& ctx) override;
   spice::DeviceTopology topology() const override;
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(r_);
+  }
 
  private:
   NodeId p_, m_;

@@ -35,6 +35,14 @@ class Diode final : public Device {
   const DiodeParams& params() const noexcept { return params_; }
 
   void reset_state() override { cj_c_.reset(); }
+  void save_state(std::vector<double>& out) const override {
+    cj_c_.save(out);
+  }
+  void load_state(const double*& in) override { cj_c_.load(in); }
+  void append_params(std::vector<double>& out) const override {
+    out.insert(out.end(),
+               {params_.i_sat, params_.n_ideality, params_.c_junction});
+  }
 
  private:
   NodeId anode_, cathode_;

@@ -40,6 +40,33 @@ void Fefet::stamp_fixed(Stamper& s, const StampContext& ctx) {
   csb_c_.stamp_fixed(s, ctx, s_, spice::kGround);
 }
 
+void Fefet::save_state(std::vector<double>& out) const {
+  cgfe_c_.save(out);
+  cgd_c_.save(out);
+  cdb_c_.save(out);
+  csb_c_.save(out);
+  out.insert(out.end(), {p_, moving_ ? 1.0 : 0.0, t_program_, t_erase_});
+}
+
+void Fefet::load_state(const double*& in) {
+  cgfe_c_.load(in);
+  cgd_c_.load(in);
+  cdb_c_.load(in);
+  csb_c_.load(in);
+  p_ = in[0];
+  moving_ = in[1] != 0.0;
+  t_program_ = in[2];
+  t_erase_ = in[3];
+  in += 4;
+}
+
+void Fefet::append_params(std::vector<double>& out) const {
+  params_.fet.append_to(out);
+  out.insert(out.end(), {params_.vth_low, params_.vth_high,
+                         params_.v_coercive, params_.v_write, params_.t_write,
+                         params_.c_fe});
+}
+
 void Fefet::commit(const StampContext& ctx) {
   const double vgs = ctx.v(g_) - ctx.v(s_);
   const double dt = ctx.dt();

@@ -67,6 +67,9 @@ class Fefet final : public Device {
     t_program_ = -1.0;
     t_erase_ = -1.0;
   }
+  void save_state(std::vector<double>& out) const override;
+  void load_state(const double*& in) override;
+  void append_params(std::vector<double>& out) const override;
 
   const FefetParams& params() const noexcept { return params_; }
 

@@ -25,6 +25,13 @@ class Inductor final : public Device {
   double current() const noexcept { return i_prev_; }
 
   void reset_state() override { i_prev_ = 0.0; }
+  void save_state(std::vector<double>& out) const override {
+    out.push_back(i_prev_);
+  }
+  void load_state(const double*& in) override { i_prev_ = *in++; }
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(henries_);
+  }
 
  private:
   NodeId a_, b_;

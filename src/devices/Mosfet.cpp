@@ -61,6 +61,11 @@ MosfetParams MosfetParams::pmos_lp(double width_scale) {
   return p;
 }
 
+void MosfetParams::append_to(std::vector<double>& out) const {
+  out.insert(out.end(), {type == MosType::Nmos ? 0.0 : 1.0, vth, kp, n_slope,
+                         cgs, cgd, cdb, csb, event_on_vth ? 1.0 : 0.0});
+}
+
 MosEval ekv_eval(const MosfetParams& p, double vth_eff, double v_g, double v_d,
                  double v_s) {
   // For PMOS, mirror all voltages and negate the current.
@@ -151,6 +156,20 @@ void Mosfet::commit(const StampContext& ctx) {
   cgd_c_.commit(ctx, g_, d_);
   cdb_c_.commit(ctx, d_, spice::kGround);
   csb_c_.commit(ctx, s_, spice::kGround);
+}
+
+void Mosfet::save_state(std::vector<double>& out) const {
+  cgs_c_.save(out);
+  cgd_c_.save(out);
+  cdb_c_.save(out);
+  csb_c_.save(out);
+}
+
+void Mosfet::load_state(const double*& in) {
+  cgs_c_.load(in);
+  cgd_c_.load(in);
+  cdb_c_.load(in);
+  csb_c_.load(in);
 }
 
 double Mosfet::event_function(const StampContext& ctx) const {

@@ -40,6 +40,9 @@ struct MosfetParams {
 
   static MosfetParams nmos_lp(double width_scale = 1.0);
   static MosfetParams pmos_lp(double width_scale = 1.0);
+
+  // Appends every field (Device::append_params of Mosfet and Fefet).
+  void append_to(std::vector<double>& out) const;
 };
 
 // Evaluated drain current and partial derivatives (NMOS sign convention:
@@ -112,6 +115,11 @@ class Mosfet final : public Device {
     cgd_c_.reset();
     cdb_c_.reset();
     csb_c_.reset();
+  }
+  void save_state(std::vector<double>& out) const override;
+  void load_state(const double*& in) override;
+  void append_params(std::vector<double>& out) const override {
+    params_.append_to(out);
   }
 
  private:

@@ -53,6 +53,19 @@ class Mtj final : public Device {
     t_par_ = -1.0;
     t_ap_ = -1.0;
   }
+  void save_state(std::vector<double>& out) const override {
+    out.insert(out.end(), {m_, t_par_, t_ap_});
+  }
+  void load_state(const double*& in) override {
+    m_ = in[0];
+    t_par_ = in[1];
+    t_ap_ = in[2];
+    in += 3;
+  }
+  void append_params(std::vector<double>& out) const override {
+    out.insert(out.end(), {params_.r_parallel, params_.r_antiparallel,
+                           params_.i_critical, params_.t_switch_ref});
+  }
 
  private:
   NodeId top_, bottom_;

@@ -138,6 +138,29 @@ double NemRelay::max_dt_hint() const {
   return params_.tau_mech / 50.0;
 }
 
+void NemRelay::save_state(std::vector<double>& out) const {
+  out.insert(out.end(), {position_, target_closed_ ? 1.0 : 0.0,
+                         stuck_ ? 1.0 : 0.0, q_gb_, t_closed_, t_opened_});
+}
+
+void NemRelay::load_state(const double*& in) {
+  position_ = in[0];
+  target_closed_ = in[1] != 0.0;
+  stuck_ = in[2] != 0.0;
+  q_gb_ = in[3];
+  t_closed_ = in[4];
+  t_opened_ = in[5];
+  in += 6;
+}
+
+void NemRelay::append_params(std::vector<double>& out) const {
+  out.insert(out.end(),
+             {params_.v_pi, params_.v_po, params_.c_on, params_.c_off,
+              params_.r_on, params_.g_off, params_.tau_mech,
+              params_.gate_leak_g, params_.bipolar_actuation ? 1.0 : 0.0,
+              params_.z_critical});
+}
+
 void NemRelay::set_state(bool closed, double v_gb) {
   if (stuck_) return;  // a welded/broken beam cannot be re-seeded
   position_ = closed ? 1.0 : 0.0;

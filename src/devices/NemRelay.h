@@ -71,6 +71,11 @@ class NemRelay final : public Device {
     t_closed_ = -1.0;
     t_opened_ = -1.0;
   }
+  // Dynamic state: position, latched target, stuck pin, gate charge and
+  // the arrival telemetry.
+  void save_state(std::vector<double>& out) const override;
+  void load_state(const double*& in) override;
+  void append_params(std::vector<double>& out) const override;
 
   // --- Fault-injection / degradation hooks (see fault/FaultInjector and
   // lifetime/Degradation) ---

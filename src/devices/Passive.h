@@ -20,6 +20,10 @@ class Resistor final : public Device {
 
   double resistance() const noexcept { return ohms_; }
 
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(ohms_);
+  }
+
  private:
   NodeId a_, b_;
   double ohms_;
@@ -48,6 +52,11 @@ class CapCompanion {
   // Drops the carried current history (owner's reset_state forwards here).
   void reset() { i_prev_ = 0.0; }
 
+  // The carried current history is the companion's dynamic state; the
+  // owner's save_state/load_state forward here.
+  void save(std::vector<double>& out) const { out.push_back(i_prev_); }
+  void load(const double*& in) { i_prev_ = *in++; }
+
  private:
   double farads_;
   double i_prev_ = 0.0;  // used by the trapezoidal companion
@@ -67,6 +76,11 @@ class Capacitor final : public Device {
   double capacitance() const noexcept { return c_.capacitance(); }
 
   void reset_state() override { c_.reset(); }
+  void save_state(std::vector<double>& out) const override { c_.save(out); }
+  void load_state(const double*& in) override { c_.load(in); }
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(c_.capacitance());
+  }
 
  private:
   NodeId a_, b_;

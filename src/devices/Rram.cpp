@@ -24,6 +24,25 @@ void Rram::stamp_fixed(Stamper& s, const StampContext&) {
   s.conductance(top_, bottom_, 1.0 / resistance());
 }
 
+void Rram::save_state(std::vector<double>& out) const {
+  out.insert(out.end(), {w_, moving_ ? 1.0 : 0.0, t_set_, t_reset_});
+}
+
+void Rram::load_state(const double*& in) {
+  w_ = in[0];
+  moving_ = in[1] != 0.0;
+  t_set_ = in[2];
+  t_reset_ = in[3];
+  in += 4;
+}
+
+void Rram::append_params(std::vector<double>& out) const {
+  out.insert(out.end(),
+             {params_.r_on, params_.r_off, params_.v_set, params_.v_reset,
+              params_.vth_set, params_.vth_reset, params_.t_write,
+              params_.shape_exp});
+}
+
 void Rram::commit(const StampContext& ctx) {
   const double v = ctx.v(top_) - ctx.v(bottom_);
   const double dt = ctx.dt();

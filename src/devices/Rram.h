@@ -69,6 +69,9 @@ class Rram final : public Device {
     t_set_ = -1.0;
     t_reset_ = -1.0;
   }
+  void save_state(std::vector<double>& out) const override;
+  void load_state(const double*& in) override;
+  void append_params(std::vector<double>& out) const override;
 
   const RramParams& params() const noexcept { return params_; }
 

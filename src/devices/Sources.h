@@ -42,6 +42,11 @@ class VSource final : public Device {
     return true;
   }
 
+  // The drive waveform is not a parameter (spice/Device.h).
+  void append_params(std::vector<double>& out) const override {
+    out.push_back(series_ohms_);
+  }
+
  private:
   NodeId plus_, minus_;
   std::unique_ptr<Waveform> wave_;

@@ -23,6 +23,14 @@ class Switch final : public Device {
   double r_off() const noexcept { return r_off_; }
   void set_closed(bool closed) noexcept { closed_ = closed; }
 
+  void save_state(std::vector<double>& out) const override {
+    out.push_back(closed_ ? 1.0 : 0.0);
+  }
+  void load_state(const double*& in) override { closed_ = *in++ != 0.0; }
+  void append_params(std::vector<double>& out) const override {
+    out.insert(out.end(), {r_on_, r_off_});
+  }
+
  private:
   NodeId a_, b_;
   double r_on_, r_off_;

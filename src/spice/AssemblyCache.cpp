@@ -107,18 +107,18 @@ void AssemblyCache::invalidate() {
   cols_.clear();
   step_vals_.clear();
   vals_.clear();
-  lu_analyzed_ = false;
+  pivot_order_ = kNoPivotOrder;
 }
 
 linalg::SparseLu& AssemblyCache::factorize() {
   NEMTCAM_EXPECT_MSG(has_pattern(), "AssemblyCache::factorize before finish");
-  if (lu_analyzed_ && lu_.refactorize(view())) {
+  if (pivot_order_ != kNoPivotOrder && lu_.refactorize(view())) {
     ++stats_.refactorizations;
     return lu_;
   }
-  lu_analyzed_ = false;
+  pivot_order_ = kNoPivotOrder;
   lu_.factorize(view());  // throws SingularMatrixError on failure
-  lu_analyzed_ = true;
+  pivot_order_ = stats_.full_factorizations + stats_.refactorizations;
   ++stats_.full_factorizations;
   return lu_;
 }

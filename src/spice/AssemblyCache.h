@@ -107,6 +107,16 @@ class AssemblyCache {
   // possible. Throws linalg::SingularMatrixError like SparseLu.
   linalg::SparseLu& factorize();
 
+  static constexpr std::uint64_t kNoPivotOrder = ~std::uint64_t{0};
+  // Names the LU pivot order factorize() reuses: how many factorizations
+  // (full and re-) this cache made before the full one that chose it, or
+  // kNoPivotOrder when it holds none (no factorization yet, or dropped by
+  // invalidate() or a singular full factorization). While it keeps one
+  // value every factorization reuses one pivot order, and a refactor over
+  // that order reproduces the full factorization that chose it bit for
+  // bit — what a checkpointed transient rests on (tcam::ArrayFixture).
+  std::uint64_t pivot_order() const noexcept { return pivot_order_; }
+
   // Read only by perfbench/driver.cpp; remove at the next benchmark change.
   const linalg::BbdSolver* bbd() const noexcept { return nullptr; }
 
@@ -145,7 +155,8 @@ class AssemblyCache {
   std::vector<double> rhs_;
 
   linalg::SparseLu lu_;
-  bool lu_analyzed_ = false;  // lu_ holds a symbolic analysis of this pattern
+  // lu_ holds a symbolic analysis of this pattern unless kNoPivotOrder.
+  std::uint64_t pivot_order_ = kNoPivotOrder;
 
   Stats stats_;
 };

@@ -42,6 +42,36 @@ void Circuit::reset_device_states() {
   for (const auto& dev : devices_) dev->reset_state();
 }
 
+void Circuit::save_device_states(std::vector<double>& out) const {
+  for (const auto& dev : devices_) dev->save_state(out);
+}
+
+void Circuit::load_device_states(const std::vector<double>& states) {
+  const double* in = states.data();
+  for (const auto& dev : devices_) dev->load_state(in);
+  NEMTCAM_EXPECT_MSG(in == states.data() + states.size(),
+                     "device states saved from another circuit");
+}
+
+util::Digest128 Circuit::state_digest() const {
+  util::Digest128 d;
+  d.add(static_cast<std::uint64_t>(devices_.size()));
+  d.add(static_cast<std::uint64_t>(unknown_count()));
+  std::vector<double> words;
+  for (const auto& dev : devices_) {
+    words.clear();
+    dev->append_params(words);
+    dev->save_state(words);
+    d.add(static_cast<std::uint64_t>(words.size()));
+    for (const double w : words) d.add(w);
+  }
+  for (const auto& [n, volts] : ics_) {
+    d.add(static_cast<std::uint64_t>(n));
+    d.add(volts);
+  }
+  return d;
+}
+
 const std::string& Circuit::node_name(NodeId n) const {
   if (n == kGround) return kGroundName;
   NEMTCAM_EXPECT(n >= 1 && static_cast<std::size_t>(n) <= names_.size());

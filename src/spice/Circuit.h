@@ -12,6 +12,7 @@
 #include "spice/AssemblyCache.h"
 #include "spice/Device.h"
 #include "spice/Types.h"
+#include "util/Digest.h"
 
 namespace nemtcam::spice {
 
@@ -68,6 +69,17 @@ class Circuit {
   // Calls reset_state() on every device: clears per-run scratch so the
   // same elaborated circuit can run another transaction from t = 0.
   void reset_device_states();
+
+  // Every device's dynamic state (Device.h), in device order: appended to
+  // `out`, or loaded back from a vector save_device_states filled.
+  void save_device_states(std::vector<double>& out) const;
+  void load_device_states(const std::vector<double>& states);
+
+  // Digest of the state a transient from the initial conditions starts
+  // in: the device and unknown counts, every device's parameters and
+  // dynamic state, and the initial conditions. Drive waveforms are not in
+  // it (Device.h).
+  util::Digest128 state_digest() const;
 
   // Name of a node id ("0" for ground).
   const std::string& node_name(NodeId n) const;

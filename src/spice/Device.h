@@ -12,6 +12,26 @@
 // filament, polarization, capacitor charge history); state advances only in
 // commit(), which the transient engine calls exactly once per *accepted*
 // step, so rejected/retried steps never corrupt state.
+//
+// The device-state contract. A device's fields fall in three groups:
+//  - its dynamic state: every field that commit(), reset_state(), a state
+//    binder or a state setter changes — companion history currents,
+//    mechanical position and gate charge, filament/polarization/
+//    magnetization state, in-motion flags, event-time telemetry, fault
+//    pins. save_state() appends it and load_state() reads it back, so a
+//    checkpointed transient (TransientRun) resumes exactly;
+//  - its parameters: every other field that changes what it stamps,
+//    in-place edits from aging, fault injection and variation included.
+//    append_params() appends them, so that with the dynamic state and the
+//    circuit's initial conditions they pin down the circuit's state at
+//    t = 0 (Circuit::state_digest);
+//  - its wiring and drive waveform, which neither covers: wiring is fixed
+//    at construction, and a caller that rebinds a source's waveform
+//    (rebind_wave) keeps its own invariant about it (a search fixture
+//    rebinds only its searchline drivers, all 0 V until the same edge).
+// A field left out of the first two groups makes a resumed run or a
+// digest comparison silently wrong; devices with neither keep the
+// defaults.
 #pragma once
 
 #include <limits>
@@ -253,6 +273,14 @@ class Device {
   // re-seeds stored state explicitly. Devices without scratch need not
   // override.
   virtual void reset_state() {}
+
+  // Appends the dynamic state / reads the same values back, in the same
+  // order, advancing `in` past them (see the contract above).
+  virtual void save_state(std::vector<double>& out) const { (void)out; }
+  virtual void load_state(const double*& in) { (void)in; }
+
+  // Appends the parameters (see the contract above).
+  virtual void append_params(std::vector<double>& out) const { (void)out; }
 
   // Replaces the device's drive waveform in place; returns false for
   // devices without one (only the independent sources accept it). This is

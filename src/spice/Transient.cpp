@@ -24,6 +24,8 @@ constexpr double kLteFactor = 3.5;
 constexpr double kDtGrowMax = 10.0;
 // Event bisection stops once the bracket is tighter than this (s).
 constexpr double kEventTimeTol = 1e-12;
+// Times closer than this are one instant (s).
+constexpr double kTimeEps = 1e-18;
 
 // Rolling window of the last (up to) three accepted solutions, used for the
 // polynomial predictor that warm-starts Newton and anchors the Milne LTE
@@ -135,6 +137,21 @@ double pi_growth(double r, double r_prev, int order) {
   return std::clamp(fac, 0.2, kDtGrowMax);
 }
 
+// Appends the sample at `time`: the full unknown vector, or only the
+// probed unknowns.
+void record_sample(TransientResult& result, double time,
+                   const std::vector<double>& full) {
+  result.times.push_back(time);
+  if (result.recorded_unknowns.empty()) {
+    result.samples.push_back(full);
+    return;
+  }
+  std::vector<double> row;
+  row.reserve(result.recorded_unknowns.size());
+  for (std::size_t u : result.recorded_unknowns) row.push_back(full[u]);
+  result.samples.push_back(std::move(row));
+}
+
 }  // namespace
 
 TransientOptions step_defaults(double t_end, double dt_max) {
@@ -201,18 +218,15 @@ double TransientResult::total_source_energy() const {
   return total;
 }
 
-TransientResult run_transient(Circuit& circuit, const TransientOptions& opts) {
-  return run_transient_from(circuit, circuit.initial_state(), opts);
-}
-
-TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
-                                   const TransientOptions& opts) {
+TransientRun::TransientRun(Circuit& circuit, std::vector<double> v0,
+                           const TransientOptions& opts)
+    : circuit_(&circuit), opts_(opts), v_prev_(std::move(v0)) {
   NEMTCAM_EXPECT(opts.t_end > 0.0);
   NEMTCAM_EXPECT(opts.dt_init > 0.0 && opts.dt_min > 0.0 && opts.dt_max > 0.0);
-  NEMTCAM_EXPECT(v0.size() == static_cast<std::size_t>(circuit.unknown_count()));
+  NEMTCAM_EXPECT(v_prev_.size() ==
+                 static_cast<std::size_t>(circuit.unknown_count()));
 
-  TransientResult result;
-  result.n_node_unknowns = circuit.node_unknowns();
+  result_.n_node_unknowns = circuit.node_unknowns();
   const int n_node = circuit.node_unknowns();
 
   // Collect and sort source breakpoints. Breakpoints closer together than
@@ -223,64 +237,60 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     for (double t : dev->breakpoints(opts.t_end))
       if (t > 0.0 && t < opts.t_end) bp_set.insert(t);
   bp_set.insert(opts.t_end);
-  std::vector<double> breakpoints;
-  breakpoints.reserve(bp_set.size());
+  breakpoints_.reserve(bp_set.size());
   for (auto it = bp_set.begin(); it != bp_set.end(); ++it) {
     const auto next = std::next(it);
     if (next != bp_set.end() && *next - *it < opts.dt_min) continue;
-    breakpoints.push_back(*it);
+    breakpoints_.push_back(*it);
   }
 
-  std::vector<double> v_prev = std::move(v0);
-  std::vector<double> v = v_prev;
-  double t = 0.0;
-  double dt = opts.dt_init;
-  double dt_last = opts.dt_init;  // last accepted step (restart sizing)
+  dt_ = opts.dt_init;
+  dt_last_ = opts.dt_init;
 
-  // Mutable Newton options: a residual gmin accepted by the recovery
-  // ladder (a genuinely floating node) is folded in here so every later
-  // step holds the node without re-running the ladder.
-  NewtonOptions newton;
-  double sticky_gmin = 0.0;
-
-  // Per-device previous delivered-power sample for trapezoidal source
-  // energy integration.
-  std::vector<Device*> devs;
-  devs.reserve(circuit.devices().size());
-  for (const auto& dev : circuit.devices()) devs.push_back(dev.get());
-  std::vector<double> prev_delivered(devs.size(), 0.0);
-  std::vector<double> acc_delivered(devs.size(), 0.0);
+  // Delivered power at t = 0, the first sample of each source's
+  // trapezoidal energy integral.
+  const auto& devs = circuit.devices();
+  prev_delivered_.assign(devs.size(), 0.0);
+  acc_delivered_.assign(devs.size(), 0.0);
   {
-    StampContext ctx0(0.0, 0.0, /*is_dc=*/false, n_node, &v_prev, &v_prev);
+    StampContext ctx0(0.0, 0.0, /*is_dc=*/false, n_node, &v_prev_, &v_prev_);
     for (std::size_t i = 0; i < devs.size(); ++i)
-      prev_delivered[i] = devs[i]->delivered_power(ctx0);
+      prev_delivered_[i] = devs[i]->delivered_power(ctx0);
   }
 
   // Probe recording: store only the requested node voltages per step.
   for (NodeId n : opts.probe_nodes) {
     NEMTCAM_EXPECT(n != kGround && n - 1 < circuit.node_unknowns());
-    result.recorded_unknowns.push_back(static_cast<std::size_t>(n - 1));
+    result_.recorded_unknowns.push_back(static_cast<std::size_t>(n - 1));
   }
-  const auto record_sample = [&result](double time,
-                                       const std::vector<double>& full) {
-    result.times.push_back(time);
-    if (result.recorded_unknowns.empty()) {
-      result.samples.push_back(full);
-      return;
-    }
-    std::vector<double> row;
-    row.reserve(result.recorded_unknowns.size());
-    for (std::size_t u : result.recorded_unknowns) row.push_back(full[u]);
-    result.samples.push_back(std::move(row));
-  };
+  if (opts.record) record_sample(result_, 0.0, v_prev_);
+}
 
-  if (opts.record) record_sample(0.0, v_prev);
+bool TransientRun::advance_to(double t_stop) {
+  NEMTCAM_EXPECT_MSG(
+      std::binary_search(breakpoints_.begin(), breakpoints_.end(), t_stop),
+      "a transient stops only at one of its breakpoints or at t_end");
+  NEMTCAM_EXPECT(t_stop >= t_ - kTimeEps);
+  if (!result_.failure.empty()) return false;
+
+  // The step loop's working names for the run's state.
+  Circuit& circuit = *circuit_;
+  const TransientOptions& opts = opts_;
+  TransientResult& result = result_;
+  std::vector<double>& v_prev = v_prev_;
+  double& t = t_;
+  double& dt = dt_;
+  const int n_node = circuit.node_unknowns();
+  const auto& devs = circuit.devices();
+  std::vector<double> v = v_prev;
 
   // LTE control also warm-starts Newton from the predictor and locates
-  // device events.
+  // device events. The predictor history, the PI memory and a pending
+  // event restart live only between breakpoints: the step out of one
+  // resets them, which is what lets a run stop there.
   const bool lte = opts.step_control == StepControl::Lte;
   StepHistory hist;
-  hist.reset(0.0, v_prev);
+  hist.reset(t, v_prev);
   std::vector<double> v_pred;           // predictor evaluation for this step
   std::vector<double> f_start, f_end;   // event function values
   if (lte) {
@@ -291,15 +301,14 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
   bool pending_restart = false;         // set when an event was landed
 
   std::size_t next_bp = 0;
-  const double t_eps = 1e-18;
 
-  while (t < opts.t_end - t_eps) {
+  while (t < t_stop - kTimeEps) {
     // Respect device hints.
     double dt_cap = opts.dt_max;
-    for (const auto& dev : circuit.devices())
-      dt_cap = std::min(dt_cap, dev->max_dt_hint());
+    for (const auto& dev : devs) dt_cap = std::min(dt_cap, dev->max_dt_hint());
     dt = std::min(dt, dt_cap);
-    while (next_bp < breakpoints.size() && breakpoints[next_bp] <= t + t_eps)
+    while (next_bp < breakpoints_.size() &&
+           breakpoints_[next_bp] <= t + kTimeEps)
       ++next_bp;
 
     // The very first step, any step right after a source breakpoint, and
@@ -311,8 +320,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     // dt restarts from dt_init, regrowing at kDtGrowMax per step.
     const bool at_discontinuity =
         result.steps_taken == 0 || pending_restart ||
-        (next_bp > 0 && next_bp <= breakpoints.size() &&
-         std::fabs(t - breakpoints[next_bp - 1]) <= t_eps);
+        (next_bp > 0 && next_bp <= breakpoints_.size() &&
+         std::fabs(t - breakpoints_[next_bp - 1]) <= kTimeEps);
     pending_restart = false;
     if (lte && at_discontinuity) {
       hist.reset(t, v_prev);
@@ -327,16 +336,16 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       const double resume =
           result.steps_taken == 0
               ? opts.dt_init
-              : std::max(opts.dt_init, 0.1 * dt_last);
+              : std::max(opts.dt_init, 0.1 * dt_last_);
       dt = std::min(dt, std::max(resume, opts.dt_min));
     }
     const Integrator step_integrator =
         at_discontinuity ? Integrator::BackwardEuler : opts.integrator;
 
     // Land exactly on the next breakpoint.
-    if (next_bp < breakpoints.size()) {
-      const double to_bp = breakpoints[next_bp] - t;
-      if (dt >= to_bp - t_eps) dt = to_bp;
+    if (next_bp < breakpoints_.size()) {
+      const double to_bp = breakpoints_[next_bp] - t;
+      if (dt >= to_bp - kTimeEps) dt = to_bp;
       // Avoid a sliver step right after a breakpoint landing.
       else if (to_bp - dt < opts.dt_min) dt = to_bp;
     }
@@ -345,8 +354,8 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
     // dt_min (and no interior breakpoint sits in between), stretch the step
     // to t_end — the same merge rule breakpoint landings use.
     if (opts.t_end - t - dt < opts.dt_min &&
-        (next_bp >= breakpoints.size() ||
-         breakpoints[next_bp] >= opts.t_end - t_eps))
+        (next_bp >= breakpoints_.size() ||
+         breakpoints_[next_bp] >= opts.t_end - kTimeEps))
       dt = opts.t_end - t;
 
     // Event functions at the step start: committed state, dt → 0.
@@ -376,7 +385,7 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       }
       v = use_pred ? v_pred : v_prev;
       const NewtonResult nr = solve_newton(circuit, t + dt, dt, /*is_dc=*/false,
-                                           v, v_prev, newton,
+                                           v, v_prev, newton_,
                                            step_integrator);
       result.newton_iterations += static_cast<std::size_t>(nr.iterations);
       if (!nr.converged) {
@@ -396,16 +405,16 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
           v = v_prev;
           SolverDiagnostics diag;
           const NewtonResult rr = solve_newton_recovering(
-              circuit, t + dt, dt, /*is_dc=*/false, v, v_prev, newton,
+              circuit, t + dt, dt, /*is_dc=*/false, v, v_prev, newton_,
               RecoveryOptions{}, &diag, step_integrator);
           result.newton_iterations += static_cast<std::size_t>(rr.iterations);
           result.diagnostics = std::move(diag);
           if (rr.converged) {
             if (result.diagnostics.residual_gmin > 0.0) {
-              sticky_gmin =
-                  std::max(sticky_gmin, result.diagnostics.residual_gmin);
-              newton.gmin = sticky_gmin;
-              result.residual_gmin = sticky_gmin;
+              sticky_gmin_ =
+                  std::max(sticky_gmin_, result.diagnostics.residual_gmin);
+              newton_.gmin = sticky_gmin_;
+              result.residual_gmin = sticky_gmin_;
             }
             ++result.steps_recovered;
             // A ladder-rescued step is treated like a discontinuity: accept
@@ -418,13 +427,13 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
           result.failure = "Newton failed to converge at t=" +
                            std::to_string(t) + "; recovery ladder: " +
                            result.diagnostics.summary();
-          return result;
+          return false;
         }
         dt *= 0.25;
         if (dt < opts.dt_min) {
           result.failure = "Newton failed to converge at t=" +
                            std::to_string(t) + " with dt at dt_min";
-          return result;
+          return false;
         }
         continue;
       }
@@ -482,13 +491,13 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
           else
             v = v_prev;
           NewtonResult nr = solve_newton(circuit, t + mid, mid, /*is_dc=*/false,
-                                         v, v_prev, newton,
+                                         v, v_prev, newton_,
                                          step_integrator);
           result.newton_iterations += static_cast<std::size_t>(nr.iterations);
           if (!nr.converged) {
             v = v_prev;
             nr = solve_newton(circuit, t + mid, mid, /*is_dc=*/false, v,
-                              v_prev, newton, step_integrator);
+                              v_prev, newton_, step_integrator);
             result.newton_iterations += static_cast<std::size_t>(nr.iterations);
           }
           if (!nr.converged) break;  // keep the current (converged) bracket
@@ -510,21 +519,21 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
 
     t += dt;
     ++result.steps_taken;
-    dt_last = dt;
+    dt_last_ = dt;
 
     // Commit device state and integrate source energies at the accepted
     // point (same integrator the step was solved with, so companion-current
     // state stays consistent).
     StampContext ctx(t, dt, /*is_dc=*/false, n_node, &v, &v_prev,
                      step_integrator);
-    for (Device* dev : devs) dev->commit(ctx);
+    for (const auto& dev : devs) dev->commit(ctx);
     for (std::size_t i = 0; i < devs.size(); ++i) {
       const double pd = devs[i]->delivered_power(ctx);
-      acc_delivered[i] += 0.5 * (prev_delivered[i] + pd) * dt;
-      prev_delivered[i] = pd;
+      acc_delivered_[i] += 0.5 * (prev_delivered_[i] + pd) * dt;
+      prev_delivered_[i] = pd;
     }
 
-    if (opts.record) record_sample(t, v);
+    if (opts.record) record_sample(result, t, v);
     if (lte) hist.push(t, v);
     v_prev = v;
 
@@ -538,14 +547,32 @@ TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
       dt = std::min(dt * opts.dt_grow, opts.dt_max);
     }
   }
+  return true;
+}
 
-  for (std::size_t i = 0; i < devs.size(); ++i) {
-    if (acc_delivered[i] != 0.0 || devs[i]->branch_count() > 0)
-      result.source_energy_[devs[i]->name()] += acc_delivered[i];
+TransientResult TransientRun::finish() {
+  if (result_.failure.empty()) {
+    NEMTCAM_EXPECT_MSG(t_ >= opts_.t_end - kTimeEps,
+                       "TransientRun::finish before t_end");
+    const auto& devs = circuit_->devices();
+    for (std::size_t i = 0; i < devs.size(); ++i) {
+      if (acc_delivered_[i] != 0.0 || devs[i]->branch_count() > 0)
+        result_.source_energy_[devs[i]->name()] += acc_delivered_[i];
+    }
+    result_.finished = true;
   }
+  return std::move(result_);
+}
 
-  result.finished = true;
-  return result;
+TransientResult run_transient(Circuit& circuit, const TransientOptions& opts) {
+  return run_transient_from(circuit, circuit.initial_state(), opts);
+}
+
+TransientResult run_transient_from(Circuit& circuit, std::vector<double> v0,
+                                   const TransientOptions& opts) {
+  TransientRun run(circuit, std::move(v0), opts);
+  run.advance_to(opts.t_end);
+  return run.finish();
 }
 
 }  // namespace nemtcam::spice

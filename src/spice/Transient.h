@@ -10,7 +10,9 @@
 //
 // The engine starts from the circuit's initial conditions (SPICE "UIC"
 // style) — the TCAM experiments always begin from a known stored state —
-// or from a caller-provided state vector (e.g. a DC operating point).
+// or from a caller-provided state vector (e.g. a DC operating point). A
+// run is a TransientRun value that advances from breakpoint to
+// breakpoint; a copy taken at one resumes the run (see TransientRun).
 //
 // Every step solves with default NewtonOptions. When dt backoff cannot
 // rescue a step — immediately on a singular system (dt cannot un-float a
@@ -128,6 +130,57 @@ class TransientResult {
  private:
   // Lazily built sorted (unknown, column) pairs for probe recording.
   mutable std::vector<std::pair<std::size_t, std::size_t>> column_index_;
+};
+
+// One transient in progress, as a copyable value: the result so far and
+// the loop state a continuation needs (v_prev, t, dt, the last accepted
+// dt, the Newton gmin and its sticky floor, the per-source energy
+// accumulators). run_transient_from is construct, advance_to(t_end),
+// finish().
+//
+// A run stops only at one of its breakpoints or at t_end, and every step
+// out of a breakpoint is the engine's restart (Backward Euler, predictor
+// history reset, dt resumed at a tenth of the last accepted step), so
+// nothing else carries across one. A copy taken at a breakpoint is
+// therefore a checkpoint: with the circuit's device states loaded back to
+// what they were there (Circuit::save_device_states/load_device_states)
+// and the same LU pivot order in the circuit's solver cache, advancing the
+// copy repeats the uninterrupted run step for step, bit for bit. The copy
+// keeps a pointer to the circuit and must only be advanced on it.
+class TransientRun {
+ public:
+  TransientRun(Circuit& circuit, std::vector<double> v0,
+               const TransientOptions& opts);
+
+  // Advances to `t_stop`, one of the run's breakpoints or t_end, not
+  // behind the run. Returns false when the run failed, here or earlier
+  // (finish() then returns the failure).
+  bool advance_to(double t_stop);
+
+  // Closes the run and hands over its result: a run that reached t_end
+  // gets its per-source energies and is marked finished; a failed run's
+  // result is returned as it stands. The run is spent afterwards.
+  TransientResult finish();
+
+ private:
+  Circuit* circuit_;
+  TransientOptions opts_;
+  // Source breakpoints in (0, t_end], merged closer than dt_min.
+  std::vector<double> breakpoints_;
+  TransientResult result_;
+  std::vector<double> v_prev_;
+  double t_ = 0.0;
+  double dt_ = 0.0;
+  double dt_last_ = 0.0;  // last accepted step (restart sizing)
+  // A residual gmin accepted by the recovery ladder (a genuinely floating
+  // node) is folded into the Newton options so every later step holds the
+  // node without re-running the ladder.
+  NewtonOptions newton_;
+  double sticky_gmin_ = 0.0;
+  // Per-device delivered power at the last accepted point and its
+  // trapezoidal integral so far.
+  std::vector<double> prev_delivered_;
+  std::vector<double> acc_delivered_;
 };
 
 TransientResult run_transient(Circuit& circuit, const TransientOptions& opts);

@@ -152,9 +152,30 @@ spice::TransientResult ArrayFixture::run() {
     r.failure = "ERC failed before simulation\n" + rep.to_string();
     return r;
   }
+  const spice::AssemblyCache& cache = circuit_.solver_cache();
+  const util::Digest128 image = circuit_.state_digest();
+  if (checkpoint_ && checkpoint_->image == image &&
+      checkpoint_->pivot_order == cache.pivot_order()) {
+    circuit_.load_device_states(checkpoint_->device_states);
+    spice::TransientRun resumed = checkpoint_->run;
+    resumed.advance_to(t_end_);
+    return resumed.finish();
+  }
+
+  checkpoint_.reset();
   spice::TransientOptions opts = spice::step_defaults(t_end_);
   opts.probe_nodes = ml_;  // metrics only read the matchlines
-  return spice::run_transient(circuit_, opts);
+  const std::uint64_t factorizations =
+      cache.stats().full_factorizations + cache.stats().refactorizations;
+  spice::TransientRun run(circuit_, circuit_.initial_state(), opts);
+  // Captured only when every factorization of the prefix reused the pivot
+  // order in force at t_edge: chosen no later than the run's first one.
+  if (run.advance_to(t_edge_) && cache.pivot_order() <= factorizations) {
+    checkpoint_ = Checkpoint{run, {}, image, cache.pivot_order()};
+    circuit_.save_device_states(checkpoint_->device_states);
+  }
+  run.advance_to(t_end_);
+  return run.finish();
 }
 
 void ArrayFixture::rebind_key(const core::TernaryWord& key) {

@@ -18,7 +18,10 @@
 //
 // Elaborate once, replay many: a key change rebinds the driver
 // waveforms, a store of the same words re-seeds device state; only a
-// different stored image rebuilds. An N-row template scopes row r's
+// different stored image rebuilds. A replay resumes at the SL edge from
+// the checkpoint the last full run took there, since nothing before the
+// edge depends on the key (ArrayFixture::run), and reports exactly what
+// a full run reports. An N-row template scopes row r's
 // hardware by row ("ml<r>", cells "Xrow<r>.Xcell<c>.<card>"); a one-row
 // template names it unscoped ("ml", "Xcell<c>.<card>"), the single-row
 // names the fault injector reads as any row. The ERC rules and the fault
@@ -88,6 +91,9 @@ class ArrayFixture {
  public:
   ArrayFixture(const SearchTemplateSpec& spec, int rows, int width,
                const core::TernaryWord& key, int column_rows);
+  // The checkpoint's run points at circuit_: the fixture stays put.
+  ArrayFixture(const ArrayFixture&) = delete;
+  ArrayFixture& operator=(const ArrayFixture&) = delete;
 
   spice::Circuit& circuit() noexcept { return circuit_; }
   spice::NodeId vdd() const noexcept { return vdd_; }
@@ -120,10 +126,33 @@ class ArrayFixture {
 
   // ERC gate (errors → no transient, the cached report as the failure
   // text) + transient over the search timeline, probing every matchline.
+  //
+  // Until t_edge no searchline moves, whatever the key (rebind_key), so
+  // the transient up to t_edge depends only on the circuit's state at
+  // t = 0 and the solver cache's LU pivot order. A run checkpoints itself
+  // there: the engine's loop state (spice::TransientRun) and every
+  // device's dynamic state. A later run resumes from the checkpoint when
+  // all three hold:
+  //  - the circuit's state digest at t = 0 (Circuit::state_digest: every
+  //    device's parameters and dynamic state after the reset and the
+  //    binders, and the initial conditions) equals the one the
+  //    checkpoint was captured from, so a fault, aging or variation edit,
+  //    an IC change or state a reset does not clear (a stuck relay's gate
+  //    charge) forces a full run;
+  //  - the solver cache still holds the pivot order the checkpoint's
+  //    prefix was solved with (AssemblyCache::pivot_order): no pattern
+  //    build or full factorization since the capture, and none in the
+  //    capturing run between its first factorization and t_edge;
+  //  - the capturing run reached t_edge.
+  // The resumed run reports the whole transient, prefix included, exactly
+  // as a full run would: every figure and counter is bit-identical.
   spice::TransientResult run();
 
   // Re-aims all 2M searchline drivers at a new key (waveform rebind; no
-  // topology change, the stamp pattern and symbolic LU survive).
+  // topology change, the stamp pattern and symbolic LU survive). The
+  // checkpoint in run() rests on this being the only rebind and on every
+  // driver being step_wave(0, v, t_edge): 0 V until t_edge, with the same
+  // breakpoints for every key.
   void rebind_key(const core::TernaryWord& key);
 
   // Interprets the run. Row r matched when its ML is still above the
@@ -153,6 +182,17 @@ class ArrayFixture {
   std::vector<int> seg_of_row_;
   double t_edge_ = 0.0;
   double t_end_ = 0.0;
+
+  // The last full run's state at t_edge (see run()). A digest of the
+  // t = 0 image, not the image: keeping one per template costs memory
+  // the digest does not.
+  struct Checkpoint {
+    spice::TransientRun run;
+    std::vector<double> device_states;
+    util::Digest128 image;
+    std::uint64_t pivot_order;
+  };
+  std::optional<Checkpoint> checkpoint_;
 };
 
 // Elaborate-once / replay-many array of `rows` rows, built from the

@@ -42,7 +42,11 @@ struct SearchMetrics {
   double energy = 0.0;        // net energy delivered by all sources (J)
   double ml_final = 0.0;      // ML voltage at the end of the window (V)
   double ml_min = 0.0;        // minimum ML voltage in the window (V)
-  // Solver-effort telemetry.
+  // Solver-effort telemetry, over the whole simulated transient: a
+  // search resumed at the searchline edge from its template's checkpoint
+  // (ArrayFixture::run) counts the precharge prefix it did not re-solve,
+  // exactly as the full run would. The work actually done shows in the
+  // circuit's AssemblyCache::Stats.
   std::size_t steps = 0;           // accepted transient steps
   std::size_t steps_rejected = 0;  // LTE rejections
   std::size_t newton_iters = 0;    // total Newton iterations

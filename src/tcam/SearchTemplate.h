@@ -13,6 +13,11 @@
 // stored word a device-state re-seed — neither bumps the topology
 // revision, so the solver cache's stamp pattern and symbolic LU carry
 // over (zero reconstruction; the stamp_pattern_builds metric stays flat).
+// Nor does a replay re-solve the precharge: every key holds the
+// searchlines at 0 V until the SL edge, so the search resumes there from
+// the checkpoint the template's last full run took, unless the circuit's
+// state at t = 0 or its LU pivot order moved since (ArrayFixture::run).
+// Every figure a resumed search reports is the full run's, bit for bit.
 //
 // A search with a different stored word rebuilds the template: the
 // registered ERC rules and the cached report are bound to the word they

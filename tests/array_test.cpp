@@ -3,6 +3,7 @@
 // fault injection. All tests here carry the ctest label `array`.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "devices/NemRelay.h"
@@ -11,6 +12,8 @@
 #include "tcam/ArrayTemplate.h"
 #include "tcam/RowSpecs.h"
 #include "tcam/TcamRow.h"
+
+#include "SameSearch.h"
 
 namespace {
 
@@ -232,6 +235,127 @@ TEST(ArrayFault, InjectedRowFaultFlipsOnlyThatRow) {
   ASSERT_TRUE(faulty.ok) << faulty.note;
   EXPECT_EQ(arr.builds(), 1u);  // fault mutation is not a topology change
   for (int r = 0; r < R; ++r) EXPECT_TRUE(faulty.rows[r].matched) << r;
+}
+
+// ---------------------------------------------------------------- resume
+
+const tcam::TcamKind kAllKinds[] = {
+    tcam::TcamKind::Sram16T,  tcam::TcamKind::Nem3T2N,
+    tcam::TcamKind::Rram2T2R, tcam::TcamKind::Fefet2F,
+    tcam::TcamKind::Dtcam5T,  tcam::TcamKind::Fefet4T2F,
+    tcam::TcamKind::Mram4T2M};
+
+// An array of `rows` × `width` storing word_for_row(r) in row r.
+ArrayTemplate stored_array(tcam::TcamKind kind, int rows, int width) {
+  ArrayTemplate arr(tcam::search_spec_for(kind, Calibration::standard()),
+                    rows, width);
+  for (int r = 0; r < rows; ++r) arr.store(r, word_for_row(r, width));
+  return arr;
+}
+
+// A warm array's search with a new key resumes at the searchline edge from
+// the checkpoint its first search took, and reports exactly what a fresh
+// array's first search with that key reports: 8×8 arrays of every kind.
+TEST(ArrayResume, ResumedSearchEqualsFreshArrayBitForBit) {
+  constexpr int R = 8, W = 8;
+  for (const tcam::TcamKind kind : kAllKinds) {
+    SCOPED_TRACE(tcam::kind_name(kind));
+    ArrayTemplate warm = stored_array(kind, R, W);
+    ASSERT_TRUE(warm.search(word_for_row(0, W)).ok);
+    for (const int key_row : {1, 6}) {
+      const TernaryWord key = word_for_row(key_row, W);
+      ArrayTemplate fresh = stored_array(kind, R, W);
+      const ArraySearchMetrics ref = fresh.search(key);
+      const std::uint64_t before = tcam::solver_passes(warm);
+      const ArraySearchMetrics m = warm.search(key);
+      EXPECT_LT(tcam::solver_passes(warm) - before, m.newton_iters);
+      tcam::expect_same_search(m, ref);
+    }
+  }
+}
+
+// The same for one bank of the size perfbench's array_search searches: a
+// 24×24 3T2N array.
+TEST(ArrayResume, Resumed24x24BankEqualsFreshBank) {
+  constexpr int N = 24;
+  ArrayTemplate warm = stored_array(tcam::TcamKind::Nem3T2N, N, N);
+  ASSERT_TRUE(warm.search(word_for_row(0, N)).ok);
+  const TernaryWord key = word_for_row(7, N);
+  ArrayTemplate fresh = stored_array(tcam::TcamKind::Nem3T2N, N, N);
+  const std::uint64_t before = tcam::solver_passes(warm);
+  const ArraySearchMetrics m = warm.search(key);
+  EXPECT_LT(tcam::solver_passes(warm) - before, m.newton_iters);
+  tcam::expect_same_search(m, fresh.search(key));
+}
+
+// Every fault the injector applies edits devices in place, which changes
+// the circuit's state at t = 0: the warm array's next search runs in full
+// (one solver pass per reported Newton iteration) and equals a fresh array
+// that got the same fault before its first search. The faulted relay, N2
+// of a stored '1', holds no gate charge, so sticking it after a search
+// leaves it in the state a fresh array's sticks it in.
+TEST(ArrayResume, EveryFaultKindForcesAFullRun) {
+  constexpr int R = 4, W = 4;
+  const TernaryWord key0 = word_for_row(0, W);
+  const TernaryWord key1 = word_for_row(2, W);
+  for (const fault::FaultKind kind :
+       {fault::FaultKind::RelayStuckClosed, fault::FaultKind::RelayStuckOpen,
+        fault::FaultKind::ContactDrift, fault::FaultKind::GateLeak,
+        fault::FaultKind::MosVthOutlier}) {
+    SCOPED_TRACE(fault::fault_kind_name(kind));
+    fault::FaultSpec spec;
+    spec.kind = kind;
+    spec.row = 2;
+    spec.col = 1;
+    spec.on_n1 = false;
+    spec.positive = true;
+    const fault::FaultInjector injector;
+
+    ArrayTemplate warm = stored_array(tcam::TcamKind::Nem3T2N, R, W);
+    ASSERT_TRUE(warm.search(key0).ok);
+    ASSERT_GT(injector.apply(warm.fixture()->circuit(), spec), 0);
+    const std::uint64_t before = tcam::solver_passes(warm);
+    const ArraySearchMetrics m = warm.search(key1);
+    EXPECT_EQ(tcam::solver_passes(warm) - before, m.newton_iters);
+
+    ArrayTemplate fresh = stored_array(tcam::TcamKind::Nem3T2N, R, W);
+    fresh.ensure_built(key1);
+    injector.apply(fresh.fixture()->circuit(), spec);
+    ArraySearchMetrics ref = fresh.search(key1);
+    // A gate leak is a new stamp: the warm array re-records its pattern
+    // once, where the fresh one recorded it with the leak in.
+    if (kind == fault::FaultKind::GateLeak) ++ref.stamp_pattern_builds;
+    tcam::expect_same_search(m, ref);
+  }
+}
+
+// A stuck relay keeps its gate charge from one search to the next: the
+// binder's NemRelay::set_state leaves a pinned beam alone, and no reset
+// clears the charge. So the search after the one that stuck it starts
+// from yet another state and must run in full too, on the same pivot
+// order: what moved is the state at t = 0. (A fresh array cannot be the
+// reference here: its stuck relay starts without the charge.)
+TEST(ArrayResume, StuckRelayGateChargeCarriesOverAndForcesAFullRun) {
+  constexpr int R = 4, W = 4;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::RelayStuckClosed;
+  spec.row = 1;
+  spec.col = 2;
+  spec.on_n1 = true;
+
+  ArrayTemplate warm = stored_array(tcam::TcamKind::Nem3T2N, R, W);
+  ASSERT_TRUE(warm.search(word_for_row(0, W)).ok);
+  ASSERT_EQ(fault::FaultInjector().apply(warm.fixture()->circuit(), spec), 1);
+  const spice::AssemblyCache& cache = warm.fixture()->circuit().solver_cache();
+  const std::uint64_t pivots = cache.pivot_order();
+  for (const int key_row : {2, 3}) {
+    SCOPED_TRACE("key of row " + std::to_string(key_row));
+    const std::uint64_t before = tcam::solver_passes(warm);
+    const ArraySearchMetrics m = warm.search(word_for_row(key_row, W));
+    ASSERT_TRUE(m.ok) << m.note;
+    EXPECT_EQ(tcam::solver_passes(warm) - before, m.newton_iters);
+    EXPECT_EQ(cache.pivot_order(), pivots);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "devices/NemRelay.h"
@@ -18,8 +19,12 @@
 #include "hier/Elaborate.h"
 #include "netlist/Netlist.h"
 #include "spice/Transient.h"
+#include "tcam/RowSpecs.h"
 #include "tcam/Rram2T2RRow.h"
+#include "tcam/SearchTemplate.h"
 #include "tcam/TcamRow.h"
+
+#include "SameSearch.h"
 
 namespace {
 
@@ -406,6 +411,99 @@ TEST(HierFault, InjectorUnderstandsScopedRelayNames) {
   spec.on_n1 = false;
   EXPECT_EQ(injector.apply(ckt, spec), 1);
   EXPECT_TRUE(hier_n2.stuck());
+}
+
+// --- Resumed searches --------------------------------------------------
+
+// `width` trits cycling 1, 0, X, 1, 1, 0.
+TernaryWord mixed_word(int width) {
+  const Ternary cycle[] = {Ternary::One, Ternary::Zero, Ternary::X,
+                           Ternary::One, Ternary::One,  Ternary::Zero};
+  TernaryWord w(static_cast<std::size_t>(width));
+  for (int c = 0; c < width; ++c)
+    w[static_cast<std::size_t>(c)] = cycle[c % 6];
+  return w;
+}
+
+// The stored word with its X columns searched as 1: a match.
+TernaryWord matching_key(const TernaryWord& stored) {
+  TernaryWord k = stored;
+  for (std::size_t c = 0; c < k.size(); ++c)
+    if (k[c] == Ternary::X) k[c] = Ternary::One;
+  return k;
+}
+
+// A warm template's search resumes at the searchline edge from the
+// checkpoint its last full run left; it must report exactly what a fresh
+// template's first search with the same key reports. Keys of 0/1 only (a
+// one-bit miss), with X columns (a miss elsewhere) and all X (a match).
+TEST_P(AllKindsHier, ResumedSearchEqualsFreshTemplateBitForBit) {
+  const SearchTemplateSpec spec =
+      search_spec_for(GetParam(), Calibration::standard());
+  for (const int width : {8, 32}) {
+    const TernaryWord stored = mixed_word(width);
+    TernaryWord binary = matching_key(stored);
+    binary[0] = Ternary::Zero;
+    TernaryWord with_x = matching_key(stored);
+    with_x[1] = Ternary::One;
+    for (std::size_t c = 3; c < with_x.size(); c += 4) with_x[c] = Ternary::X;
+
+    SearchTemplate warm(spec, width, kRows);
+    const double strobe = warm.default_strobe();
+    ASSERT_TRUE(warm.search(matching_key(stored), stored, strobe).ok);
+    for (const TernaryWord& key :
+         {binary, with_x, TernaryWord::all_x(stored.size())}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", key " +
+                   key.to_string());
+      SearchTemplate fresh(spec, width, kRows);
+      const SearchMetrics ref = fresh.search(key, stored, strobe);
+      EXPECT_EQ(ref.matched, stored.matches(key));
+      expect_same_search(warm.search(key, stored, strobe), ref);
+      expect_same_search(warm.search(key, stored, strobe), ref);
+    }
+  }
+}
+
+// An in-place edit changes the circuit's state at t = 0, so the warm
+// template's next search runs in full and equals a fresh template that got
+// the same edit before its first search. Here: RRAM resistance variation
+// drawn through TcamRow::search, and an initial condition on the
+// matchline, which no binder writes.
+TEST(ResumeAfterEdit, RramVariationForcesAFullRun) {
+  const TernaryWord stored("10X10010");
+  const TernaryWord key("00110010");
+  auto warm = make_row(TcamKind::Rram2T2R, kWidth, kRows);
+  warm->store(stored);
+  ASSERT_TRUE(warm->search(TernaryWord("10110010")).ok);
+  auto* rram = dynamic_cast<Rram2T2RRow*>(warm.get());
+  ASSERT_NE(rram, nullptr);
+  rram->set_resistance_sigma(0.3);
+  const SearchMetrics edited = warm->search(key);
+
+  auto fresh = make_row(TcamKind::Rram2T2R, kWidth, kRows);
+  dynamic_cast<Rram2T2RRow&>(*fresh).set_resistance_sigma(0.3);
+  fresh->store(stored);
+  expect_same_search(edited, fresh->search(key));
+}
+
+TEST(ResumeAfterEdit, InitialConditionForcesAFullRun) {
+  const SearchTemplateSpec spec =
+      search_spec_for(TcamKind::Nem3T2N, Calibration::standard());
+  const TernaryWord stored("10X10010");
+  const TernaryWord key("00110010");
+  SearchTemplate warm(spec, kWidth, kRows);
+  const double strobe = warm.default_strobe();
+  ASSERT_TRUE(warm.search(TernaryWord("10110010"), stored, strobe).ok);
+  spice::Circuit& ckt = *warm.circuit();
+  ckt.set_ic(ckt.node("ml"), 0.3);
+  const std::uint64_t before = solver_passes(warm);
+  const SearchMetrics edited = warm.search(key, stored, strobe);
+  EXPECT_EQ(solver_passes(warm) - before, edited.newton_iters);
+
+  SearchTemplate fresh(spec, kWidth, kRows);
+  fresh.ensure_built(key, stored);
+  fresh.circuit()->set_ic(fresh.circuit()->node("ml"), 0.3);
+  expect_same_search(edited, fresh.search(key, stored, strobe));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "arch/BankedTcam.h"
@@ -21,8 +22,12 @@
 #include "lifetime/Hazard.h"
 #include "lifetime/LifetimeEngine.h"
 #include "spice/Circuit.h"
+#include "tcam/RowSpecs.h"
+#include "tcam/SearchTemplate.h"
 #include "util/Sweep.h"
 #include "util/Units.h"
+
+#include "SameSearch.h"
 
 namespace nemtcam {
 namespace {
@@ -395,6 +400,41 @@ TEST(Hazard, FatesAreDeterministicAndFaultListsOrdered) {
   for (std::size_t i = 1; i < faults.size(); ++i)
     EXPECT_LT(faults[i - 1].col, faults[i].col);
   for (const auto& f : faults) EXPECT_EQ(f.row, 3);
+}
+
+// Aging edits device parameters in place (Degradation::apply_to_circuit,
+// as the lifetime engine's circuit checks do), which changes the circuit's
+// state at t = 0: the warm template's next search runs in full and equals
+// a fresh template aged the same way before its first search.
+TEST(DegradationHooks, AgingInPlaceForcesAFullSearch) {
+  constexpr int kWidth = 16;
+  const core::TernaryWord stored(kWidth, core::Ternary::One);
+  core::TernaryWord miss = stored;
+  miss[0] = core::Ternary::Zero;
+  for (const tcam::TcamKind kind :
+       {tcam::TcamKind::Nem3T2N, tcam::TcamKind::Rram2T2R,
+        tcam::TcamKind::Fefet2F, tcam::TcamKind::Sram16T}) {
+    SCOPED_TRACE(tcam::kind_name(kind));
+    const tcam::SearchTemplateSpec spec =
+        tcam::search_spec_for(kind, tcam::Calibration::standard());
+    tcam::SearchTemplate warm(spec, kWidth, 64);
+    const double strobe = warm.default_strobe();
+    ASSERT_TRUE(warm.search(stored, stored, strobe).ok);
+    lifetime::Degradation().apply_to_circuit(*warm.circuit(), 0.1, 0.0);
+    const std::uint64_t before = tcam::solver_passes(warm);
+    const tcam::SearchMetrics aged = warm.search(miss, stored, strobe);
+    EXPECT_EQ(tcam::solver_passes(warm) - before, aged.newton_iters);
+
+    tcam::SearchTemplate fresh(spec, kWidth, 64);
+    fresh.ensure_built(miss, stored);
+    lifetime::Degradation().apply_to_circuit(*fresh.circuit(), 0.1, 0.0);
+    tcam::SearchMetrics ref = fresh.search(miss, stored, strobe);
+    // An aged relay's gate leak is a new stamp: the warm 3T2N template
+    // re-records its pattern once, where the fresh one recorded it with
+    // the leak in.
+    if (kind == tcam::TcamKind::Nem3T2N) ++ref.stamp_pattern_builds;
+    tcam::expect_same_search(aged, ref);
+  }
 }
 
 }  // namespace

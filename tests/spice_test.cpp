@@ -2,11 +2,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "devices/Diode.h"
+#include "devices/Fefet.h"
+#include "devices/Inductor.h"
 #include "devices/Mosfet.h"
+#include "devices/Mtj.h"
+#include "devices/NemRelay.h"
 #include "devices/Passive.h"
+#include "devices/Rram.h"
 #include "devices/Sources.h"
 #include "linalg/SparseLu.h"
 #include "spice/AssemblyCache.h"
@@ -382,6 +391,144 @@ TEST(StampSplit, TransientStampsOncePerNewtonIteration) {
   // iterations.
   EXPECT_GT(dev.fixed_calls, 0);
   EXPECT_LT(dev.fixed_calls, dev.stamp_calls);
+}
+
+// --- Transient checkpoints: every device's dynamic state round-trips ---
+
+// One small circuit per stateful device, driven through a resistor by a
+// PWL source whose corners move the device's state (companion history,
+// relay flight and contact, filament/polarization/magnetization writes),
+// with the mid-run corner a checkpoint is taken at.
+struct StatefulCase {
+  const char* name;
+  double t_mid;
+  double t_end;
+  std::vector<std::pair<double, double>> drive;
+  std::function<void(Circuit&, NodeId a)> add_device;
+};
+
+std::vector<StatefulCase> stateful_cases() {
+  const auto pulse = [](double v, double t_on, double t_mid, double t_off) {
+    return std::vector<std::pair<double, double>>{
+        {0.0, 0.0}, {t_on, 0.0}, {t_on + 0.1e-9, v}, {t_mid, v},
+        {t_off, v}, {t_off + 0.1e-9, 0.0}};
+  };
+  return {
+      {"Capacitor", 2e-9, 5e-9, pulse(1.0, 0.5e-9, 2e-9, 3e-9),
+       [](Circuit& c, NodeId a) {
+         c.add<Capacitor>("C1", a, c.ground(), 1e-12);
+       }},
+      {"Inductor", 2e-9, 6e-9, pulse(1.0, 0.5e-9, 2e-9, 3e-9),
+       [](Circuit& c, NodeId a) {
+         c.add<Inductor>("L1", a, c.ground(), 10e-9);
+         c.add<Capacitor>("C1", a, c.ground(), 1e-12);
+       }},
+      {"Diode", 2e-9, 5e-9, pulse(1.0, 0.5e-9, 2e-9, 3e-9),
+       [](Circuit& c, NodeId a) {
+         DiodeParams p;
+         p.c_junction = 50e-15;
+         c.add<Diode>("D1", a, c.ground(), p);
+       }},
+      {"Mosfet", 2e-9, 5e-9, pulse(1.0, 0.5e-9, 2e-9, 3e-9),
+       [](Circuit& c, NodeId a) {
+         const NodeId vdd = c.node("vdd"), d = c.node("d");
+         c.add<VSource>("Vdd", vdd, c.ground(), 1.0);
+         c.add<Resistor>("Rd", vdd, d, 10e3);
+         c.add<Mosfet>("M1", d, a, c.ground(), MosfetParams::nmos_lp(4.0));
+       }},
+      {"Fefet", 4e-9, 9e-9, pulse(4.0, 0.5e-9, 4e-9, 6e-9),
+       [](Circuit& c, NodeId a) {
+         const NodeId vdd = c.node("vdd"), d = c.node("d");
+         c.add<VSource>("Vdd", vdd, c.ground(), 1.0);
+         c.add<Resistor>("Rd", vdd, d, 10e3);
+         c.add<Fefet>("F1", d, a, c.ground());
+       }},
+      {"NemRelay", 1.5e-9, 8e-9, pulse(1.0, 0.5e-9, 1.5e-9, 4e-9),
+       [](Circuit& c, NodeId a) {
+         const NodeId vdd = c.node("vdd"), d = c.node("d"), s = c.node("s");
+         c.add<VSource>("Vdd", vdd, c.ground(), 1.0);
+         c.add<Resistor>("Rd", vdd, d, 10e3);
+         c.add<Resistor>("Rs", s, c.ground(), 10e3);
+         c.add<Capacitor>("Cs", s, c.ground(), 10e-15);
+         c.add<NemRelay>("N1", d, a, s, c.ground());
+       }},
+      {"Rram", 4e-9, 14e-9, pulse(1.8, 0.5e-9, 4e-9, 11e-9),
+       [](Circuit& c, NodeId a) {
+         c.add<Rram>("R1", a, c.ground());
+         c.add<Capacitor>("C1", a, c.ground(), 10e-15);
+       }},
+      {"Mtj", 2e-9, 6e-9,
+       {{0.0, 0.0}, {0.5e-9, 0.0}, {0.6e-9, 1.0}, {2e-9, 1.0},
+        {2.1e-9, -1.0}, {4e-9, -1.0}, {4.1e-9, 0.0}},
+       [](Circuit& c, NodeId a) {
+         MtjParams p;
+         p.t_switch_ref = 1e-9;
+         auto& mtj = c.add<Mtj>("J1", a, c.ground(), p);
+         mtj.set_parallel(false);
+         c.add<Capacitor>("C1", a, c.ground(), 10e-15);
+       }},
+  };
+}
+
+std::unique_ptr<Circuit> build_stateful(const StatefulCase& k) {
+  auto c = std::make_unique<Circuit>();
+  const NodeId in = c->node("in");
+  const NodeId a = c->node("a");
+  c->add<VSource>("Vin", in, c->ground(), std::make_unique<PwlWave>(k.drive));
+  c->add<Resistor>("Rin", in, a, 1e3);
+  k.add_device(*c, a);
+  return c;
+}
+
+void expect_same_run(const TransientResult& got, const TransientResult& ref) {
+  ASSERT_TRUE(got.finished) << got.failure;
+  EXPECT_EQ(got.times, ref.times);
+  EXPECT_EQ(got.samples, ref.samples);
+  EXPECT_EQ(got.source_energies(), ref.source_energies());
+  EXPECT_EQ(got.steps_taken, ref.steps_taken);
+  EXPECT_EQ(got.newton_iterations, ref.newton_iterations);
+  EXPECT_EQ(got.steps_rejected, ref.steps_rejected);
+  EXPECT_EQ(got.events_located, ref.events_located);
+  EXPECT_EQ(got.steps_recovered, ref.steps_recovered);
+  EXPECT_EQ(got.residual_gmin, ref.residual_gmin);
+}
+
+// A run stopped at a breakpoint, its device states saved, run on, then
+// its states loaded back and its copy resumed, repeats the uninterrupted
+// run bit for bit: times, samples, source energies and every counter.
+// This covers devices no row search exercises (Inductor, Diode), where a
+// field missing from save_state would otherwise go unnoticed.
+TEST(TransientCheckpoint, EveryDeviceStateRoundTrips) {
+  for (const StatefulCase& k : stateful_cases()) {
+    SCOPED_TRACE(k.name);
+    const TransientOptions opts = step_defaults(k.t_end);
+    const auto ref_ckt = build_stateful(k);
+    const TransientResult ref = run_transient(*ref_ckt, opts);
+    ASSERT_TRUE(ref.finished) << ref.failure;
+    ASSERT_GT(ref.steps_taken, 20u);
+
+    const auto ckt = build_stateful(k);
+    TransientRun run(*ckt, ckt->initial_state(), opts);
+    ASSERT_TRUE(run.advance_to(k.t_mid));
+    TransientRun checkpoint = run;
+    std::vector<double> states;
+    ckt->save_device_states(states);
+    ASSERT_TRUE(run.advance_to(k.t_end));
+    expect_same_run(run.finish(), ref);
+
+    ckt->load_device_states(states);
+    ASSERT_TRUE(checkpoint.advance_to(k.t_end));
+    expect_same_run(checkpoint.finish(), ref);
+  }
+}
+
+// advance_to stops only where the engine restarts: a breakpoint or t_end.
+TEST(TransientCheckpoint, StopsOnlyAtABreakpoint) {
+  const StatefulCase k = stateful_cases().front();
+  const auto ckt = build_stateful(k);
+  TransientRun run(*ckt, ckt->initial_state(), step_defaults(k.t_end));
+  EXPECT_THROW(run.advance_to(0.7 * k.t_mid), std::logic_error);
+  EXPECT_TRUE(run.advance_to(k.t_mid));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 //    this contract is bench_sta's gate; this is the fast regression).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -260,6 +261,15 @@ TEST(StaSeededDefect, HealthyRelaysMeetRefreshSchedule) {
 
 // --- Bound bracketing across every row kind ---------------------------
 
+// Test name of a kind: its display name without spaces or punctuation.
+std::string kind_param_name(
+    const ::testing::TestParamInfo<tcam::TcamKind>& param_info) {
+  std::string out;
+  for (const char ch : std::string(tcam::kind_name(param_info.param)))
+    if (std::isalnum(static_cast<unsigned char>(ch))) out.push_back(ch);
+  return out;
+}
+
 class StaBracketing : public ::testing::TestWithParam<tcam::TcamKind> {};
 
 constexpr int kBracketWidth = 16;
@@ -333,13 +343,60 @@ INSTANTIATE_TEST_SUITE_P(
                       tcam::TcamKind::Rram2T2R, tcam::TcamKind::Fefet2F,
                       tcam::TcamKind::Dtcam5T, tcam::TcamKind::Fefet4T2F,
                       tcam::TcamKind::Mram4T2M),
-    [](const ::testing::TestParamInfo<tcam::TcamKind>& param_info) {
-      std::string n = tcam::kind_name(param_info.param);
-      std::string out;
-      for (const char ch : n)
-        if (std::isalnum(static_cast<unsigned char>(ch)))
-          out.push_back(ch);
-      return out;
-    });
+    kind_param_name);
+
+// --- Bound bracketing on coupled arrays -------------------------------
+
+// An 8×8 array whose rows alternate a 1,0,X word and that word with bit 0
+// flipped, searched with the word at the default strobe: every row that
+// discharges must cross the sense level inside its matchline's static
+// delay band. Six kinds: the MRAM's rows cross above their band, and
+// neither the array energy floor (SRAM and 5T fall below e_lo) nor
+// 2T2R's margin sign (STA calls its misses matches) is checked here.
+class StaArrayBracketing : public ::testing::TestWithParam<tcam::TcamKind> {};
+
+TEST_P(StaArrayBracketing, DischargingRowsCrossInsideTheirDelayBands) {
+  constexpr int kRows = 8, kWidth = 8;
+  const core::Ternary cycle[] = {core::Ternary::One, core::Ternary::Zero,
+                                 core::Ternary::X};
+  core::TernaryWord word(kWidth);
+  for (int c = 0; c < kWidth; ++c)
+    word[static_cast<std::size_t>(c)] = cycle[c % 3];
+  core::TernaryWord flipped = word;
+  flipped[0] = core::Ternary::Zero;
+
+  tcam::ArrayTemplate arr(
+      tcam::search_spec_for(GetParam(), tcam::Calibration{}), kRows, kWidth);
+  for (int r = 0; r < kRows; ++r) arr.store(r, r % 2 == 0 ? word : flipped);
+  const tcam::ArraySearchMetrics m = arr.search(word);
+  ASSERT_TRUE(m.ok) << m.note;
+
+  tcam::ArrayFixture& fx = *arr.fixture();
+  const sta::StaReport rep =
+      sta::analyze(fx.circuit(), fx.ml_names(),
+                   tcam::sta_options_for(arr.spec().cal, arr.default_strobe()));
+  int discharging = 0;
+  for (int r = 0; r < kRows; ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    const tcam::ArrayRowResult& row = m.rows[static_cast<std::size_t>(r)];
+    EXPECT_EQ(row.matched, r % 2 == 0);
+    if (row.matched) continue;
+    ++discharging;
+    ASSERT_GT(row.latency, 0.0);
+    const tcam::StaSummary s = tcam::sta_summary_from(
+        rep, fx.ml_names()[static_cast<std::size_t>(r)]);
+    ASSERT_TRUE(s.valid);
+    EXPECT_LE(s.t_lo, row.latency);
+    EXPECT_GE(s.t_hi, row.latency);
+  }
+  EXPECT_EQ(discharging, kRows / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SixKinds, StaArrayBracketing,
+    ::testing::Values(tcam::TcamKind::Sram16T, tcam::TcamKind::Nem3T2N,
+                      tcam::TcamKind::Rram2T2R, tcam::TcamKind::Fefet2F,
+                      tcam::TcamKind::Dtcam5T, tcam::TcamKind::Fefet4T2F),
+    kind_param_name);
 
 }  // namespace

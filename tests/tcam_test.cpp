@@ -3,12 +3,20 @@
 // experiments.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/TcamModel.h"
+#include "devices/Mosfet.h"
+#include "spice/Circuit.h"
 #include "tcam/Dtcam5TRow.h"
 #include "tcam/Nem3T2NRow.h"
 #include "tcam/Rram2T2RRow.h"
+#include "tcam/RowSpecs.h"
+#include "tcam/SearchTemplate.h"
 #include "tcam/TcamRow.h"
 #include "util/Random.h"
+
+#include "SameSearch.h"
 
 namespace {
 
@@ -25,6 +33,20 @@ TernaryWord flip_bit(TernaryWord w, std::size_t i) {
   return w;
 }
 
+const char* kind_param_name(
+    const ::testing::TestParamInfo<TcamKind>& param_info) {
+  switch (param_info.param) {
+    case TcamKind::Sram16T: return "Sram16T";
+    case TcamKind::Nem3T2N: return "Nem3T2N";
+    case TcamKind::Rram2T2R: return "Rram2T2R";
+    case TcamKind::Fefet2F: return "Fefet2F";
+    case TcamKind::Dtcam5T: return "Dtcam5T";
+    case TcamKind::Fefet4T2F: return "Fefet4T2F";
+    case TcamKind::Mram4T2M: return "Mram4T2M";
+  }
+  return "unknown";
+}
+
 class AllKinds : public ::testing::TestWithParam<TcamKind> {};
 
 INSTANTIATE_TEST_SUITE_P(Designs, AllKinds,
@@ -33,18 +55,7 @@ INSTANTIATE_TEST_SUITE_P(Designs, AllKinds,
                                            TcamKind::Fefet2F,
                                            TcamKind::Dtcam5T,
                                            TcamKind::Fefet4T2F),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case TcamKind::Sram16T: return "Sram16T";
-                             case TcamKind::Nem3T2N: return "Nem3T2N";
-                             case TcamKind::Rram2T2R: return "Rram2T2R";
-                             case TcamKind::Fefet2F: return "Fefet2F";
-                             case TcamKind::Dtcam5T: return "Dtcam5T";
-                             case TcamKind::Fefet4T2F: return "Fefet4T2F";
-                             case TcamKind::Mram4T2M: return "Mram4T2M";
-                           }
-                           return "unknown";
-                         });
+                         kind_param_name);
 
 TEST_P(AllKinds, MatchHoldsMatchline) {
   auto row = make_row(GetParam(), kWidth, kRows);
@@ -360,6 +371,60 @@ TEST(TcamRowApi, FailedWriteDoesNotUpdateStored) {
   const WriteMetrics w = row->write(TernaryWord("11111111"));
   ASSERT_TRUE(w.ok);
   EXPECT_EQ(row->stored().to_string(), "11111111");
+}
+
+// --- Replays resume at the searchline edge ----------------------------------
+
+class EveryKind : public ::testing::TestWithParam<TcamKind> {};
+
+INSTANTIATE_TEST_SUITE_P(Designs, EveryKind,
+                         ::testing::Values(TcamKind::Sram16T, TcamKind::Nem3T2N,
+                                           TcamKind::Rram2T2R,
+                                           TcamKind::Fefet2F,
+                                           TcamKind::Dtcam5T,
+                                           TcamKind::Fefet4T2F,
+                                           TcamKind::Mram4T2M),
+                         kind_param_name);
+
+// Until the searchline edge every search of a template solves the same
+// precharge, whatever its key, so a replay resumes from the checkpoint
+// its template's last full run took there: its solver cache makes far
+// fewer iteration passes than the Newton iterations it reports, which
+// count the whole transient (kinds with a longer search window save a
+// smaller share). A checkpoint that never validated would leave every
+// figure right and only cost time; this is the test that notices. A
+// parameter edited in place moves the circuit's state at t = 0, and the
+// next search runs in full: one pass per iteration.
+TEST_P(EveryKind, ReplayWithANewKeyResumesAtTheSearchlineEdge) {
+  constexpr int kResumeWidth = 32;
+  SearchTemplate tpl(search_spec_for(GetParam(), Calibration::standard()),
+                     kResumeWidth, kRows);
+  TernaryWord stored(static_cast<std::size_t>(kResumeWidth), Ternary::One);
+  for (std::size_t c = 0; c < stored.size(); ++c) {
+    if (c % 3 == 1) stored[c] = Ternary::Zero;
+    if (c % 5 == 4) stored[c] = Ternary::X;
+  }
+  const TernaryWord miss = flip_bit(stored, 0);
+  const double strobe = tpl.default_strobe();
+  ASSERT_TRUE(tpl.search(stored, stored, strobe).ok);
+  std::uint64_t before = solver_passes(tpl);
+  const SearchMetrics replay = tpl.search(miss, stored, strobe);
+  ASSERT_TRUE(replay.ok) << replay.note;
+  EXPECT_FALSE(replay.matched);
+  // A replay makes about half the passes (46–56% at this width), the
+  // MRAM two thirds: its search window is four times as long (10 ns
+  // against 2.5 ns), so the prefix is a smaller share.
+  const double share = GetParam() == TcamKind::Mram4T2M ? 0.75 : 0.6;
+  EXPECT_LE(static_cast<double>(solver_passes(tpl) - before),
+            share * static_cast<double>(replay.newton_iters));
+
+  auto* pchg = dynamic_cast<devices::Mosfet*>(tpl.circuit()->find("Mpchg"));
+  ASSERT_NE(pchg, nullptr);
+  pchg->shift_vth(0.01);
+  before = solver_passes(tpl);
+  const SearchMetrics edited = tpl.search(miss, stored, strobe);
+  ASSERT_TRUE(edited.ok) << edited.note;
+  EXPECT_EQ(solver_passes(tpl) - before, edited.newton_iters);
 }
 
 }  // namespace
